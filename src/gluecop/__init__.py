@@ -17,13 +17,11 @@ from .empirical import (EmpiricalCopula, FitResult, PiecewiseFit, PseudoSample,
 from .errors import (DataError, DomainError, GluecopError, NumericalError,
                      ParameterError)
 from .gluing import GluedCopula, decompose, glue
-from .marginals import (EmpiricalMarginal, Marginal, TruncatedMarginal,
-                        UniformMarginal)
+from .marginals import EmpiricalMarginal, Marginal, UniformMarginal
 from .model_io import (copula_from_dict, copula_to_dict, load_model,
                        model_from_dict, model_to_dict, save_model)
 from .reference import (Example4Copula, Example4Model, Example4Piece, Sample,
-                        example1_copula, simulate_example1, simulate_example4,
-                        tent)
+                        simulate_example1, simulate_example4, tent)
 from .regression import (IntegrationSpec, PiecewiseRegressionModel,
                          RegressionModel, mean_regression, median_psi,
                          median_regression, piecewise_regression)

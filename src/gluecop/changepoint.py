@@ -83,15 +83,23 @@ def _bisect_zero(g, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def detect_sign_crossings(grid, values, g, tol: float,
-                          persistence: int) -> tuple[list[Crossing], list[float]]:
-    """Crossings of a sampled function with refinement callable ``g``.
+def diagonal_crossings(c: Copula, grid_n: int = GRID_N_DEFAULT,
+                       tol: float = TOL_DEFAULT,
+                       persistence: int = PERSISTENCE_DEFAULT) -> CrossingReport:
+    """Crossings between the diagonal section of ``c`` and t^2.
 
-    ``values`` are samples of g on ``grid``; a crossing requires a run of at
-    least ``persistence`` points beyond +tol followed (after an optional
-    near-zero band) by an equally long run beyond -tol, or vice versa.
+    g(t) = delta(t) - t^2 is sampled on ``grid_n`` equispaced points; a
+    crossing requires a run of at least ``persistence`` points beyond +tol
+    followed (after an optional near-zero band) by an equally long run beyond
+    -tol, or vice versa.
     """
-    values = np.asarray(values, dtype=float)
+    if grid_n < 64:
+        raise DomainError("grid_n must be >= 64")
+    if persistence < 1:
+        raise DomainError("persistence must be >= 1")
+    grid = np.linspace(0.0, 1.0, grid_n)
+    g = lambda tt: c.diagonal(tt) - tt * tt
+    values = g(grid)
     codes = np.where(values > tol, 1, np.where(values < -tol, -1, 0))
     runs = [r for r in _sign_runs(codes) if r[2] - r[1] + 1 >= persistence]
 
@@ -114,19 +122,6 @@ def detect_sign_crossings(grid, values, g, tol: float,
         t_star = _bisect_zero(g, lo, hi)
         direction = "down" if left[0] > 0 else "up"
         crossings.append(Crossing(t=t_star, direction=direction))
-    return crossings, touches
-
-
-def diagonal_crossings(c: Copula, grid_n: int = GRID_N_DEFAULT,
-                       tol: float = TOL_DEFAULT,
-                       persistence: int = PERSISTENCE_DEFAULT) -> CrossingReport:
-    """Crossings between the diagonal section of ``c`` and t^2."""
-    if grid_n < 64:
-        raise DomainError("grid_n must be >= 64")
-    t = np.linspace(0.0, 1.0, grid_n)
-    g_vals = c.diagonal(t) - t * t
-    g = lambda tt: c.diagonal(tt) - tt * tt
-    crossings, touches = detect_sign_crossings(t, g_vals, g, tol, persistence)
     return CrossingReport(crossings=crossings, touches=touches, grid_n=grid_n,
                           tolerance=tol, persistence=persistence)
 

@@ -22,9 +22,8 @@ import numpy as np
 
 from . import model_io
 from .changepoint import pqd_nqd_prescreen
-from .copulas import PARAMETRIC_FAMILIES, make_copula
-from .dependence import (classify_quadrant, classify_regression_dependence,
-                         schweizer_wolff_sigma, spearman_rho)
+from .copulas import make_copula
+from .dependence import dependence_report, schweizer_wolff_sigma
 from .empirical import (DEFAULT_FIT_FAMILIES, EmpiricalCopula,
                         empirical_crossing_report, empirical_tolerance,
                         fit_piecewise, pseudo_observations)
@@ -32,7 +31,6 @@ from .errors import (DataError, DomainError, GluecopError, NumericalError,
                      ParameterError)
 from .reference import Sample, simulate_example1, simulate_example4
 from .regression import piecewise_regression
-from .gluing import GluedCopula
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -190,6 +188,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.num < 1:
+        raise _usage_error("--num must be >= 1")
     pm = model_io.load_model(args.model)
     lo, hi = pm.marginal_x.support
     x_min = lo if args.x_min is None else args.x_min
@@ -224,13 +224,13 @@ def cmd_measures(args) -> int:
         sample = read_xy_csv(args.input)
         c = EmpiricalCopula(pseudo_observations(sample))
         grid_n, tol = 16, 2.0 * empirical_tolerance(sample.n)
+    report = dependence_report(c, grid_n, tol=tol)
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "rho": spearman_rho(c),
-        "sigma": schweizer_wolff_sigma(c),
-        "quadrant_class": classify_quadrant(c, grid_n=grid_n, tol=tol).value,
-        "regression_class": classify_regression_dependence(
-            c, grid_n=grid_n, tol=tol).value,
+        "rho": report.rho,
+        "sigma": report.sigma,
+        "quadrant_class": report.quadrant_class.value,
+        "regression_class": report.regression_class.value,
     }
     _emit_json(doc, args.out)
     return EXIT_OK

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata, spearmanr
 
-from .changepoint import CrossingReport, detect_sign_crossings
-from .copulas import Copula, conditional_quantile, make_copula
+from .changepoint import CrossingReport, diagonal_crossings
+from .copulas import (Copula, _finite_difference_du, conditional_quantile,
+                      make_copula)
 from .dependence import spearman_rho
 from .errors import DataError, ParameterError
 from .marginals import EmpiricalMarginal
@@ -108,9 +109,7 @@ class EmpiricalCopula(Copula):
     def _du(self, u, v):
         # coarse central difference; the raw estimator is a step function
         h = max(0.05, 2.0 / np.sqrt(self.n))
-        lo = np.maximum(u - h, 0.0)
-        hi = np.minimum(u + h, 1.0)
-        return (self._cdf(hi, v) - self._cdf(lo, v)) / (hi - lo)
+        return _finite_difference_du(self._cdf, u, v, h)
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +129,8 @@ def empirical_crossing_report(s: Sample, grid_n: int = 512,
         warnings.warn(f"only {s.n} points; break-point detection is unreliable "
                       "below 50", stacklevel=2)
     tol = empirical_tolerance(s.n) if tol is None else tol
-    ec = EmpiricalCopula(pseudo_observations(s))
-    t = np.linspace(0.0, 1.0, grid_n)
-    g_vals = ec.diagonal(t) - t * t
-    g = lambda tt: ec.diagonal(tt) - tt * tt
-    crossings, touches = detect_sign_crossings(t, g_vals, g, tol, persistence)
-    return CrossingReport(crossings=crossings, touches=touches, grid_n=grid_n,
-                          tolerance=tol, persistence=persistence)
+    return diagonal_crossings(EmpiricalCopula(pseudo_observations(s)), grid_n,
+                              tol, persistence)
 
 
 def empirical_breakpoints(s: Sample, grid_n: int = 512,

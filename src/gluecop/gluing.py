@@ -5,9 +5,10 @@ Two copulas C1, C2 and a gluing point theta combine into
     C(u, v) = theta * C1(u/theta, v)                       on [0, theta]
     C(u, v) = (1-theta) * C2((u-theta)/(1-theta), v) + theta*v   on [theta, 1]
 
-and the same rescaling extends to finitely many pieces on vertical slabs.
-The u-derivative of the glued copula is the active piece's derivative at the
-rescaled coordinate.  ``decompose`` inverts the construction at a given
+and the same rescaling extends to finitely many pieces on vertical slabs:
+on the slab [lo, hi] with u* = (u - lo)/(hi - lo), C(u, v) = (hi - lo) *
+C_i(u*, v) + lo*v.  The u-derivative of the glued copula is the active
+piece's derivative at u*.  ``decompose`` inverts the construction at a given
 gluing point; the round trip glue(decompose(C, t), t) == C holds for any
 copula, while the pieces themselves are valid copulas exactly when the
 vertical section at t is linear (C(t, v) = t*v for all v).
@@ -32,43 +33,40 @@ class GluedCopula(Copula):
         pts = np.asarray(list(gluing_points), dtype=float)
         if len(pieces) != pts.size + 1 or len(pieces) < 1:
             raise DomainError("need exactly one more piece than gluing points")
-        if pts.size and (np.any(np.diff(pts) <= 0) or pts[0] <= 0 or pts[-1] >= 1):
+        # written as a positive test so that NaN points fail it
+        if pts.size and not (np.all(np.diff(pts) > 0) and pts[0] > 0 and pts[-1] < 1):
             raise DomainError("gluing points must be strictly increasing in (0, 1)")
         self.pieces = pieces
         self.gluing_points = pts
         self._bounds = np.concatenate(([0.0], pts, [1.0]))
         self.numerical = any(p.numerical for p in pieces)
 
-    def _slab_index(self, u):
-        # Right-continuous assignment; u exactly at a gluing point belongs to
-        # the right slab so that du uses the right piece (tie-break).
-        return np.clip(np.searchsorted(self._bounds, u, side="right") - 1,
-                       0, len(self.pieces) - 1)
-
-    def _piecewise(self, u, v, eval_piece):
+    def _on_slabs(self, u, v, cdf: bool):
+        """C (``cdf``) or its u-derivative, one rescaled piece per slab."""
         shape = np.broadcast(u, v).shape
         u, v = (a.ravel() for a in np.broadcast_arrays(u, v))
-        idx = self._slab_index(u)
+        # Right-continuous assignment: u exactly at a gluing point belongs to
+        # the right slab, so du uses the right piece there (tie-break).
+        idx = np.clip(np.searchsorted(self._bounds, u, side="right") - 1,
+                      0, len(self.pieces) - 1)
         out = np.empty(u.shape)
         for i, piece in enumerate(self.pieces):
             m = idx == i
             if not np.any(m):
                 continue
             lo, hi = self._bounds[i], self._bounds[i + 1]
-            out[m] = eval_piece(piece, u[m], v[m], lo, hi)
+            us, vs = (u[m] - lo) / (hi - lo), v[m]
+            if cdf:
+                out[m] = (hi - lo) * piece._cdf(us, vs) + lo * vs
+            else:
+                out[m] = piece._du(us, vs)
         return out.reshape(shape)
 
     def _cdf(self, u, v):
-        return self._piecewise(
-            u, v,
-            lambda p, uu, vv, lo, hi: (hi - lo) * p._cdf((uu - lo) / (hi - lo), vv) + lo * vv,
-        )
+        return self._on_slabs(u, v, cdf=True)
 
     def _du(self, u, v):
-        return self._piecewise(
-            u, v,
-            lambda p, uu, vv, lo, hi: p._du((uu - lo) / (hi - lo), vv),
-        )
+        return self._on_slabs(u, v, cdf=False)
 
     def __repr__(self):
         pts = ", ".join(f"{t:g}" for t in self.gluing_points)
@@ -80,43 +78,25 @@ def glue(pieces, gluing_points) -> GluedCopula:
     return GluedCopula(pieces, gluing_points)
 
 
-class _LeftPiece(Copula):
-    """C1(u*, v) = C(theta*u*, v) / theta."""
+class _Slab(Copula):
+    """The parent restricted to the slab [lo, hi] and rescaled to a copula:
+    C*(u*, v) = (C(lo + (hi - lo)*u*, v) - lo*v) / (hi - lo)."""
 
-    name = "decomposed-left"
+    name = "decomposed"
     smooth = False
 
-    def __init__(self, parent: Copula, theta: float):
+    def __init__(self, parent: Copula, lo: float, hi: float):
         self.parent = parent
-        self.theta = theta
+        self.lo, self.hi = lo, hi
         self.numerical = parent.numerical
 
     def _cdf(self, u, v):
-        return self.parent._cdf(self.theta * u, v) / self.theta
+        lo, hi = self.lo, self.hi
+        return (self.parent._cdf(lo + (hi - lo) * u, v) - lo * v) / (hi - lo)
 
     def _du(self, u, v):
-        # chain rule: d/du* [C(theta u*, v)/theta] = C_u(theta u*, v)
-        return self.parent._du(self.theta * u, v)
-
-
-class _RightPiece(Copula):
-    """C2(u*, v) = (C((1-theta)*u* + theta, v) - theta*v) / (1-theta)."""
-
-    name = "decomposed-right"
-    smooth = False
-
-    def __init__(self, parent: Copula, theta: float):
-        self.parent = parent
-        self.theta = theta
-        self.numerical = parent.numerical
-
-    def _cdf(self, u, v):
-        th = self.theta
-        return (self.parent._cdf((1.0 - th) * u + th, v) - th * v) / (1.0 - th)
-
-    def _du(self, u, v):
-        th = self.theta
-        return self.parent._du((1.0 - th) * u + th, v)
+        # chain rule: the factor hi - lo cancels the 1/(hi - lo)
+        return self.parent._du(self.lo + (self.hi - self.lo) * u, v)
 
 
 def decompose(c: Copula, theta: float) -> tuple[Copula, Copula]:
@@ -128,4 +108,5 @@ def decompose(c: Copula, theta: float) -> tuple[Copula, Copula]:
     """
     if not 0.0 < theta < 1.0:
         raise DomainError("gluing point must lie in (0, 1)")
-    return _LeftPiece(c, float(theta)), _RightPiece(c, float(theta))
+    theta = float(theta)
+    return _Slab(c, 0.0, theta), _Slab(c, theta, 1.0)

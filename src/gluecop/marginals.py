@@ -3,8 +3,7 @@
 A marginal is anything exposing ``cdf``, ``quantile`` and ``support``.  The
 quantile is always the generalized inverse ``q(p) = inf{x : cdf(x) >= p}``,
 so ``cdf(quantile(p)) >= p`` and ``quantile(cdf(x)) <= x`` at continuity
-points.  Truncation to an interval is supported for the piecewise-regression
-machinery (conditioning the explanatory variable on a segment).
+points.
 """
 
 from __future__ import annotations
@@ -42,9 +41,6 @@ class Marginal:
     def require_in_support(self, x):
         if not self.contains(x):
             raise DomainError(f"value {x!r} outside marginal support {self.support}")
-
-    def truncate(self, lo: float, hi: float) -> "TruncatedMarginal":
-        return TruncatedMarginal(self, lo, hi)
 
     def _cdf(self, x):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -102,26 +98,3 @@ class EmpiricalMarginal(Marginal):
     def __repr__(self):
         return f"EmpiricalMarginal(n={self.knots_x.size})"
 
-
-class TruncatedMarginal(Marginal):
-    """Base marginal conditioned on the interval (lo, hi]."""
-
-    def __init__(self, base: Marginal, lo: float, hi: float):
-        plo = float(base.cdf(lo)) if np.isfinite(lo) else 0.0
-        phi = float(base.cdf(hi)) if np.isfinite(hi) else 1.0
-        if not phi > plo:
-            raise DataError("truncation interval carries zero probability mass")
-        self.base = base
-        self.lo, self.hi = float(lo), float(hi)
-        self.plo, self.phi = plo, phi
-        self.support = (max(lo, base.support[0]), min(hi, base.support[1]))
-
-    def _cdf(self, x):
-        p = (self.base.cdf(np.clip(x, self.lo, self.hi)) - self.plo) / (self.phi - self.plo)
-        return np.clip(p, 0.0, 1.0)
-
-    def _quantile(self, p):
-        return self.base.quantile(self.plo + p * (self.phi - self.plo))
-
-    def __repr__(self):
-        return f"TruncatedMarginal({self.base!r}, {self.lo}, {self.hi})"

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .copulas import Copula, PARAMETRIC_FAMILIES, make_copula
-from .errors import DataError
+from .errors import DataError, DomainError, ParameterError
 from .gluing import GluedCopula
 from .marginals import EmpiricalMarginal, Marginal, UniformMarginal
 from .regression import PiecewiseRegressionModel
@@ -71,15 +71,22 @@ def model_to_dict(pm: PiecewiseRegressionModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> PiecewiseRegressionModel:
+    """Rebuild a model; any malformed document raises ``DataError``."""
+    if not isinstance(doc, dict):
+        raise DataError("model document must be a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DataError(f"unsupported model schema version {version!r}")
-    return PiecewiseRegressionModel(
-        break_points=tuple(doc["break_points"]),
-        segment_copulas=tuple(copula_from_dict(c) for c in doc["segment_copulas"]),
-        marginal_x=marginal_from_dict(doc["marginal_x"]),
-        marginal_y=marginal_from_dict(doc["marginal_y"]),
-    )
+    try:
+        return PiecewiseRegressionModel(
+            break_points=tuple(doc["break_points"]),
+            segment_copulas=tuple(copula_from_dict(c) for c in doc["segment_copulas"]),
+            marginal_x=marginal_from_dict(doc["marginal_x"]),
+            marginal_y=marginal_from_dict(doc["marginal_y"]),
+        )
+    except (KeyError, AttributeError, TypeError, ValueError, DomainError,
+            ParameterError) as exc:
+        raise DataError(f"malformed model document: {exc!r}") from exc
 
 
 def dumps_canonical(doc: dict) -> str:
@@ -105,9 +112,11 @@ def save_model(pm: PiecewiseRegressionModel, path: str) -> None:
 
 
 def load_model(path: str) -> PiecewiseRegressionModel:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid model JSON: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"invalid model JSON: {exc}") from exc
     return model_from_dict(doc)

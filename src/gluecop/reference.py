@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .copulas import Copula, Example1Copula
+from .copulas import Copula
 from .errors import DomainError, ParameterError
 from .marginals import Marginal, UniformMarginal
 
@@ -45,11 +45,6 @@ class Sample:
 # ---------------------------------------------------------------------------
 # tent model
 # ---------------------------------------------------------------------------
-
-def example1_copula(theta: float) -> Copula:
-    """Singular copula of the tent model (closed form, indicator du)."""
-    return Example1Copula(theta)
-
 
 def tent(x, theta: float):
     """The tent regression curve x/theta rising then (1-x)/(1-theta) falling."""

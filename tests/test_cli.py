@@ -99,6 +99,13 @@ class TestAnalyze:
         assert code == 2
         assert "data error" in err
 
+    @pytest.mark.parametrize("flag, value", [("--grid-n", "3"),
+                                             ("--persistence", "0")])
+    def test_out_of_range_is_usage_error(self, tent_csv, capsys, flag, value):
+        code, _, err = run(capsys, "analyze", str(tent_csv), flag, value)
+        assert code == 1
+        assert "must be >= " in err
+
 
 class TestFitPredict:
     def test_round_trip(self, tent_csv, tmp_path, capsys):
@@ -157,6 +164,50 @@ class TestFitPredict:
         code, _, _ = run(capsys, "predict", str(model_path), "--x-min", "0.9",
                          "--x-max", "0.1")
         assert code == 1
+
+
+def _model_doc(**changes):
+    """A valid two-segment model document; a key changed to None is dropped."""
+    doc = {"schema_version": 1, "break_points": [0.5],
+           "segment_copulas": [{"family": "frechet-upper"},
+                               {"family": "frechet-lower"}],
+           "marginal_x": {"type": "uniform", "a": 0.0, "b": 1.0},
+           "marginal_y": {"type": "uniform", "a": 0.0, "b": 1.0}}
+    doc.update(changes)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+class TestPredictInputs:
+    @pytest.mark.parametrize("num", ["0", "-3"])
+    def test_num_below_one_is_usage_error(self, tmp_path, capsys, num):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_model_doc()))
+        assert run(capsys, "predict", str(path), "--num", "3")[0] == 0
+        code, out, err = run(capsys, "predict", str(path), "--num", num)
+        assert code == 1
+        assert out == ""
+        assert "--num" in err
+
+    @pytest.mark.parametrize("text", [
+        None,
+        "[1, 2]",
+        json.dumps(_model_doc(break_points=None)),
+        json.dumps(_model_doc(segment_copulas=[{"family": "clayton", "theta": -5.0},
+                                               {"family": "product"}])),
+        json.dumps(_model_doc(break_points=[], segment_copulas=[
+            {"family": "glued", "gluing_points": [float("nan")],
+             "pieces": [{"family": "frechet-upper"}, {"family": "frechet-lower"}]}])),
+        json.dumps(_model_doc(marginal_y=[0.0, 1.0])),
+    ], ids=["missing-file", "json-array", "no-break-points", "bad-theta",
+            "nan-gluing-point", "marginal-not-object"])
+    def test_malformed_model_is_data_error(self, tmp_path, capsys, text):
+        path = tmp_path / "m.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run(capsys, "predict", str(path))
+        assert code == 2
+        assert out == ""
+        assert "data error" in err and "Traceback" not in err
 
 
 class TestMeasures:

@@ -54,6 +54,8 @@ class TestGlue:
             glue([M, PI, W], [0.7, 0.3])
         with pytest.raises(DomainError):
             glue([M, W], [0.3, 0.6])
+        with pytest.raises(DomainError):
+            glue([M, W], [np.nan])
 
     @pytest.mark.parametrize("pieces", [[M, W], [ClaytonCopula(2), FrankCopula(-4)]])
     def test_glue_preserves_axioms(self, pieces):

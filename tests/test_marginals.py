@@ -42,21 +42,3 @@ class TestEmpirical:
     def test_needs_two_points(self):
         with pytest.raises(DataError):
             EmpiricalMarginal([1.0])
-
-
-class TestTruncated:
-    def test_conditional_cdf(self):
-        m = UniformMarginal(0, 1).truncate(0.0, 0.6)
-        # F_{X|X<=b}(x) = F_X(x)/theta
-        assert m.cdf(0.3) == pytest.approx(0.5)
-        assert m.quantile(0.5) == pytest.approx(0.3)
-
-    def test_upper_piece(self):
-        m = UniformMarginal(0, 1).truncate(0.6, 1.0)
-        # F_{X|X>b}(x) = (F_X(x) - theta)/(1 - theta)
-        assert m.cdf(0.8) == pytest.approx(0.5)
-        assert m.quantile(0.25) == pytest.approx(0.7)
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(DataError):
-            UniformMarginal(0, 1).truncate(0.5, 0.5)

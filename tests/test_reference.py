@@ -12,7 +12,6 @@ from gluecop import (
     Sample,
     check_copula_axioms,
     decompose,
-    example1_copula,
     simulate_example1,
     simulate_example4,
     tent,
@@ -41,8 +40,7 @@ class TestTentModel:
         assert tent(0.9, 0.3) == pytest.approx(1.0 / 7.0)
 
     def test_copula_branches(self):
-        c = example1_copula(0.5)
-        assert isinstance(c, Example1Copula)
+        c = Example1Copula(0.5)
         # first branch: C = u on {u <= theta v}
         assert c.cdf(0.1, 0.4) == pytest.approx(0.1)
         # middle branch: C = theta v
@@ -51,7 +49,7 @@ class TestTentModel:
         assert c.cdf(0.9, 0.9) == pytest.approx(0.8)
 
     def test_copula_axioms(self):
-        assert check_copula_axioms(example1_copula(0.3), 101).passed(1e-12)
+        assert check_copula_axioms(Example1Copula(0.3), 101).passed(1e-12)
 
     def test_simulation_lies_on_tent(self):
         s = simulate_example1(500, 0.4, seed=11)
