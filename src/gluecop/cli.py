@@ -21,12 +21,12 @@ import warnings
 import numpy as np
 
 from . import model_io
-from .changepoint import pqd_nqd_prescreen
+from .changepoint import diagonal_crossings, pqd_nqd_prescreen
 from .copulas import make_copula
 from .dependence import dependence_report, schweizer_wolff_sigma
 from .empirical import (DEFAULT_FIT_FAMILIES, EmpiricalCopula,
-                        empirical_crossing_report, empirical_tolerance,
-                        fit_piecewise, pseudo_observations)
+                        empirical_tolerance, fit_piecewise,
+                        pseudo_observations, sample_spearman)
 from .errors import (DataError, DomainError, GluecopError, NumericalError,
                      ParameterError)
 from .reference import Sample, simulate_example1, simulate_example4
@@ -127,30 +127,23 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     sample = read_xy_csv(args.input)
-    warning = None
-    if sample.n < 50:
-        warning = f"only {sample.n} points; detection is unreliable below 50"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = empirical_crossing_report(sample, grid_n=args.grid_n,
-                                           tol=args.tol,
-                                           persistence=args.persistence)
     ps = pseudo_observations(sample)
     ec = EmpiricalCopula(ps)
-    from scipy.stats import spearmanr
+    tol = empirical_tolerance(sample.n) if args.tol is None else args.tol
+    report = diagonal_crossings(ec, args.grid_n, tol, args.persistence)
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "n": sample.n,
-        "rho_hat": float(spearmanr(sample.x, sample.y).statistic),
+        "rho_hat": sample_spearman(ps.u, ps.v),
         "sigma_hat": schweizer_wolff_sigma(ec),
-        "mixed_dependence": pqd_nqd_prescreen(
-            ec, tol=report.tolerance),
+        "mixed_dependence": pqd_nqd_prescreen(ec, tol=tol),
         "crossings": report.to_dict()["crossings"],
         "candidates": [float(np.quantile(sample.x, c.t))
                        for c in report.crossings],
     }
-    if warning:
-        doc["warning"] = warning
+    if sample.n < 50:
+        doc["warning"] = (f"only {sample.n} points; detection is unreliable "
+                          "below 50")
     _emit_json(doc, args.out)
     return EXIT_OK
 

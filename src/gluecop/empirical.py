@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata, spearmanr
 
 from .changepoint import CrossingReport, diagonal_crossings
 from .copulas import (Copula, _finite_difference_du, conditional_quantile,
@@ -56,11 +55,33 @@ class PseudoSample:
         return self.u.size
 
 
+def _midranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks; each tie group gets the mean of its ranks."""
+    order = np.argsort(a)
+    s = a[order]
+    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    counts = np.diff(np.r_[first, s.size])
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat(first + (counts + 1) / 2, counts)
+    return ranks
+
+
 def pseudo_observations(s: Sample) -> PseudoSample:
-    """Coordinatewise midranks scaled by 1/(n+1)."""
+    """Coordinatewise midranks scaled by 1/(n+1); a constant column carries
+    no rank information and is a ``DataError``."""
+    for name, col in (("x", s.x), ("y", s.y)):
+        if col.min() == col.max():
+            raise DataError(f"the {name} column is constant")
     n = s.n
-    return PseudoSample(u=rankdata(s.x, method="average") / (n + 1),
-                        v=rankdata(s.y, method="average") / (n + 1))
+    return PseudoSample(u=_midranks(s.x) / (n + 1), v=_midranks(s.y) / (n + 1))
+
+
+def sample_spearman(u: np.ndarray, v: np.ndarray) -> float:
+    """Sample Spearman rho: the Pearson correlation of the midranks, by the
+    same column-stacked ``np.corrcoef`` call as SciPy, so the two agree bit
+    for bit (NaN for a constant column)."""
+    ranks = np.column_stack((_midranks(u), _midranks(v)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 class EmpiricalCopula(Copula):
@@ -193,7 +214,7 @@ def fit_segment(u, v, families=DEFAULT_FIT_FAMILIES,
     v = np.asarray(v, dtype=float)
     if u.size < MIN_SEGMENT_POINTS:
         raise DataError(f"segment has {u.size} points; need >= {MIN_SEGMENT_POINTS}")
-    rho_hat = float(spearmanr(u, v).statistic)
+    rho_hat = sample_spearman(u, v)
 
     best: FitResult | None = None
     for family in families:
@@ -236,13 +257,13 @@ def fit_piecewise(s: Sample, candidates=None,
         candidates = empirical_breakpoints(s)
     bps = sorted(float(b) for b in candidates)
 
-    v_global = rankdata(s.y, method="average") / (s.n + 1)
+    v_global = pseudo_observations(s).v
     edges = [-np.inf] + bps + [np.inf]
     fits: list[FitResult] = []
     for lo, hi in zip(edges, edges[1:]):
         mask = (s.x > lo) & (s.x <= hi)
         xs = s.x[mask]
-        useg = rankdata(xs, method="average") / (xs.size + 1)
+        useg = _midranks(xs) / (xs.size + 1)
         interval = (float(max(lo, s.x.min())), float(min(hi, s.x.max())))
         fits.append(fit_segment(useg, v_global[mask], families, interval))
 

@@ -210,6 +210,26 @@ class TestPredictInputs:
         assert "data error" in err and "Traceback" not in err
 
 
+class TestConstantColumn:
+    @pytest.mark.parametrize("column", ["x", "y"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["measures"], ["fit", "--out-model", "m.json"],
+        ["fit", "--breakpoints", "0.5", "--out-model", "m.json"],
+    ], ids=["analyze", "measures", "fit", "fit-breakpoints"])
+    def test_constant_column_is_data_error(self, tmp_path, capsys, monkeypatch,
+                                           argv, column):
+        monkeypatch.chdir(tmp_path)
+        varying = np.random.default_rng(3).uniform(size=200).tolist()
+        rows = [(1.0, v) if column == "x" else (v, 1.0) for v in varying]
+        (tmp_path / "d.csv").write_text(
+            "x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+        code, out, err = run(capsys, argv[0], "d.csv", *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert "constant" in err and "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+
+
 class TestMeasures:
     def test_family_report(self, capsys):
         code, out, _ = run(capsys, "measures", "--family", "clayton",

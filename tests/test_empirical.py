@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import spearmanr
+from scipy.stats import rankdata, spearmanr
 
 from gluecop import (
     ClaytonCopula,
@@ -23,7 +23,7 @@ from gluecop import (
     spearman_rho,
     tent,
 )
-from gluecop.empirical import PseudoSample, _invert_rho
+from gluecop.empirical import PseudoSample, _invert_rho, _midranks, sample_spearman
 
 
 class TestPseudoObservations:
@@ -42,6 +42,29 @@ class TestPseudoObservations:
                                         y=rng.normal(size=100)))
         assert np.all((ps.u > 0) & (ps.u < 1))
         assert np.all((ps.v > 0) & (ps.v < 1))
+
+    @pytest.mark.parametrize("levels", [None, 2, 7, 50], ids=lambda k: f"levels={k}")
+    @pytest.mark.parametrize("n", [2, 3, 31, 1000])
+    def test_equals_scipy_average_ranks(self, n, levels):
+        rng = np.random.default_rng(n)
+        x, y = rng.normal(size=(2, n))
+        if levels is not None:
+            x = rng.integers(0, levels, n).astype(float)
+            x[:2] = [0.0, 1.0]  # never constant
+        ps = pseudo_observations(Sample(x=x, y=y))
+        assert np.array_equal(ps.u, rankdata(x, method="average") / (n + 1))
+        assert np.array_equal(ps.v, rankdata(y, method="average") / (n + 1))
+
+    def test_midranks_of_empty_and_single(self):
+        assert _midranks(np.array([])).size == 0
+        assert np.array_equal(_midranks(np.array([4.0])), [1.0])
+
+    @pytest.mark.parametrize("x, y", [([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+                                      ([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])],
+                             ids=["constant-x", "constant-y"])
+    def test_constant_column_is_data_error(self, x, y):
+        with pytest.raises(DataError, match="constant"):
+            pseudo_observations(Sample(x=x, y=y))
 
     def test_invariant_under_monotone_transforms(self):
         rng = np.random.default_rng(1)
@@ -91,6 +114,24 @@ class TestSpearmanConsistency:
         ps = simulate_copula(c, 3000, seed=8)
         rho_hat = spearmanr(ps.u, ps.v).statistic
         assert rho_hat == pytest.approx(spearman_rho(c), abs=0.05)
+
+
+class TestSampleSpearman:
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_fit_segment_rho_equals_scipy(self, seed, tied):
+        ps = simulate_copula(FrankCopula(4.0 * seed - 18.5), 20 + 97 * seed,
+                             seed=seed)
+        u, v = ps.u, ps.v
+        if tied:
+            u, v = np.round(u, 1), np.round(v, 2)
+        rho_hat = fit_segment(u, v, families=("product",)).rho_hat
+        assert rho_hat == spearmanr(u, v).statistic
+        assert sample_spearman(v, u) == spearmanr(v, u).statistic
+
+    def test_constant_column_gives_nan(self):
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(sample_spearman(np.ones(30), np.arange(30.0)))
 
 
 class TestBreakpointDetection:

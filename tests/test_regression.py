@@ -113,6 +113,16 @@ class TestPiecewise:
         with pytest.raises(DomainError):
             PiecewiseRegressionModel((0.5,), (M,), UNIT, UNIT)
 
+    def test_break_point_belongs_to_left_segment(self):
+        # the model is left-closed at a break (x <= b), while GluedCopula
+        # sends u equal to a gluing point to the right slab
+        left, right = ClaytonCopula(3), FrankCopula(-8)
+        pm = PiecewiseRegressionModel((0.5,), (left, right), UNIT, UNIT)
+        assert piecewise_regression(pm, 0.5) == median_psi(left, 1.0)
+        assert piecewise_regression(pm, 0.5) == pytest.approx(0.8409, abs=1e-4)
+        glued = RegressionModel(glue([left, right], [0.5]), UNIT, UNIT)
+        assert median_regression(glued, 0.5) == pytest.approx(0.9134, abs=1e-4)
+
     def test_parabola_decomposition_monotone_per_segment(self):
         model = Example4Model(k=0.1)
         p1, p2 = model.pieces()
