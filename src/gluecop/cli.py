@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings
 
@@ -56,7 +57,10 @@ def _usage_error(message: str) -> "SystemExit":
 # ---------------------------------------------------------------------------
 
 def read_xy_csv(path: str) -> Sample:
-    """Read the first two numeric columns; header auto-detected."""
+    """Read the first two numeric columns; header auto-detected.
+
+    Rows whose first two cells are not finite numbers (``nan`` and ``inf``
+    included) are reported by line number in a ``DataError``."""
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -75,6 +79,8 @@ def read_xy_csv(path: str) -> Sample:
             except ValueError:
                 if lineno == 1:
                     continue  # header row
+                x = y = math.nan
+            if not (math.isfinite(x) and math.isfinite(y)):
                 bad_lines.append(lineno)
                 continue
             xs.append(x)

@@ -214,7 +214,12 @@ def fit_segment(u, v, families=DEFAULT_FIT_FAMILIES,
     v = np.asarray(v, dtype=float)
     if u.size < MIN_SEGMENT_POINTS:
         raise DataError(f"segment has {u.size} points; need >= {MIN_SEGMENT_POINTS}")
-    rho_hat = sample_spearman(u, v)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho_hat = sample_spearman(u, v)
+    if np.isnan(rho_hat):
+        where = "" if interval is None else f" ({interval[0]:g}, {interval[1]:g}]"
+        raise DataError(f"segment{where} has a constant x or y column; "
+                        "its Spearman rho is undefined")
 
     best: FitResult | None = None
     for family in families:

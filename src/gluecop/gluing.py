@@ -8,10 +8,12 @@ Two copulas C1, C2 and a gluing point theta combine into
 and the same rescaling extends to finitely many pieces on vertical slabs:
 on the slab [lo, hi] with u* = (u - lo)/(hi - lo), C(u, v) = (hi - lo) *
 C_i(u*, v) + lo*v.  The u-derivative of the glued copula is the active
-piece's derivative at u*.  ``decompose`` inverts the construction at a given
-gluing point; the round trip glue(decompose(C, t), t) == C holds for any
-copula, while the pieces themselves are valid copulas exactly when the
-vertical section at t is linear (C(t, v) = t*v for all v).
+piece's derivative at u*.  A gluing point belongs to the slab on its left,
+so at u = theta the left piece is active (u* = 1).  ``decompose`` inverts
+the construction at a given gluing point; the round trip
+glue(decompose(C, t), t) == C holds for any copula, while the pieces
+themselves are valid copulas exactly when the vertical section at t is
+linear (C(t, v) = t*v for all v).
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ class GluedCopula(Copula):
         """C (``cdf``) or its u-derivative, one rescaled piece per slab."""
         shape = np.broadcast(u, v).shape
         u, v = (a.ravel() for a in np.broadcast_arrays(u, v))
-        # Right-continuous assignment: u exactly at a gluing point belongs to
-        # the right slab, so du uses the right piece there (tie-break).
-        idx = np.clip(np.searchsorted(self._bounds, u, side="right") - 1,
+        # Left-closed assignment: u exactly at a gluing point belongs to the
+        # left slab (u* = 1 there), matching the x <= b segments of
+        # PiecewiseRegressionModel; cdf is continuous there, du is not.
+        idx = np.clip(np.searchsorted(self._bounds, u, side="left") - 1,
                       0, len(self.pieces) - 1)
         out = np.empty(u.shape)
         for i, piece in enumerate(self.pieces):

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .copulas import Copula, PARAMETRIC_FAMILIES, make_copula
 from .errors import DataError, DomainError, ParameterError
 from .gluing import GluedCopula
@@ -91,19 +89,7 @@ def model_from_dict(doc: dict) -> PiecewiseRegressionModel:
 
 def dumps_canonical(doc: dict) -> str:
     """Deterministic JSON text: sorted keys, no whitespace variance."""
-    return json.dumps(_plain(doc), sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def save_model(pm: PiecewiseRegressionModel, path: str) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .copulas import Copula
 from .errors import DomainError, ParameterError
@@ -71,6 +70,12 @@ def simulate_example1(n: int, theta: float, seed: int) -> Sample:
 # parabola-plus-noise model
 # ---------------------------------------------------------------------------
 
+def _ndtr(z):
+    """Standard normal CDF; scipy is imported on first use only."""
+    from scipy.special import ndtr
+    return ndtr(z)
+
+
 class Example4Model:
     """Y = (X - 0.5)^2 + k*eps with X uniform(0,1), eps standard normal.
 
@@ -102,7 +107,7 @@ class Example4Model:
         """F_Y(y) by quadrature over the uniform explanatory variable."""
         y = np.asarray(y, dtype=float)
         z = (y[..., None] - (self._r - 0.5) ** 2) / self.k
-        out = ndtr(z) @ self._w
+        out = _ndtr(z) @ self._w
         return float(out) if y.ndim == 0 else out
 
     def marginal_y_quantile(self, p):
@@ -183,7 +188,7 @@ class Example4Copula(Copula):
             # rescale the unit-interval nodes to [0, u] per point
             r = 0.5 * ui[:, None] * (2.0 * m._r[None, :])
             z = (yv[:, None] - (r - 0.5) ** 2) / m.k
-            flat[interior] = ui * (ndtr(z) @ m._w)
+            flat[interior] = ui * (_ndtr(z) @ m._w)
         # exact edges keep the uniform margins to machine precision
         flat[np.asarray(v >= 1.0)] = u[np.asarray(v >= 1.0)]
         flat[np.asarray(u >= 1.0) & (v < 1.0)] = v[np.asarray(u >= 1.0) & (v < 1.0)]
@@ -197,7 +202,7 @@ class Example4Copula(Copula):
         pos = v > 0
         if np.any(pos):
             yv = self._yv(v[pos])
-            flat[pos] = ndtr((yv - (u[pos] - 0.5) ** 2) / m.k)
+            flat[pos] = _ndtr((yv - (u[pos] - 0.5) ** 2) / m.k)
         flat[np.asarray(v >= 1.0)] = 1.0
         return out
 
@@ -239,7 +244,7 @@ class Example4Piece(Copula):
                 arg = yv - 0.25 * (1.0 - u[pos]) ** 2
             else:
                 arg = yv - 0.25 * u[pos] ** 2
-            flat[pos] = ndtr(arg / m.k)
+            flat[pos] = _ndtr(arg / m.k)
         flat[np.asarray(v >= 1.0)] = 1.0
         return out
 

@@ -7,7 +7,9 @@ The median curve composes quantile, conditional quantile and CDF:
 The generalized-inverse (infimum) convention makes the same code work for
 singular copulas whose conditional CDF is a step function: the jump location
 is the median.  The mean curve integrates the conditional CDF over the
-response's effective support.  A piecewise model applies the construction
+response's effective support [Q_Y(MEAN_EPS), Q_Y(1 - MEAN_EPS)] with a
+composite midpoint rule whose nodes depend on the response marginal alone,
+so they are built once per curve.  A piecewise model applies the construction
 per segment with the explanatory marginal conditioned on the segment, which
 is equivalent to regression through the glued copula.
 """
@@ -19,29 +21,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .copulas import Copula, conditional_quantile
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .marginals import Marginal
+
+MEAN_EPS = 1e-6     # tail mass cut from each end of the response marginal
+MEAN_NODES = 512    # midpoint-rule nodes on each side of 0 (clipped)
 
 
 def median_psi(c: Copula, u):
     """Median of V given U=u on the copula scale."""
     return conditional_quantile(c, u, 0.5)
-
-
-@dataclass(frozen=True)
-class IntegrationSpec:
-    """Controls for the mean-regression quadrature.
-
-    The conditional CDF is integrated over [Q_Y(eps), Q_Y(1-eps)] with a
-    composite midpoint rule; when ``check`` is set the computation is
-    repeated with a ten times larger eps and a discrepancy above
-    ``check_tol`` raises, flagging uncontrolled tails.
-    """
-
-    eps: float = 1e-6
-    nodes: int = 512
-    check: bool = False
-    check_tol: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -57,44 +46,44 @@ def median_regression(m: RegressionModel, x):
     return m.marginal_y.quantile(median_psi(m.copula, m.marginal_x.cdf(x)))
 
 
-def _mean_from_conditional(cond_cdf, my: Marginal, spec: IntegrationSpec) -> float:
-    """E[Y | .] = a + int_a^hi (1 - F) dy - int_lo^a F dy with a = clip(0)."""
-    def integrate(eps):
-        ylo = float(my.quantile(eps))
-        yhi = float(my.quantile(1.0 - eps))
-        a = min(max(0.0, ylo), yhi)
-        total = a
-        if yhi > a:
-            h = (yhi - a) / spec.nodes
-            ys = a + (np.arange(spec.nodes) + 0.5) * h
-            total += h * float(np.sum(1.0 - cond_cdf(ys)))
-        if a > ylo:
-            h = (a - ylo) / spec.nodes
-            ys = ylo + (np.arange(spec.nodes) + 0.5) * h
-            total -= h * float(np.sum(cond_cdf(ys)))
-        return total
+def _mean_grid(my: Marginal):
+    """Midpoint grid of the mean: a = 0 clipped into [Q_Y(eps), Q_Y(1-eps)]
+    and, on each side of a, the step h and F_Y at the nodes (None if empty)."""
+    ylo = float(my.quantile(MEAN_EPS))
+    yhi = float(my.quantile(1.0 - MEAN_EPS))
+    a = min(max(0.0, ylo), yhi)
+    mid = np.arange(MEAN_NODES) + 0.5
 
-    value = integrate(spec.eps)
-    if spec.check:
-        coarse = integrate(10.0 * spec.eps)
-        if abs(value - coarse) > spec.check_tol:
-            raise NumericalError(
-                f"mean regression tail truncation unstable: {value} vs {coarse}")
-    return value
+    def side(lo, hi):
+        if not hi > lo:
+            return None
+        h = (hi - lo) / MEAN_NODES
+        return h, my.cdf(lo + mid * h)
+
+    return a, side(a, yhi), side(ylo, a)
 
 
-def mean_regression(m: RegressionModel, x, spec: IntegrationSpec | None = None):
+def _conditional_mean(c: Copula, u, grid) -> float:
+    """E[Y | U=u] = a + int_a^hi (1 - F) dy - int_lo^a F dy, F = dC/du(u, F_Y)."""
+    a, upper, lower = grid
+    total = a
+    if upper is not None:
+        h, v = upper
+        total += h * float(np.sum(1.0 - c.du(u, v)))
+    if lower is not None:
+        h, v = lower
+        total -= h * float(np.sum(c.du(u, v)))
+    return total
+
+
+def mean_regression(m: RegressionModel, x):
     """Mean regression curve; requires the conditional expectation to exist."""
-    spec = spec or IntegrationSpec()
     m.marginal_x.require_in_support(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     us = np.atleast_1d(m.marginal_x.cdf(xs))
-    out = np.array([
-        _mean_from_conditional(
-            lambda ys, u=u: m.copula.du(u, m.marginal_y.cdf(ys)), m.marginal_y, spec)
-        for u in us
-    ])
-    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
+    grid = _mean_grid(m.marginal_y)
+    out = np.array([_conditional_mean(m.copula, u, grid) for u in us])
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -142,21 +131,19 @@ class PiecewiseRegressionModel:
 
 
 def piecewise_regression(pm: PiecewiseRegressionModel, x,
-                         statistic: str = "median",
-                         spec: IntegrationSpec | None = None):
+                         statistic: str = "median"):
     """Evaluate the piecewise regression curve at x (scalar or array)."""
     if statistic not in ("median", "mean"):
         raise DomainError(f"unknown statistic {statistic!r}")
     pm.marginal_x.require_in_support(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty(xs.shape)
-    spec = spec or IntegrationSpec()
+    grid = _mean_grid(pm.marginal_y) if statistic == "mean" else None
     for j, xj in enumerate(xs):
         i, u = pm.segment_u(xj)
         c = pm.segment_copulas[i]
-        if statistic == "median":
+        if grid is None:
             out[j] = pm.marginal_y.quantile(median_psi(c, u))
         else:
-            out[j] = _mean_from_conditional(
-                lambda ys: c.du(u, pm.marginal_y.cdf(ys)), pm.marginal_y, spec)
+            out[j] = _conditional_mean(c, u, grid)
     return float(out[0]) if np.ndim(x) == 0 else out

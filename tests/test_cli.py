@@ -37,11 +37,21 @@ class TestReadCsv:
         p.write_text("1,2\n3,4\n")
         assert read_xy_csv(str(p)).n == 2
 
-    def test_bad_row_reports_line_number(self, tmp_path):
+    @pytest.mark.parametrize("cell", ["oops", "nan", "inf", "-inf"])
+    def test_bad_row_reports_line_number(self, tmp_path, cell):
         p = tmp_path / "d.csv"
-        p.write_text("1,2\noops,4\n5,6\n")
-        with pytest.raises(DataError, match="lines: 2"):
+        p.write_text(f"1,2\n{cell},4\n5,6\n")
+        with pytest.raises(DataError, match="lines: 2$"):
             read_xy_csv(str(p))
+
+    @pytest.mark.parametrize("command", ["analyze", "fit"])
+    def test_non_finite_cell_is_data_error(self, tmp_path, capsys, command):
+        p = tmp_path / "d.csv"
+        p.write_text("x,y\n0.1,0.2\n0.3,nan\n0.5,0.6\n0.7,0.8\n")
+        extra = ["--out-model", str(tmp_path / "m.json")] if command == "fit" else []
+        code, out, err = run(capsys, command, str(p), *extra)
+        assert code == 2
+        assert "lines: 3" in err and "Traceback" not in err
 
     def test_missing_file(self):
         with pytest.raises(DataError):
@@ -227,6 +237,23 @@ class TestConstantColumn:
         assert code == 2
         assert out == ""
         assert "constant" in err and "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_constant_y_in_one_segment_is_data_error(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(3)
+        x = rng.uniform(size=400)
+        y = np.where(x <= 0.5, 1.0, rng.uniform(size=400))
+        rows = zip(x.tolist(), y.tolist())
+        (tmp_path / "d.csv").write_text(
+            "x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+        code, out, err = run(capsys, "fit", "d.csv", "--breakpoints", "0.5",
+                             "--out-model", "m.json")
+        assert code == 2
+        assert out == ""
+        assert "constant" in err and f"{x.min():g}, 0.5]" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "m.json").exists()
 
 

@@ -216,6 +216,13 @@ class TestFitSegment:
         with pytest.raises(DataError):
             fit_segment(u, u, families=("gaussian",))
 
+    def test_constant_column_names_the_interval(self):
+        u = np.arange(1, 101) / 101
+        with pytest.raises(DataError, match=r"segment \(0.1, 0.5\] has a constant"):
+            fit_segment(u, np.full(100, 0.5), interval=(0.1, 0.5))
+        with pytest.raises(DataError, match="segment has a constant"):
+            fit_segment(np.full(100, 0.5), u)
+
 
 class TestFitPiecewise:
     def test_tent_sample(self):

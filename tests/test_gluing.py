@@ -79,10 +79,21 @@ class TestGluedDu:
         U, V = grid(31, interior=True)
         assert np.max(np.abs(g.du(U, V) - V)) < 1e-12
 
-    def test_tie_break_at_gluing_point_uses_right_piece(self):
-        g = glue([M, W], [0.5])
-        # u exactly at theta: right piece W at u* = 0, steps at v = 1
-        assert g.du(0.5, 0.9) == 0.0
+    def test_tie_break_at_gluing_point_uses_left_piece(self):
+        left, right = ClaytonCopula(3), FrankCopula(-8)
+        g = glue([left, right], [0.5])
+        # u exactly at theta: left piece at u* = 1, as x <= b in the
+        # piecewise regression model; the right piece at u* = 0 differs
+        assert g.du(0.5, 0.9) == left.du(1.0, 0.9)
+        assert right.du(0.0, 0.9) != pytest.approx(left.du(1.0, 0.9), abs=0.1)
+
+    def test_tie_break_with_three_pieces(self):
+        pieces = [ClaytonCopula(3), FrankCopula(-8), ClaytonCopula(2)]
+        g = glue(pieces, [0.3, 0.65])
+        got = g.du(np.array([0.0, 0.3, 0.65, 1.0]), 0.4)
+        want = [pieces[0].du(0.0, 0.4), pieces[0].du(1.0, 0.4),
+                pieces[1].du(1.0, 0.4), pieces[2].du(1.0, 0.4)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_matches_finite_difference_inside_slabs(self):
         g = glue([ClaytonCopula(2), FrankCopula(3)], [0.5])

@@ -1,4 +1,4 @@
-"""The package imports without the heavy ``scipy.stats`` module."""
+"""The package imports with numpy alone; scipy is loaded on first use."""
 
 import os
 import subprocess
@@ -9,9 +9,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_import_leaves_scipy_stats_unloaded():
+    # any scipy module, scipy.stats included: scipy is loaded on first use
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    code = "import sys, gluecop; print('scipy.stats' in sys.modules)"
+    code = ("import sys, gluecop; "
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -10,7 +10,6 @@ from gluecop import (
     FrechetLowerCopula,
     FrechetUpperCopula,
     IndependenceCopula,
-    IntegrationSpec,
     PiecewiseRegressionModel,
     RegressionClass,
     RegressionModel,
@@ -85,11 +84,6 @@ class TestMeanRegression:
             assert mean_regression(m, x) == pytest.approx(
                 median_regression(m, x), abs=2e-2)
 
-    def test_tail_check_passes_for_bounded_support(self):
-        m = RegressionModel(PI, UNIT, UNIT)
-        spec = IntegrationSpec(check=True)
-        assert mean_regression(m, 0.4, spec) == pytest.approx(0.5, abs=1e-3)
-
 
 class TestPiecewise:
     def tent_model(self, theta=0.5):
@@ -114,14 +108,14 @@ class TestPiecewise:
             PiecewiseRegressionModel((0.5,), (M,), UNIT, UNIT)
 
     def test_break_point_belongs_to_left_segment(self):
-        # the model is left-closed at a break (x <= b), while GluedCopula
-        # sends u equal to a gluing point to the right slab
+        # the model is left-closed at a break (x <= b), and GluedCopula sends
+        # u equal to a gluing point to the left slab, so both agree there
         left, right = ClaytonCopula(3), FrankCopula(-8)
         pm = PiecewiseRegressionModel((0.5,), (left, right), UNIT, UNIT)
         assert piecewise_regression(pm, 0.5) == median_psi(left, 1.0)
         assert piecewise_regression(pm, 0.5) == pytest.approx(0.8409, abs=1e-4)
         glued = RegressionModel(glue([left, right], [0.5]), UNIT, UNIT)
-        assert median_regression(glued, 0.5) == pytest.approx(0.9134, abs=1e-4)
+        assert median_regression(glued, 0.5) == piecewise_regression(pm, 0.5)
 
     def test_parabola_decomposition_monotone_per_segment(self):
         model = Example4Model(k=0.1)
@@ -134,21 +128,36 @@ class TestPiecewise:
         assert np.all(np.diff(right) >= -1e-9)
 
 
+PAIRS = pytest.mark.parametrize(
+    "pair", [(M, W), (ClaytonCopula(2), FrankCopula(-4)), (PI, FrankCopula(3))],
+    ids=["M-W", "clayton-frank", "pi-frank"])
+THETAS = pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
+
+
 class TestGluingEquivalence:
-    @pytest.mark.parametrize("pair", [(M, W), (ClaytonCopula(2), FrankCopula(-4)),
-                                      (PI, FrankCopula(3))],
-                             ids=["M-W", "clayton-frank", "pi-frank"])
-    @pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
+    @PAIRS
+    @THETAS
     def test_glued_median_equals_piecewise(self, pair, theta):
         a, b = pair
         glued = RegressionModel(glue([a, b], [theta]), UNIT, UNIT)
         pw = PiecewiseRegressionModel((theta,), (a, b), UNIT, UNIT)
-        # skip x == theta: the two formulations use opposite closed sides there
         xs = np.linspace(0, 1, 101)
-        xs = xs[xs != theta]
+        assert theta in xs  # both formulations give x == theta the left piece
         mu_glued = np.array([median_regression(glued, x) for x in xs])
         mu_pw = piecewise_regression(pw, xs)
-        assert np.max(np.abs(mu_glued - mu_pw)) < 1e-8
+        np.testing.assert_array_equal(mu_glued, mu_pw)
+
+    @PAIRS
+    @THETAS
+    def test_glued_mean_equals_piecewise(self, pair, theta):
+        a, b = pair
+        glued = RegressionModel(glue([a, b], [theta]), UNIT, UNIT)
+        pw = PiecewiseRegressionModel((theta,), (a, b), UNIT, UNIT)
+        xs = np.linspace(0, 1, 21)
+        assert theta in xs
+        mu_glued = mean_regression(glued, xs)
+        mu_pw = piecewise_regression(pw, xs, statistic="mean")
+        np.testing.assert_array_equal(mu_glued, mu_pw)
 
 
 class TestMonotoneRegression:
