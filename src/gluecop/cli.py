@@ -26,8 +26,8 @@ from .changepoint import diagonal_crossings, pqd_nqd_prescreen
 from .copulas import make_copula
 from .dependence import dependence_report, schweizer_wolff_sigma
 from .empirical import (DEFAULT_FIT_FAMILIES, EmpiricalCopula,
-                        empirical_tolerance, fit_piecewise,
-                        pseudo_observations, sample_spearman)
+                        crossing_breakpoints, empirical_tolerance,
+                        fit_piecewise, pseudo_observations, sample_spearman)
 from .errors import (DataError, DomainError, GluecopError, NumericalError,
                      ParameterError)
 from .reference import Sample, simulate_example1, simulate_example4
@@ -144,8 +144,7 @@ def cmd_analyze(args) -> int:
         "sigma_hat": schweizer_wolff_sigma(ec),
         "mixed_dependence": pqd_nqd_prescreen(ec, tol=tol),
         "crossings": report.to_dict()["crossings"],
-        "candidates": [float(np.quantile(sample.x, c.t))
-                       for c in report.crossings],
+        "candidates": crossing_breakpoints(sample.x, report),
     }
     if sample.n < 50:
         doc["warning"] = (f"only {sample.n} points; detection is unreliable "

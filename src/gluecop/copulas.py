@@ -75,9 +75,14 @@ class Copula:
         return self.cdf(t, t)
 
     def cdf_grid(self, us, vs):
-        """C evaluated on the tensor grid us × vs, shape (len(us), len(vs))."""
-        U, V = np.meshgrid(np.asarray(us, float), np.asarray(vs, float), indexing="ij")
-        return self.cdf(U, V)
+        """C evaluated on the tensor grid us × vs, shape (len(us), len(vs)).
+
+        The axes are validated once, and ``_cdf`` sees broadcast views of
+        them rather than two materialised len(us) × len(vs) copies."""
+        us = np.asarray(us, dtype=float).ravel()
+        vs = np.asarray(vs, dtype=float).ravel()
+        _validate_unit(us, vs)
+        return self._cdf(*np.broadcast_arrays(us[:, None], vs[None, :]))
 
     # -- implementation hooks ----------------------------------------------
 

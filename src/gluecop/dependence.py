@@ -5,13 +5,16 @@ sigma is 12 times the L1 distance between C and the product copula.  Both
 are computed by deterministic tensor-product quadrature: Gauss–Legendre for
 smooth copulas, composite midpoint for copulas with kinks or singular parts
 (Gauss nodes straddling a kink degrade accuracy, and sigma's absolute value
-makes the integrand non-smooth anyway).
+makes the integrand non-smooth anyway).  The nodes and weights of each rule
+are built once per rule and size and shared, read-only, by every call, so a
+rho inversion that evaluates the same rule many times pays for it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,17 +43,27 @@ def _default_tol(c: Copula) -> float:
     return 1e-4 if c.numerical else 1e-6
 
 
+@lru_cache(maxsize=32)
+def _rule(smooth: bool, n: int):
+    """Read-only (nodes, weights) on [0, 1]: n-point Gauss–Legendre when
+    ``smooth``, else the n-point composite midpoint rule.  Built once per
+    rule and size; every caller shares the same arrays."""
+    if smooth:
+        x, w = np.polynomial.legendre.leggauss(n)
+        t, w = 0.5 * (x + 1.0), 0.5 * w
+    else:
+        t, w = (np.arange(n) + 0.5) / n, np.full(n, 1.0 / n)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def _quadrature_nodes(c: Copula, quad_n: int | None):
     """(nodes, weights) on [0, 1] matched to the copula's smoothness."""
     if quad_n is not None and quad_n < 8:
         raise DomainError("quadrature needs at least 8 nodes per axis")
-    if c.smooth:
-        n = quad_n or GAUSS_NODES_DEFAULT
-        x, w = np.polynomial.legendre.leggauss(n)
-        return 0.5 * (x + 1.0), 0.5 * w
-    n = quad_n or MIDPOINT_NODES_DEFAULT
-    nodes = (np.arange(n) + 0.5) / n
-    return nodes, np.full(n, 1.0 / n)
+    default = GAUSS_NODES_DEFAULT if c.smooth else MIDPOINT_NODES_DEFAULT
+    return _rule(c.smooth, quad_n or default)
 
 
 def spearman_rho(c: Copula, quad_n: int | None = None) -> float:

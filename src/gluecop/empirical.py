@@ -142,24 +142,39 @@ def empirical_tolerance(n: int) -> float:
     return 1.5 / np.sqrt(n)
 
 
+def _crossing_report(ps: PseudoSample, grid_n: int = 512,
+                     tol: float | None = None,
+                     persistence: int = 10) -> CrossingReport:
+    """``empirical_crossing_report`` on pseudo-observations already computed."""
+    if ps.n < 50:
+        warnings.warn(f"only {ps.n} points; break-point detection is unreliable "
+                      "below 50", stacklevel=3)
+    tol = empirical_tolerance(ps.n) if tol is None else tol
+    return diagonal_crossings(EmpiricalCopula(ps), grid_n, tol, persistence)
+
+
 def empirical_crossing_report(s: Sample, grid_n: int = 512,
                               tol: float | None = None,
                               persistence: int = 10) -> CrossingReport:
     """Crossings of the empirical diagonal with t^2."""
-    if s.n < 50:
-        warnings.warn(f"only {s.n} points; break-point detection is unreliable "
-                      "below 50", stacklevel=2)
-    tol = empirical_tolerance(s.n) if tol is None else tol
-    return diagonal_crossings(EmpiricalCopula(pseudo_observations(s)), grid_n,
-                              tol, persistence)
+    return _crossing_report(pseudo_observations(s), grid_n, tol, persistence)
+
+
+def crossing_breakpoints(x, report: CrossingReport) -> list[float]:
+    """Break-point candidates in x-space: the empirical x-quantile of each
+    crossing, in crossing order.  Crossings that map to the same x (several
+    diagonal crossings inside one tie group of a discrete x) give one
+    candidate, since a repeated break-point would leave an empty segment."""
+    return list(dict.fromkeys(float(np.quantile(x, c.t))
+                              for c in report.crossings))
 
 
 def empirical_breakpoints(s: Sample, grid_n: int = 512,
                           tol: float | None = None,
                           persistence: int = 10) -> list[float]:
     """Break-point candidates in x-space via the empirical x-quantile."""
-    report = empirical_crossing_report(s, grid_n, tol, persistence)
-    return [float(np.quantile(s.x, c.t)) for c in report.crossings]
+    return crossing_breakpoints(
+        s.x, empirical_crossing_report(s, grid_n, tol, persistence))
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +215,6 @@ def _invert_rho(family: str, rho_hat: float) -> float | None:
     return 0.5 * (lo + hi)
 
 
-def _gof_distance(u, v, c: Copula) -> float:
-    """Mean squared difference between empirical and fitted copula on a grid."""
-    t = np.arange(1, GOF_GRID_N + 1) / (GOF_GRID_N + 1)
-    emp = EmpiricalCopula(PseudoSample(u=u, v=v)).cdf_grid(t, t)
-    return float(np.mean((emp - c.cdf_grid(t, t)) ** 2))
-
-
 def fit_segment(u, v, families=DEFAULT_FIT_FAMILIES,
                 interval: tuple[float, float] | None = None) -> FitResult:
     """Best moment-matched copula for one segment's pseudo-observations."""
@@ -221,6 +229,10 @@ def fit_segment(u, v, families=DEFAULT_FIT_FAMILIES,
         raise DataError(f"segment{where} has a constant x or y column; "
                         "its Spearman rho is undefined")
 
+    # goodness of fit: mean squared difference between the empirical and
+    # the fitted copula on one grid, built once for every candidate
+    t = np.arange(1, GOF_GRID_N + 1) / (GOF_GRID_N + 1)
+    emp = EmpiricalCopula(PseudoSample(u=u, v=v)).cdf_grid(t, t)
     best: FitResult | None = None
     for family in families:
         if family in _FIT_RANGES:
@@ -234,7 +246,7 @@ def fit_segment(u, v, families=DEFAULT_FIT_FAMILIES,
                 c = make_copula(family)
             except ParameterError:
                 raise DataError(f"unknown family {family!r}") from None
-        gof = _gof_distance(u, v, c)
+        gof = float(np.mean((emp - c.cdf_grid(t, t)) ** 2))
         if best is None or gof < best.gof_distance:
             best = FitResult(family=family, theta=theta, rho_hat=rho_hat,
                              gof_distance=gof, interval=interval, copula=c)
@@ -258,11 +270,12 @@ def fit_piecewise(s: Sample, candidates=None,
     if s.n < 50:
         warnings.warn(f"only {s.n} points; piecewise fitting is unreliable "
                       "below 50", stacklevel=2)
+    ps = pseudo_observations(s)  # ranked once: detection and global y ranks
     if candidates is None:
-        candidates = empirical_breakpoints(s)
+        candidates = crossing_breakpoints(s.x, _crossing_report(ps))
     bps = sorted(float(b) for b in candidates)
 
-    v_global = pseudo_observations(s).v
+    v_global = ps.v
     edges = [-np.inf] + bps + [np.inf]
     fits: list[FitResult] = []
     for lo, hi in zip(edges, edges[1:]):

@@ -117,6 +117,39 @@ class TestAnalyze:
         assert "must be >= " in err
 
 
+class TestDiscreteX:
+    """x with 3 distinct values: several diagonal crossings fall inside the
+    tie group x = 2 and map to the same break-point candidate."""
+
+    @pytest.fixture()
+    def three_level_csv(self, tmp_path):
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, 3, size=600).astype(float)
+        y = (x - 1.0) ** 2 + 0.1 * rng.normal(size=600)
+        path = tmp_path / "d.csv"
+        path.write_text("x,y\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+        return path
+
+    def test_analyze_lists_no_duplicate_candidates(self, three_level_csv, capsys):
+        code, out, _ = run(capsys, "analyze", str(three_level_csv))
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["crossings"]) > len(doc["candidates"]) > 0
+        assert len(set(doc["candidates"])) == len(doc["candidates"])
+
+    def test_fit_gives_model_or_data_error(self, three_level_csv, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        code, _, err = run(capsys, "fit", str(three_level_csv),
+                           "--out-model", str(model))
+        assert "Traceback" not in err
+        if code == 0:
+            assert run(capsys, "predict", str(model), "--num", "5")[0] == 0
+        else:
+            assert code == 2 and "data error" in err
+            assert not model.exists()
+
+
 class TestFitPredict:
     def test_round_trip(self, tent_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"

@@ -19,6 +19,8 @@ from gluecop import (
     check_copula_axioms,
     conditional_cdf,
     conditional_quantile,
+    decompose,
+    glue,
     make_copula,
 )
 from gluecop.copulas import Copula, _finite_difference_du
@@ -71,6 +73,37 @@ class TestEval:
         vals = c.cdf(U, V)
         assert np.all(vals >= np.maximum(U + V - 1, 0) - 1e-12)
         assert np.all(vals <= np.minimum(U, V) + 1e-12)
+
+
+GLUED = glue([ClaytonCopula(3.0), FrankCopula(-8.0), GumbelCopula(3.0)],
+             [0.3, 0.65])
+GRID_FAMILIES = ALL_CLOSED_FORM + [
+    GLUED, *decompose(GLUED, 0.3), *decompose(FrankCopula(5.0), 0.4),
+    *decompose(Example1Copula(0.4), 0.4),
+]
+
+
+class TestCdfGrid:
+    @pytest.mark.parametrize("c", GRID_FAMILIES, ids=lambda c: repr(c))
+    def test_equals_cdf_on_meshgrid(self, c):
+        x, _ = np.polynomial.legendre.leggauss(64)
+        axes = [0.5 * (x + 1.0), (np.arange(512) + 0.5) / 512,
+                np.linspace(0.0, 1.0, 33),
+                np.sort(np.random.default_rng(5).uniform(size=41))]
+        for us in axes:
+            for vs in (us, axes[-1]):
+                U, V = np.meshgrid(us, vs, indexing="ij")
+                np.testing.assert_array_equal(c.cdf_grid(us, vs), c.cdf(U, V))
+
+    @pytest.mark.parametrize("c", [PI, GLUED, decompose(GLUED, 0.3)[1]],
+                             ids=lambda c: repr(c))
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.2])
+    def test_rejects_bad_axis(self, c, bad):
+        ok = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(DomainError):
+            c.cdf_grid(np.append(ok, bad), ok)
+        with pytest.raises(DomainError):
+            c.cdf_grid(ok, np.append(ok, bad))
 
 
 class TestParameters:

@@ -19,6 +19,7 @@ from gluecop import (
     schweizer_wolff_sigma,
     spearman_rho,
 )
+from gluecop.dependence import _quadrature_nodes, _rule
 
 PI = IndependenceCopula()
 M = FrechetUpperCopula()
@@ -133,6 +134,35 @@ class TestQuadratureConvergence:
     def test_doubling_nodes_is_stable(self, c):
         assert abs(spearman_rho(c, 64) - spearman_rho(c, 128)) < 1e-4
         assert abs(schweizer_wolff_sigma(c, 64) - schweizer_wolff_sigma(c, 128)) < 1e-4
+
+
+class TestQuadratureCache:
+    def test_nodes_built_once_per_size(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        _rule.cache_clear()
+        first = spearman_rho(ClaytonCopula(2.0), 24)
+        for theta in np.linspace(0.5, 8.0, 30):
+            spearman_rho(ClaytonCopula(theta), 24)
+            spearman_rho(FrankCopula(theta), 24)
+        assert calls == [24]
+        assert spearman_rho(ClaytonCopula(2.0), 24) == first
+
+    @pytest.mark.parametrize("c", [ClaytonCopula(2.0), M],
+                             ids=lambda c: repr(c))
+    def test_cached_nodes_are_read_only(self, c):
+        t, w = _quadrature_nodes(c, None)
+        assert _quadrature_nodes(c, None)[0] is t
+        for a in (t, w):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.5
 
 
 class TestReport:

@@ -23,7 +23,9 @@ from gluecop import (
     spearman_rho,
     tent,
 )
-from gluecop.empirical import PseudoSample, _invert_rho, _midranks, sample_spearman
+from gluecop import empirical
+from gluecop.empirical import (GOF_GRID_N, PseudoSample, _invert_rho, _midranks,
+                               sample_spearman)
 
 
 class TestPseudoObservations:
@@ -216,6 +218,15 @@ class TestFitSegment:
         with pytest.raises(DataError):
             fit_segment(u, u, families=("gaussian",))
 
+    def test_gof_distance_is_l2_grid_distance(self):
+        ps = simulate_copula(FrankCopula(-5.0), 500, seed=22)
+        t = np.arange(1, GOF_GRID_N + 1) / (GOF_GRID_N + 1)
+        emp = EmpiricalCopula(ps).cdf_grid(t, t)
+        for family in ("product", "frank", "plackett"):
+            fit = fit_segment(ps.u, ps.v, families=(family,))
+            assert fit.gof_distance == float(
+                np.mean((emp - fit.copula.cdf_grid(t, t)) ** 2))
+
     def test_constant_column_names_the_interval(self):
         u = np.arange(1, 101) / 101
         with pytest.raises(DataError, match=r"segment \(0.1, 0.5\] has a constant"):
@@ -246,6 +257,24 @@ class TestFitPiecewise:
         mu = piecewise_regression(fit.model, xs)
         rmse = float(np.sqrt(np.mean((mu - tent(xs, 0.5)) ** 2)))
         assert rmse < 0.02
+
+    def test_ranks_once_and_matches_explicit_candidates(self, monkeypatch):
+        s = simulate_example4(3000, 0.1, seed=14)
+        calls = []
+        rank = empirical.pseudo_observations
+
+        def counting(sample):
+            calls.append(sample)
+            return rank(sample)
+
+        monkeypatch.setattr(empirical, "pseudo_observations", counting)
+        auto = fit_piecewise(s)
+        assert len(calls) == 1
+        assert len(auto.break_points) == 1
+        explicit = fit_piecewise(s, candidates=empirical_breakpoints(s))
+        assert auto.break_points == explicit.break_points
+        assert ([(f.family, f.theta, f.gof_distance) for f in auto.segments]
+                == [(f.family, f.theta, f.gof_distance) for f in explicit.segments])
 
     def test_explicit_candidates(self):
         ps = simulate_copula(ClaytonCopula(2.0), 500, seed=24)
