@@ -22,12 +22,13 @@ import warnings
 import numpy as np
 
 from . import model_io
-from .changepoint import diagonal_crossings, pqd_nqd_prescreen
+from .changepoint import GRID_N_DEFAULT, pqd_nqd_prescreen
 from .copulas import make_copula
 from .dependence import dependence_report, schweizer_wolff_sigma
-from .empirical import (DEFAULT_FIT_FAMILIES, EmpiricalCopula,
-                        crossing_breakpoints, empirical_tolerance,
-                        fit_piecewise, pseudo_observations, sample_spearman)
+from .empirical import (DEFAULT_FIT_FAMILIES, DETECTION_PERSISTENCE,
+                        MIN_DETECTION_POINTS, EmpiricalCopula, crossing_breakpoints,
+                        crossing_report, empirical_tolerance, fit_piecewise,
+                        pseudo_observations, sample_spearman)
 from .errors import (DataError, DomainError, GluecopError, NumericalError,
                      ParameterError)
 from .reference import Sample, simulate_example1, simulate_example4
@@ -134,21 +135,20 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     sample = read_xy_csv(args.input)
     ps = pseudo_observations(sample)
+    report = crossing_report(ps, args.grid_n, args.tol, args.persistence)
     ec = EmpiricalCopula(ps)
-    tol = empirical_tolerance(sample.n) if args.tol is None else args.tol
-    report = diagonal_crossings(ec, args.grid_n, tol, args.persistence)
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "n": sample.n,
         "rho_hat": sample_spearman(ps.u, ps.v),
         "sigma_hat": schweizer_wolff_sigma(ec),
-        "mixed_dependence": pqd_nqd_prescreen(ec, tol=tol),
+        "mixed_dependence": pqd_nqd_prescreen(ec, tol=report.tolerance),
         "crossings": report.to_dict()["crossings"],
         "candidates": crossing_breakpoints(sample.x, report),
     }
-    if sample.n < 50:
+    if sample.n < MIN_DETECTION_POINTS:
         doc["warning"] = (f"only {sample.n} points; detection is unreliable "
-                          "below 50")
+                          f"below {MIN_DETECTION_POINTS}")
     _emit_json(doc, args.out)
     return EXIT_OK
 
@@ -223,14 +223,8 @@ def cmd_measures(args) -> int:
         c = EmpiricalCopula(pseudo_observations(sample))
         grid_n, tol = 16, 2.0 * empirical_tolerance(sample.n)
     report = dependence_report(c, grid_n, tol=tol)
-    doc = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "rho": report.rho,
-        "sigma": report.sigma,
-        "quadrant_class": report.quadrant_class.value,
-        "regression_class": report.regression_class.value,
-    }
-    _emit_json(doc, args.out)
+    _emit_json({"schema_version": REPORT_SCHEMA_VERSION, **report.to_dict()},
+               args.out)
     return EXIT_OK
 
 
@@ -257,9 +251,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="break-point candidate report from data")
     p.add_argument("input", help="two-column CSV")
-    p.add_argument("--grid-n", type=int, default=512)
+    p.add_argument("--grid-n", type=int, default=GRID_N_DEFAULT)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--persistence", type=int, default=10)
+    p.add_argument("--persistence", type=int, default=DETECTION_PERSISTENCE)
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_analyze)
 

@@ -22,8 +22,7 @@ from .errors import DomainError, ParameterError
 from .marginals import Marginal
 
 FD_STEP = 1e-5          # finite-difference step for the u-derivative
-BISECT_TOL = 1e-10      # conditional-quantile bisection tolerance in v
-BISECT_MAX_ITER = 200
+BISECT_STEPS = 34       # conditional-quantile halvings of [0, 1]: 2**-34 < 1e-10
 
 
 def _validate_unit(*arrays):
@@ -331,9 +330,7 @@ def conditional_quantile(c: Copula, u, p):
     # du(u, 0) = 0 <= p always holds for p > 0; p = 0 resolves to v = 0 via
     # the shrinking upper bracket since du(u, v) >= 0 everywhere.
     at0 = c.du(u, lo) >= p
-    for _ in range(BISECT_MAX_ITER):
-        if np.all(hi - lo <= BISECT_TOL):
-            break
+    for _ in range(BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         ge = c.du(u, mid) >= p
         hi = np.where(ge, mid, hi)

@@ -43,6 +43,20 @@ def _default_tol(c: Copula) -> float:
     return 1e-4 if c.numerical else 1e-6
 
 
+def _band_class(values: np.ndarray, tol: float, classes):
+    """Where ``values`` lie against the band [-tol, tol], as the member of
+    ``classes`` declared (positive, negative, neither, inside the band)."""
+    positive, negative, neither, inside = classes
+    lo, hi = float(np.min(values)), float(np.max(values))
+    if -tol <= lo and hi <= tol:
+        return inside
+    if lo >= -tol:
+        return positive
+    if hi <= tol:
+        return negative
+    return neither
+
+
 @lru_cache(maxsize=32)
 def _rule(smooth: bool, n: int):
     """Read-only (nodes, weights) on [0, 1]: n-point Gauss–Legendre when
@@ -86,15 +100,7 @@ def classify_quadrant(c: Copula, grid_n: int = 64, tol: float | None = None) -> 
         raise DomainError("grid_n must be >= 8")
     tol = _default_tol(c) if tol is None else tol
     t = np.arange(1, grid_n + 1) / (grid_n + 1)
-    s = c.cdf_grid(t, t) - np.outer(t, t)
-    smax, smin = float(np.max(s)), float(np.min(s))
-    if abs(smax) <= tol and abs(smin) <= tol:
-        return QuadrantClass.INDEPENDENT_LIKE
-    if smin >= -tol:
-        return QuadrantClass.PQD
-    if smax <= tol:
-        return QuadrantClass.NQD
-    return QuadrantClass.NEITHER
+    return _band_class(c.cdf_grid(t, t) - np.outer(t, t), tol, QuadrantClass)
 
 
 def classify_regression_dependence(c: Copula, grid_n: int = 64,
@@ -110,16 +116,8 @@ def classify_regression_dependence(c: Copula, grid_n: int = 64,
     tol = _default_tol(c) if tol is None else tol
     t = np.arange(1, grid_n + 1) / (grid_n + 1)
     U, V = np.meshgrid(t, t, indexing="ij")
-    D = c.du(U, V)
-    steps = np.diff(D, axis=0)  # adjacent-pair differences along u
-    max_step, min_step = float(np.max(steps)), float(np.min(steps))
-    if max_step <= tol and min_step >= -tol:
-        return RegressionClass.CONSTANT
-    if max_step <= tol:
-        return RegressionClass.PRD
-    if min_step >= -tol:
-        return RegressionClass.NRD
-    return RegressionClass.NEITHER
+    # PRD: the steps of ∂C/∂u between adjacent u are all <= tol
+    return _band_class(-np.diff(c.du(U, V), axis=0), tol, RegressionClass)
 
 
 @dataclass(frozen=True)
@@ -137,8 +135,6 @@ class DependenceReport:
             "sigma": self.sigma,
             "quadrant_class": self.quadrant_class.value,
             "regression_class": self.regression_class.value,
-            "grid_n": self.grid_n,
-            "tolerance": self.tolerance,
         }
 
 

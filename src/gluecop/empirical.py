@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .changepoint import CrossingReport, diagonal_crossings
+from .changepoint import GRID_N_DEFAULT, CrossingReport, diagonal_crossings
 from .copulas import (Copula, _finite_difference_du, conditional_quantile,
                       make_copula)
 from .dependence import spearman_rho
@@ -28,6 +28,9 @@ from .regression import PiecewiseRegressionModel
 
 MIN_SEGMENT_POINTS = 20
 GOF_GRID_N = 32
+
+DETECTION_PERSISTENCE = 10  # grid points a sign run of delta_n(t) - t^2 must span
+MIN_DETECTION_POINTS = 50   # detection on fewer points draws a warning
 
 #: parameter search ranges for Spearman-rho inversion, keyed by family and
 #: by the sign of the target rho where the family covers both signs
@@ -142,39 +145,47 @@ def empirical_tolerance(n: int) -> float:
     return 1.5 / np.sqrt(n)
 
 
-def _crossing_report(ps: PseudoSample, grid_n: int = 512,
-                     tol: float | None = None,
-                     persistence: int = 10) -> CrossingReport:
-    """``empirical_crossing_report`` on pseudo-observations already computed."""
-    if ps.n < 50:
-        warnings.warn(f"only {ps.n} points; break-point detection is unreliable "
-                      "below 50", stacklevel=3)
+def _warn_if_small(n: int, what: str) -> None:
+    if n < MIN_DETECTION_POINTS:
+        warnings.warn(f"only {n} points; {what} is unreliable below "
+                      f"{MIN_DETECTION_POINTS}", stacklevel=3)
+
+
+def crossing_report(ps: PseudoSample, grid_n: int = GRID_N_DEFAULT,
+                    tol: float | None = None,
+                    persistence: int = DETECTION_PERSISTENCE) -> CrossingReport:
+    """The one detection policy on data: crossings of the empirical diagonal
+    with t^2 on ranked ``ps``, with ``tol`` defaulting to ``empirical_tolerance``."""
     tol = empirical_tolerance(ps.n) if tol is None else tol
     return diagonal_crossings(EmpiricalCopula(ps), grid_n, tol, persistence)
 
 
-def empirical_crossing_report(s: Sample, grid_n: int = 512,
+def empirical_crossing_report(s: Sample, grid_n: int = GRID_N_DEFAULT,
                               tol: float | None = None,
-                              persistence: int = 10) -> CrossingReport:
+                              persistence: int = DETECTION_PERSISTENCE) -> CrossingReport:
     """Crossings of the empirical diagonal with t^2."""
-    return _crossing_report(pseudo_observations(s), grid_n, tol, persistence)
+    _warn_if_small(s.n, "break-point detection")
+    return crossing_report(pseudo_observations(s), grid_n, tol, persistence)
 
 
 def crossing_breakpoints(x, report: CrossingReport) -> list[float]:
     """Break-point candidates in x-space: the empirical x-quantile of each
     crossing, in crossing order.  Crossings that map to the same x (several
     diagonal crossings inside one tie group of a discrete x) give one
-    candidate, since a repeated break-point would leave an empty segment."""
-    return list(dict.fromkeys(float(np.quantile(x, c.t))
-                              for c in report.crossings))
+    candidate, and a candidate equal to max(x) is dropped, since either
+    would leave an empty segment."""
+    top = float(np.max(x))
+    return [b for b in dict.fromkeys(float(np.quantile(x, c.t))
+                                     for c in report.crossings) if b != top]
 
 
-def empirical_breakpoints(s: Sample, grid_n: int = 512,
+def empirical_breakpoints(s: Sample, grid_n: int = GRID_N_DEFAULT,
                           tol: float | None = None,
-                          persistence: int = 10) -> list[float]:
+                          persistence: int = DETECTION_PERSISTENCE) -> list[float]:
     """Break-point candidates in x-space via the empirical x-quantile."""
+    _warn_if_small(s.n, "break-point detection")
     return crossing_breakpoints(
-        s.x, empirical_crossing_report(s, grid_n, tol, persistence))
+        s.x, crossing_report(pseudo_observations(s), grid_n, tol, persistence))
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +278,10 @@ def fit_piecewise(s: Sample, candidates=None,
     """Split at break-points, rescale each segment's u by within-segment
     ranks (the empirical conditional marginal), fit each segment, and
     assemble a piecewise regression model with empirical marginals."""
-    if s.n < 50:
-        warnings.warn(f"only {s.n} points; piecewise fitting is unreliable "
-                      "below 50", stacklevel=2)
+    _warn_if_small(s.n, "piecewise fitting")
     ps = pseudo_observations(s)  # ranked once: detection and global y ranks
     if candidates is None:
-        candidates = crossing_breakpoints(s.x, _crossing_report(ps))
+        candidates = crossing_breakpoints(s.x, crossing_report(ps))
     bps = sorted(float(b) for b in candidates)
 
     v_global = ps.v

@@ -69,6 +69,14 @@ class TestDiagonalCrossings:
         with pytest.raises(DomainError):
             diagonal_crossings(PI, grid_n=32)
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, np.nan, np.inf])
+    def test_negative_or_non_finite_tol(self, tol):
+        with pytest.raises(DomainError, match="must be >= "):
+            diagonal_crossings(PI, tol=tol)
+
+    def test_zero_tol_is_allowed(self):
+        assert diagonal_crossings(M, tol=0.0).crossings == []
+
 
 class TestPrescreen:
     def test_frechet_upper_false(self):

@@ -110,7 +110,9 @@ class TestAnalyze:
         assert "data error" in err
 
     @pytest.mark.parametrize("flag, value", [("--grid-n", "3"),
-                                             ("--persistence", "0")])
+                                             ("--persistence", "0"),
+                                             ("--tol", "-1"),
+                                             ("--tol", "nan")])
     def test_out_of_range_is_usage_error(self, tent_csv, capsys, flag, value):
         code, _, err = run(capsys, "analyze", str(tent_csv), flag, value)
         assert code == 1
@@ -119,7 +121,8 @@ class TestAnalyze:
 
 class TestDiscreteX:
     """x with 3 distinct values: several diagonal crossings fall inside the
-    tie group x = 2 and map to the same break-point candidate."""
+    tie group x = 2 and map to the same break-point candidate, max(x), which
+    is dropped."""
 
     @pytest.fixture()
     def three_level_csv(self, tmp_path):
@@ -137,6 +140,7 @@ class TestDiscreteX:
         doc = json.loads(out)
         assert len(doc["crossings"]) > len(doc["candidates"]) > 0
         assert len(set(doc["candidates"])) == len(doc["candidates"])
+        assert max(read_xy_csv(str(three_level_csv)).x) not in doc["candidates"]
 
     def test_fit_gives_model_or_data_error(self, three_level_csv, tmp_path, capsys):
         model = tmp_path / "m.json"
@@ -172,6 +176,15 @@ class TestFitPredict:
         tent_true = np.where(data[:, 0] <= 0.5, data[:, 0] / 0.5,
                              (1 - data[:, 0]) / 0.5)
         assert np.sqrt(np.mean((data[:, 1] - tent_true) ** 2)) < 0.05
+
+    def test_analyze_candidates_are_fit_break_points(self, tent_csv, tmp_path,
+                                                     capsys):
+        code, out, _ = run(capsys, "analyze", str(tent_csv))
+        assert code == 0
+        model_path = tmp_path / "model.json"
+        assert run(capsys, "fit", str(tent_csv), "--out-model", str(model_path))[0] == 0
+        assert (json.loads(out)["candidates"]
+                == json.loads(model_path.read_text())["break_points"])
 
     def test_explicit_breakpoints_and_families(self, tent_csv, tmp_path, capsys):
         model_path = tmp_path / "m.json"
@@ -296,6 +309,8 @@ class TestMeasures:
                            "--theta", "3.0")
         assert code == 0
         doc = json.loads(out)
+        assert set(doc) == {"schema_version", "rho", "sigma", "quadrant_class",
+                            "regression_class"}
         assert doc["quadrant_class"] == "PQD"
         assert doc["regression_class"] == "PRD"
         assert doc["sigma"] == pytest.approx(doc["rho"], abs=2e-3)

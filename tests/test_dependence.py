@@ -174,4 +174,5 @@ class TestReport:
         assert r.regression_class is RegressionClass.NEITHER
         d = r.to_dict()
         assert d["quadrant_class"] == "NEITHER"
-        assert d["grid_n"] == 64
+        assert set(d) == {"rho", "sigma", "quadrant_class", "regression_class"}
+        assert r.grid_n == 64

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import rankdata, spearmanr
 
 from gluecop import (
     ClaytonCopula,
+    Crossing,
+    CrossingReport,
     DataError,
     EmpiricalCopula,
     FGMCopula,
@@ -25,7 +29,7 @@ from gluecop import (
 )
 from gluecop import empirical
 from gluecop.empirical import (GOF_GRID_N, PseudoSample, _invert_rho, _midranks,
-                               sample_spearman)
+                               crossing_breakpoints, sample_spearman)
 
 
 class TestPseudoObservations:
@@ -164,6 +168,24 @@ class TestBreakpointDetection:
         s = simulate_example1(30, 0.5, seed=17)
         with pytest.warns(UserWarning, match="unreliable"):
             empirical_crossing_report(s)
+
+    @pytest.mark.parametrize("entry", [fit_piecewise, empirical_crossing_report,
+                                       empirical_breakpoints])
+    def test_small_sample_warns_once(self, entry):
+        s = simulate_example1(40, 0.5, seed=17)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            entry(s)
+        assert [w.category for w in caught] == [UserWarning]
+        assert "below 50" in str(caught[0].message)
+        assert caught[0].filename == __file__
+
+    def test_candidate_at_max_x_is_dropped(self):
+        x = np.repeat([0.0, 1.0, 2.0], 4)
+        # x-quantiles 0, 1, 2, 2: the repeat and max(x) both go
+        report = CrossingReport(crossings=[Crossing(0.2, "up"), Crossing(0.5, "down"),
+                                           Crossing(0.9, "up"), Crossing(0.95, "down")])
+        assert crossing_breakpoints(x, report) == [0.0, 1.0]
 
 
 class TestRhoInversion:
