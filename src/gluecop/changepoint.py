@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .copulas import Copula
-from .dependence import _default_tol
+from .dependence import _tolerance
 from .errors import DomainError
 from .marginals import Marginal
 
@@ -98,8 +98,7 @@ def diagonal_crossings(c: Copula, grid_n: int = GRID_N_DEFAULT,
         raise DomainError("grid_n must be >= 64")
     if persistence < 1:
         raise DomainError("persistence must be >= 1")
-    if not 0.0 <= tol < np.inf:
-        raise DomainError("tol must be >= 0 and finite")
+    tol = _tolerance(c, tol)
     grid = np.linspace(0.0, 1.0, grid_n)
     g = lambda tt: c.diagonal(tt) - tt * tt
     values = g(grid)
@@ -136,7 +135,7 @@ def pqd_nqd_prescreen(c: Copula, grid_n: int = GRID_N_DEFAULT,
     motivates break-point analysis."""
     if grid_n < 64:
         raise DomainError("grid_n must be >= 64")
-    tol = _default_tol(c) if tol is None else tol
+    tol = _tolerance(c, tol)
     t = np.linspace(0.0, 1.0, grid_n)
     g = c.diagonal(t) - t * t
     return bool(np.any(g > tol) and np.any(g < -tol))

@@ -39,8 +39,11 @@ class RegressionClass(str, Enum):
     CONSTANT = "CONSTANT"
 
 
-def _default_tol(c: Copula) -> float:
-    return 1e-4 if c.numerical else 1e-6
+def _tolerance(c: Copula, tol: float | None) -> float:
+    """``tol`` checked to be >= 0 and finite, or the copula's default if None."""
+    if tol is not None and not 0.0 <= tol < np.inf:
+        raise DomainError("tol must be >= 0 and finite")
+    return (1e-4 if c.numerical else 1e-6) if tol is None else tol
 
 
 def _band_class(values: np.ndarray, tol: float, classes):
@@ -98,7 +101,7 @@ def classify_quadrant(c: Copula, grid_n: int = 64, tol: float | None = None) -> 
     """Classify PQD/NQD by the sign of C − Π on an interior grid."""
     if grid_n < 8:
         raise DomainError("grid_n must be >= 8")
-    tol = _default_tol(c) if tol is None else tol
+    tol = _tolerance(c, tol)
     t = np.arange(1, grid_n + 1) / (grid_n + 1)
     return _band_class(c.cdf_grid(t, t) - np.outer(t, t), tol, QuadrantClass)
 
@@ -113,7 +116,7 @@ def classify_regression_dependence(c: Copula, grid_n: int = 64,
     """
     if grid_n < 8:
         raise DomainError("grid_n must be >= 8")
-    tol = _default_tol(c) if tol is None else tol
+    tol = _tolerance(c, tol)
     t = np.arange(1, grid_n + 1) / (grid_n + 1)
     U, V = np.meshgrid(t, t, indexing="ij")
     # PRD: the steps of ∂C/∂u between adjacent u are all <= tol
@@ -141,7 +144,7 @@ class DependenceReport:
 def dependence_report(c: Copula, grid_n: int = 64, quad_n: int | None = None,
                       tol: float | None = None) -> DependenceReport:
     """Compute rho, sigma and both dependence classifications in one pass."""
-    tol = _default_tol(c) if tol is None else tol
+    tol = _tolerance(c, tol)
     return DependenceReport(
         rho=spearman_rho(c, quad_n),
         sigma=schweizer_wolff_sigma(c, quad_n),

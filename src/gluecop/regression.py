@@ -9,9 +9,10 @@ singular copulas whose conditional CDF is a step function: the jump location
 is the median.  The mean curve integrates the conditional CDF over the
 response's effective support [Q_Y(MEAN_EPS), Q_Y(1 - MEAN_EPS)] with a
 composite midpoint rule whose nodes depend on the response marginal alone,
-so they are built once per curve.  A piecewise model applies the construction
-per segment with the explanatory marginal conditioned on the segment, which
-is equivalent to regression through the glued copula.
+so they are built once per curve, and x is taken MEAN_BLOCK rows per du call
+so that memory stays bounded.  A piecewise model's mean goes through the glued
+copula of its segments; its median applies the construction per segment with
+the segment-conditioned explanatory marginal, which is equivalent.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ import numpy as np
 
 from .copulas import Copula, conditional_quantile
 from .errors import DomainError
+from .gluing import glue
 from .marginals import Marginal
 
 MEAN_EPS = 1e-6     # tail mass cut from each end of the response marginal
 MEAN_NODES = 512    # midpoint-rule nodes on each side of 0 (clipped)
+MEAN_BLOCK = 32     # x values per du call of the mean
 
 
 def median_psi(c: Copula, u):
@@ -63,26 +66,22 @@ def _mean_grid(my: Marginal):
     return a, side(a, yhi), side(ylo, a)
 
 
-def _conditional_mean(c: Copula, u, grid) -> float:
-    """E[Y | U=u] = a + int_a^hi (1 - F) dy - int_lo^a F dy, F = dC/du(u, F_Y)."""
-    a, upper, lower = grid
-    total = a
-    if upper is not None:
-        h, v = upper
-        total += h * float(np.sum(1.0 - c.du(u, v)))
-    if lower is not None:
-        h, v = lower
-        total -= h * float(np.sum(c.du(u, v)))
-    return total
-
-
 def mean_regression(m: RegressionModel, x):
     """Mean regression curve; requires the conditional expectation to exist."""
     m.marginal_x.require_in_support(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    us = np.atleast_1d(m.marginal_x.cdf(xs))
-    grid = _mean_grid(m.marginal_y)
-    out = np.array([_conditional_mean(m.copula, u, grid) for u in us])
+    us = m.marginal_x.cdf(np.atleast_1d(np.asarray(x, dtype=float)))
+    a, upper, lower = _mean_grid(m.marginal_y)
+    out = np.full(us.shape, a)
+    # E[Y | U=u] = a + int_a^hi (1 - F) dy - int_lo^a F dy, F = dC/du(u, F_Y);
+    # a row sum of a block is the same pairwise sum a lone x would get
+    for j in range(0, us.size, MEAN_BLOCK):
+        block = us[j:j + MEAN_BLOCK, None]
+        if upper is not None:
+            h, v = upper
+            out[j:j + MEAN_BLOCK] += h * np.sum(1.0 - m.copula.du(block, v), axis=1)
+        if lower is not None:
+            h, v = lower
+            out[j:j + MEAN_BLOCK] -= h * np.sum(m.copula.du(block, v), axis=1)
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -135,15 +134,13 @@ def piecewise_regression(pm: PiecewiseRegressionModel, x,
     """Evaluate the piecewise regression curve at x (scalar or array)."""
     if statistic not in ("median", "mean"):
         raise DomainError(f"unknown statistic {statistic!r}")
+    if statistic == "mean":
+        glued = glue(pm.segment_copulas, pm.gluing_points)
+        return mean_regression(RegressionModel(glued, pm.marginal_x, pm.marginal_y), x)
     pm.marginal_x.require_in_support(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty(xs.shape)
-    grid = _mean_grid(pm.marginal_y) if statistic == "mean" else None
     for j, xj in enumerate(xs):
         i, u = pm.segment_u(xj)
-        c = pm.segment_copulas[i]
-        if grid is None:
-            out[j] = pm.marginal_y.quantile(median_psi(c, u))
-        else:
-            out[j] = _conditional_mean(c, u, grid)
+        out[j] = pm.marginal_y.quantile(median_psi(pm.segment_copulas[i], u))
     return float(out[0]) if np.ndim(x) == 0 else out

@@ -88,6 +88,15 @@ class TestPrescreen:
     def test_tent_copula_true(self):
         assert pqd_nqd_prescreen(Example1Copula(0.5)) is True
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, np.nan, np.inf])
+    def test_negative_or_non_finite_tol(self, tol):
+        with pytest.raises(DomainError, match=r"^tol must be >= 0 and finite$"):
+            pqd_nqd_prescreen(PI, tol=tol)
+
+    def test_zero_tol_is_allowed(self):
+        assert pqd_nqd_prescreen(M, tol=0.0) is False
+        assert pqd_nqd_prescreen(Example1Copula(0.5), tol=0.0) is True
+
 
 class TestBreakpointMapping:
     def test_identity_quantile(self):

@@ -3,6 +3,7 @@ import pytest
 
 from gluecop import (
     ClaytonCopula,
+    DomainError,
     Example1Copula,
     FGMCopula,
     FrankCopula,
@@ -176,3 +177,24 @@ class TestReport:
         assert d["quadrant_class"] == "NEITHER"
         assert set(d) == {"rho", "sigma", "quadrant_class", "regression_class"}
         assert r.grid_n == 64
+
+
+BAD_TOLS = pytest.mark.parametrize("tol", [-1.0, -1e-12, np.nan, np.inf, -np.inf])
+TOL_ENTRY_POINTS = pytest.mark.parametrize(
+    "entry", [classify_quadrant, classify_regression_dependence, dependence_report],
+    ids=["quadrant", "regression", "report"])
+
+
+class TestTolerance:
+    @TOL_ENTRY_POINTS
+    @BAD_TOLS
+    def test_negative_or_non_finite_tol(self, entry, tol):
+        with pytest.raises(DomainError, match=r"^tol must be >= 0 and finite$"):
+            entry(ClaytonCopula(2.0), tol=tol)
+
+    def test_zero_tol_is_allowed(self):
+        r = dependence_report(ClaytonCopula(2.0), tol=0.0)
+        assert r.tolerance == 0.0
+        assert r.quadrant_class is QuadrantClass.PQD
+        assert classify_quadrant(PI, tol=0.0) is QuadrantClass.INDEPENDENT_LIKE
+        assert classify_regression_dependence(M, tol=0.0) is RegressionClass.PRD

@@ -3,18 +3,24 @@ import pytest
 
 from gluecop import (
     ClaytonCopula,
+    Copula,
     DomainError,
+    EmpiricalMarginal,
     Example1Copula,
     Example4Model,
+    FGMCopula,
     FrankCopula,
     FrechetLowerCopula,
     FrechetUpperCopula,
+    GumbelCopula,
     IndependenceCopula,
+    PlackettCopula,
     PiecewiseRegressionModel,
     RegressionClass,
     RegressionModel,
     UniformMarginal,
     classify_regression_dependence,
+    decompose,
     glue,
     mean_regression,
     median_psi,
@@ -22,11 +28,15 @@ from gluecop import (
     piecewise_regression,
     tent,
 )
+from gluecop.regression import MEAN_BLOCK, MEAN_NODES, _mean_grid
 
 PI = IndependenceCopula()
 M = FrechetUpperCopula()
 W = FrechetLowerCopula()
 UNIT = UniformMarginal()
+GLUED3 = ([ClaytonCopula(3.0), FrankCopula(-8.0), GumbelCopula(3.0)], [0.3, 0.65])
+# response on both sides of 0, so both halves of the mean's integral are used
+TWO_SIDED_Y = EmpiricalMarginal(np.random.default_rng(7).normal(0.2, 1.0, 500))
 
 
 class TestMedianPsi:
@@ -83,6 +93,82 @@ class TestMeanRegression:
         for x in (0.2, 0.5, 0.8):
             assert mean_regression(m, x) == pytest.approx(
                 median_regression(m, x), abs=2e-2)
+
+
+def per_x_mean(m: RegressionModel, x):
+    """The conditional mean one x at a time, E[Y | U=u] = a + h sum(1 - F)
+    - h sum(F) with F = dC/du(u, nodes), as a reference for the blockwise
+    evaluation."""
+    a, upper, lower = _mean_grid(m.marginal_y)
+    out = []
+    for u in m.marginal_x.cdf(np.atleast_1d(np.asarray(x, dtype=float))):
+        total = a
+        if upper is not None:
+            h, v = upper
+            total += h * float(np.sum(1.0 - m.copula.du(u, v)))
+        if lower is not None:
+            h, v = lower
+            total -= h * float(np.sum(m.copula.du(u, v)))
+        out.append(total)
+    return np.array(out)
+
+
+MEAN_COPULAS = [
+    ClaytonCopula(2.0), FrankCopula(-8.0), FrankCopula(3.0), GumbelCopula(1.5),
+    FGMCopula(-0.3), PlackettCopula(5.0), PI, M, W, Example1Copula(0.4),
+    glue(*GLUED3), decompose(glue(*GLUED3), 0.3)[1],
+]
+
+
+class _CountingCopula(Copula):
+    """Delegates to ``inner`` and records how many points each du call sees."""
+
+    def __init__(self, inner: Copula):
+        self.inner, self.sizes = inner, []
+        self.smooth, self.numerical = inner.smooth, inner.numerical
+
+    def _cdf(self, u, v):
+        return self.inner._cdf(u, v)
+
+    def _du(self, u, v):
+        self.sizes.append(np.broadcast(u, v).size)
+        return self.inner._du(u, v)
+
+
+class TestMeanBlocks:
+    @pytest.mark.parametrize("my", [UNIT, TWO_SIDED_Y], ids=["uniform", "empirical"])
+    @pytest.mark.parametrize("c", MEAN_COPULAS, ids=repr)
+    def test_equals_per_x_mean_bit_for_bit(self, c, my):
+        m = RegressionModel(c, UNIT, my)
+        for n in (0, 1, MEAN_BLOCK, MEAN_BLOCK + 1, 1001):
+            xs = np.linspace(0.0, 1.0, n) if n != 1 else np.array([0.37])
+            mu = mean_regression(m, xs)
+            assert mu.shape == (n,)
+            np.testing.assert_array_equal(mu, per_x_mean(m, xs))
+        mu = mean_regression(m, 0.37)
+        assert type(mu) is float
+        assert mu == per_x_mean(m, 0.37)[0]
+
+    def test_empirical_explanatory_marginal(self):
+        mx = EmpiricalMarginal(np.random.default_rng(8).uniform(-2.0, 3.0, 300))
+        m = RegressionModel(glue(*GLUED3), mx, TWO_SIDED_Y)
+        xs = np.linspace(*mx.support, 1001)
+        np.testing.assert_array_equal(mean_regression(m, xs), per_x_mean(m, xs))
+
+    def test_du_calls_are_bounded(self):
+        counted = _CountingCopula(FrankCopula(-8.0))
+        xs = np.linspace(0.0, 1.0, 1001)
+        mean_regression(RegressionModel(counted, UNIT, TWO_SIDED_Y), xs)
+        assert max(counted.sizes) <= MEAN_BLOCK * MEAN_NODES
+        assert sum(counted.sizes) == 2 * xs.size * MEAN_NODES  # both sides
+
+    def test_piecewise_du_calls_are_bounded(self):
+        left, right = _CountingCopula(ClaytonCopula(3.0)), _CountingCopula(FrankCopula(-8.0))
+        pm = PiecewiseRegressionModel((0.4,), (left, right), UNIT, TWO_SIDED_Y)
+        piecewise_regression(pm, np.linspace(0.0, 1.0, 1001), statistic="mean")
+        sizes = left.sizes + right.sizes
+        assert max(sizes) <= MEAN_BLOCK * MEAN_NODES
+        assert sum(sizes) == 2 * 1001 * MEAN_NODES
 
 
 class TestPiecewise:
@@ -158,6 +244,20 @@ class TestGluingEquivalence:
         mu_glued = mean_regression(glued, xs)
         mu_pw = piecewise_regression(pw, xs, statistic="mean")
         np.testing.assert_array_equal(mu_glued, mu_pw)
+
+    @pytest.mark.parametrize("statistic", ["median", "mean"])
+    def test_three_pieces_at_both_gluing_points(self, statistic):
+        pieces, thetas = GLUED3
+        glued = RegressionModel(glue(pieces, thetas), UNIT, UNIT)
+        pw = PiecewiseRegressionModel(tuple(thetas), tuple(pieces), UNIT, UNIT)
+        xs = np.concatenate((np.linspace(0, 1, 101), thetas))
+        curve = median_regression if statistic == "median" else mean_regression
+        mu_pw = piecewise_regression(pw, xs, statistic=statistic)
+        np.testing.assert_array_equal(curve(glued, xs), mu_pw)
+        # each gluing point takes its left piece at u* = 1
+        for theta, piece in zip(thetas, pieces):
+            alone = curve(RegressionModel(piece, UNIT, UNIT), 1.0)
+            assert piecewise_regression(pw, theta, statistic=statistic) == alone
 
 
 class TestMonotoneRegression:
