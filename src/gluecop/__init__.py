@@ -20,8 +20,8 @@ from .gluing import GluedCopula, decompose, glue
 from .marginals import EmpiricalMarginal, Marginal, UniformMarginal
 from .model_io import (copula_from_dict, copula_to_dict, load_model,
                        model_from_dict, model_to_dict, save_model)
-from .reference import (Example4Copula, Example4Model, Example4Piece, Sample,
-                        simulate_example1, simulate_example4, tent)
+from .reference import (Example4Copula, Example4Model, Sample, simulate_example1,
+                        simulate_example4, tent)
 from .regression import (PiecewiseRegressionModel, RegressionModel,
                          mean_regression, median_psi, median_regression,
                          piecewise_regression)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .changepoint import GRID_N_DEFAULT, CrossingReport, diagonal_crossings
-from .copulas import (Copula, _finite_difference_du, conditional_quantile,
-                      make_copula)
+from .copulas import (Copula, _finite_difference_du, _validate_unit,
+                      conditional_quantile, make_copula)
 from .dependence import spearman_rho
 from .errors import DataError, ParameterError
 from .marginals import EmpiricalMarginal
@@ -28,6 +28,7 @@ from .regression import PiecewiseRegressionModel
 
 MIN_SEGMENT_POINTS = 20
 GOF_GRID_N = 32
+_CDF_BLOCK = 1024   # query points per empirical-copula count
 
 DETECTION_PERSISTENCE = 10  # grid points a sign run of delta_n(t) - t^2 must span
 MIN_DETECTION_POINTS = 50   # detection on fewer points draws a warning
@@ -99,26 +100,38 @@ class EmpiricalCopula(Copula):
         self.v = np.asarray(ps.v, dtype=float)
         self.n = self.u.size
 
-    def _cdf(self, u, v):
-        shape = np.broadcast(u, v).shape
-        uq, vq = (a.ravel() for a in np.broadcast_arrays(u, v))
-        out = np.empty(uq.shape)
-        step = max(1, 10_000_000 // max(self.n, 1))
-        for i in range(0, uq.size, step):
-            sl = slice(i, i + step)
-            hits = (self.u[None, :] <= uq[sl, None]) & (self.v[None, :] <= vq[sl, None])
-            out[sl] = hits.sum(axis=1) / self.n
-        return out.reshape(shape)
-
-    def cdf_grid(self, us, vs):
-        # histogram-and-cumsum evaluation: O(n + grid^2) instead of O(n*grid^2)
-        us = np.asarray(us, dtype=float)
-        vs = np.asarray(vs, dtype=float)
+    def _count_grid(self, us, vs):
+        # histogram-and-cumsum count on sorted axes: O(n + grid^2), not O(n*grid^2)
         iu = np.searchsorted(us, self.u, side="left")
         iv = np.searchsorted(vs, self.v, side="left")
         counts = np.zeros((us.size + 1, vs.size + 1))
         np.add.at(counts, (iu, iv), 1.0)
         return counts[:-1, :-1].cumsum(axis=0).cumsum(axis=1) / self.n
+
+    def _on_distinct(self, u, v):
+        """The count grid on the distinct values of u and v, and each
+        value's row and column in it."""
+        uq, iu = np.unique(u, return_inverse=True)
+        vq, iv = np.unique(v, return_inverse=True)
+        return self._count_grid(uq, vq), iu, iv
+
+    def _cdf(self, u, v):
+        shape = np.broadcast(u, v).shape
+        uq, vq = (a.ravel() for a in np.broadcast_arrays(u, v))
+        out = np.empty(uq.shape)
+        # each block is a grid of at most _CDF_BLOCK^2 cells
+        for i in range(0, uq.size, _CDF_BLOCK):
+            sl = slice(i, i + _CDF_BLOCK)
+            grid, iu, iv = self._on_distinct(uq[sl], vq[sl])
+            out[sl] = grid[iu, iv]
+        return out.reshape(shape)
+
+    def cdf_grid(self, us, vs):
+        us = np.asarray(us, dtype=float).ravel()
+        vs = np.asarray(vs, dtype=float).ravel()
+        _validate_unit(us, vs)
+        grid, iu, iv = self._on_distinct(us, vs)
+        return grid[np.ix_(iu, iv)]
 
     def diagonal(self, t):
         # delta(t) is the ECDF of max(u_i, v_i)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .copulas import Copula
 from .errors import DomainError, ParameterError
+from .gluing import decompose
 from .marginals import Marginal, UniformMarginal
 
 
@@ -142,9 +143,15 @@ class Example4Model:
     def copula(self) -> "Example4Copula":
         return Example4Copula(self)
 
-    def pieces(self) -> tuple["Example4Piece", "Example4Piece"]:
-        """Closed-form gluing pieces at theta = 1/2 (left NQD, right PQD)."""
-        return Example4Piece(self, side="left"), Example4Piece(self, side="right")
+    def pieces(self) -> tuple[Copula, Copula]:
+        """The copula decomposed at theta = 1/2 (left NQD, right PQD):
+
+        left:  C1(u,v) = 2 C(u/2, v),            dC1/du = Phi((y_v - (1-u)^2/4)/k)
+        right: C2(u,v) = 2 C((u+1)/2, v) - v,    dC2/du = Phi((y_v - u^2/4)/k)
+
+        dC1/du is non-decreasing in u (NRD) and dC2/du non-increasing (PRD).
+        """
+        return decompose(self.copula(), 0.5)
 
 
 class _Example4YMarginal(Marginal):
@@ -203,48 +210,6 @@ class Example4Copula(Copula):
         if np.any(pos):
             yv = self._yv(v[pos])
             flat[pos] = _ndtr((yv - (u[pos] - 0.5) ** 2) / m.k)
-        flat[np.asarray(v >= 1.0)] = 1.0
-        return out
-
-
-class Example4Piece(Copula):
-    """Closed-form gluing pieces of the parabola copula at theta = 1/2.
-
-    left:  C1(u,v) = 2 int_0^{u/2} Phi((y_v-(r-.5)^2)/k) dr,
-           dC1/du = Phi((y_v - 0.25 (1-u)^2)/k)   (non-decreasing in u: NRD)
-    right: C2(u,v) = 2 int_0^{(u+1)/2} Phi(...) dr - v,
-           dC2/du = Phi((y_v - 0.25 u^2)/k)       (non-increasing in u: PRD)
-    """
-
-    smooth = True
-    numerical = True
-
-    def __init__(self, model: Example4Model, side: str):
-        if side not in ("left", "right"):
-            raise ParameterError("side must be 'left' or 'right'")
-        self.model = model
-        self.side = side
-        self.name = f"example4-{side}"
-        self._parent = Example4Copula(model)
-
-    def _cdf(self, u, v):
-        if self.side == "left":
-            return 2.0 * self._parent._cdf(0.5 * u, np.asarray(v, float))
-        return 2.0 * self._parent._cdf(0.5 * (u + 1.0), np.asarray(v, float)) - v
-
-    def _du(self, u, v):
-        m = self.model
-        out = np.zeros(np.broadcast(u, v).shape)
-        u, v = (a.ravel() for a in np.broadcast_arrays(u, v))
-        flat = out.reshape(-1)
-        pos = v > 0
-        if np.any(pos):
-            yv = m.marginal_y_quantile(v[pos])
-            if self.side == "left":
-                arg = yv - 0.25 * (1.0 - u[pos]) ** 2
-            else:
-                arg = yv - 0.25 * u[pos] ** 2
-            flat[pos] = _ndtr(arg / m.k)
         flat[np.asarray(v >= 1.0)] = 1.0
         return out
 

@@ -69,7 +69,8 @@ def _mean_grid(my: Marginal):
 def mean_regression(m: RegressionModel, x):
     """Mean regression curve; requires the conditional expectation to exist."""
     m.marginal_x.require_in_support(x)
-    us = m.marginal_x.cdf(np.atleast_1d(np.asarray(x, dtype=float)))
+    x = np.asarray(x, dtype=float)
+    us = m.marginal_x.cdf(x.ravel())
     a, upper, lower = _mean_grid(m.marginal_y)
     out = np.full(us.shape, a)
     # E[Y | U=u] = a + int_a^hi (1 - F) dy - int_lo^a F dy, F = dC/du(u, F_Y);
@@ -82,7 +83,7 @@ def mean_regression(m: RegressionModel, x):
         if lower is not None:
             h, v = lower
             out[j:j + MEAN_BLOCK] -= h * np.sum(m.copula.du(block, v), axis=1)
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -138,9 +139,9 @@ def piecewise_regression(pm: PiecewiseRegressionModel, x,
         glued = glue(pm.segment_copulas, pm.gluing_points)
         return mean_regression(RegressionModel(glued, pm.marginal_x, pm.marginal_y), x)
     pm.marginal_x.require_in_support(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty(xs.shape)
-    for j, xj in enumerate(xs):
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.size)
+    for j, xj in enumerate(x.ravel()):
         i, u = pm.segment_u(xj)
         out[j] = pm.marginal_y.quantile(median_psi(pm.segment_copulas[i], u))
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

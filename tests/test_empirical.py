@@ -9,6 +9,7 @@ from gluecop import (
     Crossing,
     CrossingReport,
     DataError,
+    DomainError,
     EmpiricalCopula,
     FGMCopula,
     FrankCopula,
@@ -93,9 +94,55 @@ class TestEmpiricalCopula:
     def test_cdf_grid_matches_pointwise(self):
         ps = simulate_copula(ClaytonCopula(2.0), 300, seed=4)
         ec = EmpiricalCopula(ps)
+
+        def count(u, v):  # brute-force reference (1/n) #{u_i <= u, v_i <= v}
+            return np.array([np.mean((ps.u <= a) & (ps.v <= b))
+                             for a, b in zip(np.ravel(u), np.ravel(v))]).reshape(np.shape(u))
+
         t = np.linspace(0.05, 0.95, 17)
         U, V = np.meshgrid(t, t, indexing="ij")
-        assert np.array_equal(ec.cdf_grid(t, t), ec.cdf(U, V))
+        scattered = np.random.default_rng(8).uniform(size=(2, 2500))
+        scattered[:, :300] = ps.u, ps.v  # on the sample points themselves
+        assert ec.cdf(0.4, 0.7) == count(0.4, 0.7)
+        np.testing.assert_array_equal(ec.cdf(U, V), count(U, V))
+        np.testing.assert_array_equal(ec.cdf(*scattered), count(*scattered))
+        np.testing.assert_array_equal(ec.cdf_grid(t, t), count(U, V))
+        h = max(0.05, 2.0 / np.sqrt(ps.n))
+        lo, hi = np.maximum(U - h, 0.0), np.minimum(U + h, 1.0)
+        np.testing.assert_array_equal(
+            ec.du(U, V), np.clip((count(hi, V) - count(lo, V)) / (hi - lo), 0.0, 1.0))
+
+    def test_cdf_grid_takes_any_axes(self):
+        ec = EmpiricalCopula(simulate_copula(ClaytonCopula(2.0), 300, seed=4))
+        us = np.array([0.9, 0.1, 0.5, 0.1, 1.0, 0.0])
+        vs = np.array([0.5, 0.5, 0.2, 0.95])
+        U, V = np.meshgrid(us, vs, indexing="ij")
+        np.testing.assert_array_equal(ec.cdf_grid(us, vs), ec.cdf(U, V))
+        for bad in ([1.5], [-0.1], [np.nan], [0.2, np.nan]):
+            with pytest.raises(DomainError):
+                ec.cdf_grid(bad, vs)
+            with pytest.raises(DomainError):
+                ec.cdf_grid(us, bad)
+
+    def test_counts_on_bounded_grids(self, monkeypatch):
+        ec = EmpiricalCopula(simulate_copula(FrankCopula(3.0), 400, seed=9))
+        block = empirical._CDF_BLOCK
+        sizes = []
+        kernel = EmpiricalCopula._count_grid
+
+        def counting(self, us, vs):
+            sizes.append((us.size, vs.size))
+            return kernel(self, us, vs)
+
+        monkeypatch.setattr(EmpiricalCopula, "_count_grid", counting)
+        q = np.random.default_rng(10).uniform(size=(2, 2 * block + 5))
+        ec.cdf(*q)
+        assert len(sizes) == 3
+        ec.du(*q)
+        assert len(sizes) == 9
+        t = np.linspace(0, 1, 64)
+        ec.du(*np.meshgrid(t, t, indexing="ij"))
+        assert all(nu * nv <= block ** 2 for nu, nv in sizes)
 
     def test_diagonal_matches_cdf(self):
         ps = simulate_copula(FrankCopula(3.0), 200, seed=5)

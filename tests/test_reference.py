@@ -11,7 +11,6 @@ from gluecop import (
     ParameterError,
     Sample,
     check_copula_axioms,
-    decompose,
     simulate_example1,
     simulate_example4,
     tent,
@@ -131,14 +130,18 @@ class TestParabolaCopula:
         fd = _finite_difference_du(c._cdf, U, V)
         assert np.max(np.abs(fd - c.du(U, V))) < 1e-6
 
-    def test_pieces_match_decomposition(self, model):
+    def test_pieces_match_closed_forms(self, model):
+        # the paper's pieces of the parabola copula at theta = 1/2
         c = model.copula()
         p1, p2 = model.pieces()
-        d1, d2 = decompose(c, 0.5)
         t = np.linspace(0.05, 0.95, 13)
         U, V = np.meshgrid(t, t, indexing="ij")
-        assert np.max(np.abs(p1.cdf(U, V) - d1.cdf(U, V))) < 1e-9
-        assert np.max(np.abs(p2.cdf(U, V) - d2.cdf(U, V))) < 1e-9
+        yv = model.marginal_y_quantile(V)
+        assert p1.du(U, V) == pytest.approx(ndtr((yv - (1 - U) ** 2 / 4) / model.k),
+                                            abs=1e-15)
+        assert p2.du(U, V) == pytest.approx(ndtr((yv - U ** 2 / 4) / model.k), abs=1e-15)
+        assert p1.cdf(U, V) == pytest.approx(2 * c.cdf(U / 2, V), abs=1e-15)
+        assert p2.cdf(U, V) == pytest.approx(2 * c.cdf((U + 1) / 2, V) - V, abs=1e-15)
 
     def test_pieces_ordered_against_product(self, model):
         p1, p2 = model.pieces()
@@ -153,11 +156,6 @@ class TestParabolaCopula:
             U, V = np.meshgrid(t, t, indexing="ij")
             fd = _finite_difference_du(piece._cdf, U, V)
             assert np.max(np.abs(fd - piece.du(U, V))) < 1e-6
-
-    def test_bad_side(self, model):
-        from gluecop.reference import Example4Piece
-        with pytest.raises(ParameterError):
-            Example4Piece(model, side="middle")
 
 
 class TestParabolaSimulation:

@@ -171,6 +171,23 @@ class TestMeanBlocks:
         assert sum(sizes) == 2 * 1001 * MEAN_NODES
 
 
+class TestArrayShapes:
+    @pytest.mark.parametrize("curve", [
+        lambda x: median_regression(RegressionModel(glue(*GLUED3), UNIT, TWO_SIDED_Y), x),
+        lambda x: mean_regression(RegressionModel(glue(*GLUED3), UNIT, TWO_SIDED_Y), x),
+        lambda x: piecewise_regression(PiecewiseRegressionModel(
+            (0.3, 0.65), GLUED3[0], UNIT, TWO_SIDED_Y), x, "median"),
+        lambda x: piecewise_regression(PiecewiseRegressionModel(
+            (0.3, 0.65), GLUED3[0], UNIT, TWO_SIDED_Y), x, "mean"),
+    ], ids=["median", "mean", "piecewise-median", "piecewise-mean"])
+    def test_2d_x_is_1d_result_reshaped(self, curve):
+        x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        out = curve(x)
+        assert out.shape == (3, 4)
+        np.testing.assert_array_equal(out, curve(x.ravel()).reshape(3, 4))
+        assert curve(np.full((2, 3), 0.5)).shape == (2, 3)
+
+
 class TestPiecewise:
     def tent_model(self, theta=0.5):
         return PiecewiseRegressionModel((theta,), (M, W), UNIT, UNIT)
