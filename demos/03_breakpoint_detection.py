@@ -8,9 +8,9 @@ empirical diagonal is available.
 
 import numpy as np
 
-from gluecop import (Example1Copula, diagonal_crossings,
-                     empirical_crossing_report, empirical_breakpoints,
-                     simulate_example1, simulate_example4)
+from gluecop import (Example1Copula, crossing_breakpoints, diagonal_crossings,
+                     empirical_crossing_report, simulate_example1,
+                     simulate_example4)
 
 theta = 0.6
 c = Example1Copula(theta)
@@ -27,17 +27,19 @@ for crossing in emp.crossings:
     print(f"  crossing at t = {crossing.t:.4f} ({crossing.direction})")
 
 # break-points live in x-space: map through the empirical x-quantile
-bps = empirical_breakpoints(s)
+bps = crossing_breakpoints(s.x, emp)
 print(f"break-point candidates in x-space: {np.round(bps, 4)}")
 
 # a noisy, smooth model: parabola with gaussian noise, true break at 0.5
 s4 = simulate_example4(4000, k=0.1, seed=7)
 print(f"\nparabola-plus-noise sample, true break-point 0.5:")
-print(f"  candidates: {np.round(empirical_breakpoints(s4), 4)}")
+bps4 = crossing_breakpoints(s4.x, empirical_crossing_report(s4))
+print(f"  candidates: {np.round(bps4, 4)}")
 
 # monotone dependence produces no crossings at all
 rng = np.random.default_rng(0)
 from gluecop import Sample
 u = rng.uniform(size=4000)
 mono = Sample(x=u, y=u + 0.1 * rng.standard_normal(4000))
-print(f"\nmonotone sample: candidates = {empirical_breakpoints(mono)}")
+mono_bps = crossing_breakpoints(mono.x, empirical_crossing_report(mono))
+print(f"\nmonotone sample: candidates = {mono_bps}")

@@ -11,7 +11,7 @@ from .dependence import (DependenceReport, QuadrantClass, RegressionClass,
                          classify_quadrant, classify_regression_dependence,
                          dependence_report, schweizer_wolff_sigma, spearman_rho)
 from .empirical import (EmpiricalCopula, FitResult, PiecewiseFit, PseudoSample,
-                        empirical_breakpoints, empirical_crossing_report,
+                        crossing_breakpoints, empirical_crossing_report,
                         empirical_tolerance, fit_piecewise, fit_segment, pseudo_observations,
                         simulate_copula)
 from .errors import (DataError, DomainError, GluecopError, NumericalError,

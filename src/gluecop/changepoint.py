@@ -39,34 +39,7 @@ class CrossingReport:
     grid_n: int = GRID_N_DEFAULT
     tolerance: float = TOL_DEFAULT
     persistence: int = PERSISTENCE_DEFAULT
-
-    def to_dict(self) -> dict:
-        return {
-            "crossings": [{"t": c.t, "direction": c.direction} for c in self.crossings],
-            "touches": list(self.touches),
-            "grid_n": self.grid_n,
-            "tolerance": self.tolerance,
-            "persistence": self.persistence,
-        }
-
-
-def _sign_runs(codes):
-    """Maximal runs of identical nonzero codes as (sign, start, end) triples."""
-    runs = []
-    start = None
-    for i, s in enumerate(codes):
-        if s == 0:
-            if start is not None:
-                runs.append((codes[start], start, i - 1))
-                start = None
-        elif start is None:
-            start = i
-        elif codes[i] != codes[start]:
-            runs.append((codes[start], start, i - 1))
-            start = i
-    if start is not None:
-        runs.append((codes[start], start, len(codes) - 1))
-    return runs
+    mixed_dependence: bool = False  # g beyond +tol and beyond -tol somewhere
 
 
 def _bisect_zero(g, lo: float, hi: float) -> float:
@@ -85,14 +58,16 @@ def _bisect_zero(g, lo: float, hi: float) -> float:
 
 
 def diagonal_crossings(c: Copula, grid_n: int = GRID_N_DEFAULT,
-                       tol: float = TOL_DEFAULT,
+                       tol: float | None = TOL_DEFAULT,
                        persistence: int = PERSISTENCE_DEFAULT) -> CrossingReport:
     """Crossings between the diagonal section of ``c`` and t^2.
 
-    g(t) = delta(t) - t^2 is sampled on ``grid_n`` equispaced points; a
-    crossing requires a run of at least ``persistence`` points beyond +tol
-    followed (after an optional near-zero band) by an equally long run beyond
-    -tol, or vice versa.
+    g(t) = delta(t) - t^2 is sampled on ``grid_n`` equispaced points and
+    coded +1 beyond +tol, -1 beyond -tol and 0 in between.  Sign runs shorter
+    than ``persistence`` points are dropped; between two adjacent surviving
+    runs of opposite sign lies a crossing, refined by bisection, and between
+    two of the same sign a tangential touch, reported at the gap's midpoint.
+    ``tol=None`` takes the copula's default tolerance.
     """
     if grid_n < 64:
         raise DomainError("grid_n must be >= 64")
@@ -103,29 +78,25 @@ def diagonal_crossings(c: Copula, grid_n: int = GRID_N_DEFAULT,
     g = lambda tt: c.diagonal(tt) - tt * tt
     values = g(grid)
     codes = np.where(values > tol, 1, np.where(values < -tol, -1, 0))
-    runs = [r for r in _sign_runs(codes) if r[2] - r[1] + 1 >= persistence]
 
-    # merge consecutive same-sign runs; a gap between them is a tangential touch
-    merged: list[list] = []
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    ends = np.r_[starts[1:], grid_n] - 1
+    runs = [(codes[a], a, b) for a, b in zip(starts, ends)
+            if codes[a] != 0 and b - a + 1 >= persistence]
+    crossings: list[Crossing] = []
     touches: list[float] = []
-    for sign, start, end in runs:
-        if merged and merged[-1][0] == sign:
-            gap_lo, gap_hi = merged[-1][2], start
-            if gap_hi > gap_lo + 1:
-                touches.append(float(0.5 * (grid[gap_lo] + grid[gap_hi])))
-            merged[-1][2] = end
+    # maximal runs of one sign are never adjacent, so a gap separates them
+    for (sign, _, end), (next_sign, start, _) in zip(runs, runs[1:]):
+        if sign == next_sign:
+            touches.append(float(0.5 * (grid[end] + grid[start])))
         else:
-            merged.append([sign, start, end])
-
-    crossings = []
-    for left, right in zip(merged, merged[1:]):
-        lo = float(grid[left[2]])
-        hi = float(grid[right[1]])
-        t_star = _bisect_zero(g, lo, hi)
-        direction = "down" if left[0] > 0 else "up"
-        crossings.append(Crossing(t=t_star, direction=direction))
+            t_star = _bisect_zero(g, float(grid[end]), float(grid[start]))
+            crossings.append(Crossing(t=t_star,
+                                      direction="down" if sign > 0 else "up"))
     return CrossingReport(crossings=crossings, touches=touches, grid_n=grid_n,
-                          tolerance=tol, persistence=persistence)
+                          tolerance=tol, persistence=persistence,
+                          mixed_dependence=bool(np.any(codes == 1)
+                                                and np.any(codes == -1)))
 
 
 def pqd_nqd_prescreen(c: Copula, grid_n: int = GRID_N_DEFAULT,
@@ -133,12 +104,7 @@ def pqd_nqd_prescreen(c: Copula, grid_n: int = GRID_N_DEFAULT,
     """True iff the diagonal lies strictly above t^2 somewhere and strictly
     below somewhere else — the necessary condition for mixed dependence that
     motivates break-point analysis."""
-    if grid_n < 64:
-        raise DomainError("grid_n must be >= 64")
-    tol = _tolerance(c, tol)
-    t = np.linspace(0.0, 1.0, grid_n)
-    g = c.diagonal(t) - t * t
-    return bool(np.any(g > tol) and np.any(g < -tol))
+    return diagonal_crossings(c, grid_n, tol).mixed_dependence
 
 
 def breakpoint_from_gluing_point(theta: float, mx: Marginal) -> float:

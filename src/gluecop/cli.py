@@ -18,11 +18,12 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
 from . import model_io
-from .changepoint import GRID_N_DEFAULT, pqd_nqd_prescreen
+from .changepoint import GRID_N_DEFAULT
 from .copulas import make_copula
 from .dependence import dependence_report, schweizer_wolff_sigma
 from .empirical import (DEFAULT_FIT_FAMILIES, DETECTION_PERSISTENCE,
@@ -94,27 +95,24 @@ def read_xy_csv(path: str) -> Sample:
     return Sample(x=np.array(xs), y=np.array(ys))
 
 
+def _write(path: str | None, text: str) -> None:
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        model_io.write_text(path, text)
+
+
 def _write_csv(path: str | None, header: list[str], rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([repr(float(v)) for v in row])
-    text = buf.getvalue()
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as out:
-            out.write(text)
+    _write(path, buf.getvalue())
 
 
 def _emit_json(doc: dict, path: str | None) -> None:
-    text = model_io.dumps_canonical(doc)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as out:
-            out.write(text)
+    _write(path, model_io.dumps_canonical(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +134,13 @@ def cmd_analyze(args) -> int:
     sample = read_xy_csv(args.input)
     ps = pseudo_observations(sample)
     report = crossing_report(ps, args.grid_n, args.tol, args.persistence)
-    ec = EmpiricalCopula(ps)
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "n": sample.n,
         "rho_hat": sample_spearman(ps.u, ps.v),
-        "sigma_hat": schweizer_wolff_sigma(ec),
-        "mixed_dependence": pqd_nqd_prescreen(ec, tol=report.tolerance),
-        "crossings": report.to_dict()["crossings"],
+        "sigma_hat": schweizer_wolff_sigma(EmpiricalCopula(ps)),
+        "mixed_dependence": report.mixed_dependence,
+        "crossings": [asdict(c) for c in report.crossings],
         "candidates": crossing_breakpoints(sample.x, report),
     }
     if sample.n < MIN_DETECTION_POINTS:
@@ -153,18 +150,21 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
+def _parse_breakpoints(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise _usage_error(f"invalid {what} list: {text!r}")
+        raise _usage_error(f"invalid break-point list: {text!r}")
+    if not all(math.isfinite(b) for b in values):
+        raise _usage_error(f"break-points must be finite: {text!r}")
+    return values
 
 
 def cmd_fit(args) -> int:
     sample = read_xy_csv(args.input)
     candidates = None
     if args.breakpoints is not None:
-        candidates = _parse_float_list(args.breakpoints, "break-point")
+        candidates = _parse_breakpoints(args.breakpoints)
     families = DEFAULT_FIT_FAMILIES
     if args.families is not None:
         families = tuple(tok.strip() for tok in args.families.split(",") if tok.strip())

@@ -173,12 +173,11 @@ def crossing_report(ps: PseudoSample, grid_n: int = GRID_N_DEFAULT,
     return diagonal_crossings(EmpiricalCopula(ps), grid_n, tol, persistence)
 
 
-def empirical_crossing_report(s: Sample, grid_n: int = GRID_N_DEFAULT,
-                              tol: float | None = None,
-                              persistence: int = DETECTION_PERSISTENCE) -> CrossingReport:
-    """Crossings of the empirical diagonal with t^2."""
+def empirical_crossing_report(s: Sample) -> CrossingReport:
+    """Crossings of the empirical diagonal with t^2 under the default
+    detection policy of ``crossing_report``."""
     _warn_if_small(s.n, "break-point detection")
-    return crossing_report(pseudo_observations(s), grid_n, tol, persistence)
+    return crossing_report(pseudo_observations(s))
 
 
 def crossing_breakpoints(x, report: CrossingReport) -> list[float]:
@@ -190,15 +189,6 @@ def crossing_breakpoints(x, report: CrossingReport) -> list[float]:
     top = float(np.max(x))
     return [b for b in dict.fromkeys(float(np.quantile(x, c.t))
                                      for c in report.crossings) if b != top]
-
-
-def empirical_breakpoints(s: Sample, grid_n: int = GRID_N_DEFAULT,
-                          tol: float | None = None,
-                          persistence: int = DETECTION_PERSISTENCE) -> list[float]:
-    """Break-point candidates in x-space via the empirical x-quantile."""
-    _warn_if_small(s.n, "break-point detection")
-    return crossing_breakpoints(
-        s.x, crossing_report(pseudo_observations(s), grid_n, tol, persistence))
 
 
 # ---------------------------------------------------------------------------

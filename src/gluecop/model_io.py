@@ -92,9 +92,17 @@ def dumps_canonical(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; an unwritable path is a ``DataError``."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 def save_model(pm: PiecewiseRegressionModel, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_canonical(model_to_dict(pm)))
+    write_text(path, dumps_canonical(model_to_dict(pm)))
 
 
 def load_model(path: str) -> PiecewiseRegressionModel:

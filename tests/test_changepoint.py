@@ -3,6 +3,7 @@ import pytest
 
 from gluecop import (
     ClaytonCopula,
+    Copula,
     DomainError,
     Example1Copula,
     FrankCopula,
@@ -76,6 +77,78 @@ class TestDiagonalCrossings:
 
     def test_zero_tol_is_allowed(self):
         assert diagonal_crossings(M, tol=0.0).crossings == []
+
+
+class _StepDiagonal(Copula):
+    """Stub whose g(t) = delta(t) - t^2 equals ``values[i]`` on the cell of
+    point i of the ``len(values)``-point grid; only ``diagonal`` is defined."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def diagonal(self, t):
+        t = np.asarray(t, dtype=float)
+        last = self.values.size - 1
+        cell = np.clip(np.floor(t * last + 0.5).astype(int), 0, last)
+        return t * t + self.values[cell]
+
+
+def _steps(*runs):
+    return [value for value, length in runs for _ in range(length)]
+
+
+GRID_64 = np.linspace(0.0, 1.0, 64)
+# +, zero band, +, -: a touch inside the band, one crossing after it
+PLUS_BAND_PLUS_MINUS = _steps((0.01, 20), (0.0, 10), (0.01, 20), (-0.01, 14))
+# the band holds a 3-point - run: crossings when it is kept, a touch when not
+PLUS_BLIP_PLUS_MINUS = _steps((0.01, 20), (0.0, 4), (-0.01, 3), (0.0, 3),
+                              (0.01, 20), (-0.01, 14))
+# g never drops below the band, and only touches it
+PLUS_BAND_PLUS = _steps((0.01, 20), (0.0, 24), (0.01, 20))
+
+
+class TestTouches:
+    @pytest.mark.parametrize("persistence", [1, 3, 10])
+    def test_touch_then_crossing(self, persistence):
+        report = diagonal_crossings(_StepDiagonal(PLUS_BAND_PLUS_MINUS), 64,
+                                    tol=1e-4, persistence=persistence)
+        assert report.touches == [0.5 * (GRID_64[19] + GRID_64[30])]
+        assert [c.direction for c in report.crossings] == ["down"]
+        assert report.crossings[0].t == pytest.approx(49.5 / 63, abs=1e-6)
+        assert report.mixed_dependence is True
+
+    @pytest.mark.parametrize("persistence, directions, touches", [
+        (1, ["down", "up", "down"], []),
+        (3, ["down", "up", "down"], []),
+        (4, ["down"], [0.5 * (GRID_64[19] + GRID_64[30])]),
+        (10, ["down"], [0.5 * (GRID_64[19] + GRID_64[30])]),
+    ])
+    def test_short_run_is_filtered_to_a_touch(self, persistence, directions,
+                                              touches):
+        report = diagonal_crossings(_StepDiagonal(PLUS_BLIP_PLUS_MINUS), 64,
+                                    tol=1e-4, persistence=persistence)
+        assert [c.direction for c in report.crossings] == directions
+        assert report.touches == touches
+        assert report.mixed_dependence is True
+
+    @pytest.mark.parametrize("persistence", [1, 10])
+    def test_touch_without_crossing_is_not_mixed(self, persistence):
+        c = _StepDiagonal(PLUS_BAND_PLUS)
+        report = diagonal_crossings(c, 64, tol=1e-4, persistence=persistence)
+        assert report.crossings == []
+        assert report.touches == [0.5 * (GRID_64[19] + GRID_64[44])]
+        assert report.mixed_dependence is False
+        assert pqd_nqd_prescreen(c, 64, tol=1e-4) is False
+
+    def test_filtered_run_still_counts_as_mixed(self):
+        # a 3-point - run below persistence is no crossing, but g does go
+        # below -tol, which is all the prescreen asks
+        c = _StepDiagonal(_steps((0.01, 30), (-0.01, 3), (0.01, 31)))
+        report = diagonal_crossings(c, 64, tol=1e-4, persistence=5)
+        assert report.crossings == []
+        assert report.touches == [0.5 * (GRID_64[29] + GRID_64[33])]
+        assert report.mixed_dependence is True
+        assert pqd_nqd_prescreen(c, 64, tol=1e-4) is True
 
 
 class TestPrescreen:

@@ -118,6 +118,20 @@ class TestAnalyze:
         assert code == 1
         assert "must be >= " in err
 
+    def test_mixed_dependence_uses_the_grid_n_grid(self, tmp_path, capsys):
+        # the 512-point empirical diagonal dips below -tol, the 64-point one
+        # does not: the flag must come from the grid the crossings use
+        path = tmp_path / "ex4.csv"
+        assert run(capsys, "simulate", "example4", "--n", "300", "--seed", "0",
+                   "--out", str(path))[0] == 0
+        verdicts = {}
+        for grid_n in ("64", "512"):
+            code, out, _ = run(capsys, "analyze", str(path), "--grid-n", grid_n,
+                               "--tol", "0.0369")
+            assert code == 0
+            verdicts[grid_n] = json.loads(out)["mixed_dependence"]
+        assert verdicts == {"64": False, "512": True}
+
 
 class TestDiscreteX:
     """x with 3 distinct values: several diagonal crossings fall inside the
@@ -194,6 +208,18 @@ class TestFitPredict:
         assert code == 0
         assert json.loads(model_path.read_text())["break_points"] == [0.5]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0.5,nan", "abc"])
+    def test_bad_breakpoint_is_usage_error(self, tent_csv, tmp_path, capsys,
+                                           value):
+        model_path = tmp_path / "m.json"
+        # the = form lets argparse take "-inf" as a value, not an option
+        code, out, err = run(capsys, "fit", str(tent_csv), f"--breakpoints={value}",
+                             "--out-model", str(model_path))
+        assert code == 1
+        assert out == ""
+        assert "break-point" in err and "Traceback" not in err
+        assert not model_path.exists()
+
     def test_unknown_family_is_usage_error(self, tent_csv, tmp_path, capsys):
         code, _, _ = run(capsys, "fit", str(tent_csv), "--families", "gaussian",
                          "--out-model", str(tmp_path / "m.json"))
@@ -264,6 +290,26 @@ class TestPredictInputs:
         assert code == 2
         assert out == ""
         assert "data error" in err and "Traceback" not in err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "example1", "--n", "5", "--out"],
+        ["analyze", "{csv}", "--out"],
+        ["measures", "{csv}", "--out"],
+        ["fit", "{csv}", "--breakpoints", "0.5", "--out-model"],
+        ["predict", "{model}", "--out"],
+    ], ids=["simulate", "analyze", "measures", "fit", "predict"])
+    def test_unwritable_path_is_data_error(self, tent_csv, tmp_path, capsys, argv):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(_model_doc()))
+        target = str(tmp_path / "missing" / "out")
+        argv = [a.format(csv=tent_csv, model=model_path) for a in argv]
+        code, out, err = run(capsys, *argv, target)
+        assert code == 2
+        assert out == ""
+        assert f"data error: cannot write {target}: " in err
+        assert "Traceback" not in err
 
 
 class TestConstantColumn:

@@ -16,7 +16,7 @@ from gluecop import (
     GumbelCopula,
     PlackettCopula,
     Sample,
-    empirical_breakpoints,
+    crossing_breakpoints,
     empirical_crossing_report,
     empirical_tolerance,
     fit_piecewise,
@@ -30,7 +30,7 @@ from gluecop import (
 )
 from gluecop import empirical
 from gluecop.empirical import (GOF_GRID_N, PseudoSample, _invert_rho, _midranks,
-                               crossing_breakpoints, sample_spearman)
+                               sample_spearman)
 
 
 class TestPseudoObservations:
@@ -197,27 +197,26 @@ class TestBreakpointDetection:
 
     def test_parabola_sample_recovers_half(self):
         s = simulate_example4(3000, 0.1, seed=14)
-        bps = empirical_breakpoints(s)
+        bps = crossing_breakpoints(s.x, empirical_crossing_report(s))
         assert len(bps) == 1
         assert bps[0] == pytest.approx(0.5, abs=0.05)
 
     def test_monotone_sample_has_no_breakpoints(self):
         ps = simulate_copula(ClaytonCopula(3.0), 2000, seed=15)
         s = Sample(x=ps.u, y=ps.v)
-        assert empirical_breakpoints(s) == []
+        assert crossing_breakpoints(s.x, empirical_crossing_report(s)) == []
 
     def test_independent_sample_has_no_breakpoints(self):
         rng = np.random.default_rng(16)
         s = Sample(x=rng.uniform(size=2000), y=rng.uniform(size=2000))
-        assert empirical_breakpoints(s) == []
+        assert crossing_breakpoints(s.x, empirical_crossing_report(s)) == []
 
     def test_small_sample_warns(self):
         s = simulate_example1(30, 0.5, seed=17)
         with pytest.warns(UserWarning, match="unreliable"):
             empirical_crossing_report(s)
 
-    @pytest.mark.parametrize("entry", [fit_piecewise, empirical_crossing_report,
-                                       empirical_breakpoints])
+    @pytest.mark.parametrize("entry", [fit_piecewise, empirical_crossing_report])
     def test_small_sample_warns_once(self, entry):
         s = simulate_example1(40, 0.5, seed=17)
         with warnings.catch_warnings(record=True) as caught:
@@ -340,7 +339,8 @@ class TestFitPiecewise:
         auto = fit_piecewise(s)
         assert len(calls) == 1
         assert len(auto.break_points) == 1
-        explicit = fit_piecewise(s, candidates=empirical_breakpoints(s))
+        explicit = fit_piecewise(
+            s, candidates=crossing_breakpoints(s.x, empirical_crossing_report(s)))
         assert auto.break_points == explicit.break_points
         assert ([(f.family, f.theta, f.gof_distance) for f in auto.segments]
                 == [(f.family, f.theta, f.gof_distance) for f in explicit.segments])
