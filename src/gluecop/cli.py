@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import asdict
@@ -44,6 +45,14 @@ REPORT_SCHEMA_VERSION = 1
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value that starts like a number ("-0.5,0.3", "-inf") is an
+        # argument, not an unknown option; argparse's own pattern takes
+        # plain negative numbers such as "-0.5" only
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)",
+                                                   re.IGNORECASE)
+
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")

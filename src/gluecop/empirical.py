@@ -3,7 +3,8 @@ detection on samples, and per-segment parametric fitting.
 
 Fitting is deliberately light-weight moment matching: each family's
 parameter is found by inverting the family's Spearman rho (computed by the
-same quadrature used everywhere else) against the sample rho, and the
+same quadrature used everywhere else) against the sample rho with a
+Brent-Dekker root finder bracketed by the family's search range, and the
 winning family minimizes an L2 grid distance between the empirical and the
 fitted copula.  The Fréchet bounds and the product copula enter as
 parameterless candidates so that exactly monotone or independent segments
@@ -12,6 +13,7 @@ resolve cleanly.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -84,8 +86,11 @@ def sample_spearman(u: np.ndarray, v: np.ndarray) -> float:
     """Sample Spearman rho: the Pearson correlation of the midranks, by the
     same column-stacked ``np.corrcoef`` call as SciPy, so the two agree bit
     for bit (NaN for a constant column)."""
-    ranks = np.column_stack((_midranks(u), _midranks(v)))
-    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+    return _rank_correlation(_midranks(u), _midranks(v))
+
+
+def _rank_correlation(ru: np.ndarray, rv: np.ndarray) -> float:
+    return float(np.corrcoef(np.column_stack((ru, rv)), rowvar=False)[1, 0])
 
 
 class EmpiricalCopula(Copula):
@@ -209,35 +214,87 @@ def _rho_of(family: str, theta: float) -> float:
     return spearman_rho(make_copula(family, theta))
 
 
+@functools.cache
+def _range_end_rho(family: str, key: str) -> tuple[float, float]:
+    """Family rho at both ends of its search range for one sign of the
+    target; it does not depend on the data, so it is computed once."""
+    lo, hi = _FIT_RANGES[family][key]
+    return _rho_of(family, lo), _rho_of(family, hi)
+
+
 def _invert_rho(family: str, rho_hat: float) -> float | None:
     """Parameter with family rho equal to rho_hat, or None if unattainable."""
     ranges = _FIT_RANGES[family]
     key = "+" if rho_hat >= 0 else "-"
     if key not in ranges:
         return None
-    lo, hi = ranges[key]
-    rlo, rhi = _rho_of(family, lo), _rho_of(family, hi)
+    rlo, rhi = _range_end_rho(family, key)
     if not (min(rlo, rhi) <= rho_hat <= max(rlo, rhi)):
         return None
-    increasing = rhi >= rlo
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if (_rho_of(family, mid) < rho_hat) == increasing:
-            lo = mid
+    lo, hi = ranges[key]
+    return _brent_root(lambda theta: _rho_of(family, theta) - rho_hat,
+                       lo, hi, rlo - rho_hat, rhi - rho_hat)
+
+
+def _brent_root(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Zero of f in [a, b], given fa = f(a) and fb = f(b) of opposite signs
+    or zero: Brent's algorithm (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4).  Secant and inverse quadratic steps are taken
+    while they stay inside the bracket and shrink it fast enough, bisection
+    otherwise; it stops when the bracket is within 4 eps |b| of the zero."""
+    eps = np.finfo(float).eps
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0) == (fc > 0):  # keep the zero between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):  # b is the best estimate so far
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * eps * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else (tol if m > 0 else -tol)
+        fb = f(b)
 
 
 def fit_segment(u, v, families=DEFAULT_FIT_FAMILIES,
                 interval: tuple[float, float] | None = None) -> FitResult:
     """Best moment-matched copula for one segment's pseudo-observations."""
+    return _fit_ranked(u, None, v, families, interval)
+
+
+def _fit_ranked(u, u_ranks, v, families, interval) -> FitResult:
+    """``fit_segment`` given the midranks of u, or None to rank u here."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.size < MIN_SEGMENT_POINTS:
         raise DataError(f"segment has {u.size} points; need >= {MIN_SEGMENT_POINTS}")
+    if u_ranks is None:
+        u_ranks = _midranks(u)
     with np.errstate(invalid="ignore", divide="ignore"):
-        rho_hat = sample_spearman(u, v)
+        rho_hat = _rank_correlation(u_ranks, _midranks(v))
     if np.isnan(rho_hat):
         where = "" if interval is None else f" ({interval[0]:g}, {interval[1]:g}]"
         raise DataError(f"segment{where} has a constant x or y column; "
@@ -286,16 +343,25 @@ def fit_piecewise(s: Sample, candidates=None,
     if candidates is None:
         candidates = crossing_breakpoints(s.x, crossing_report(ps))
     bps = sorted(float(b) for b in candidates)
+    x_lo, x_hi = float(s.x.min()), float(s.x.max())
+    for b in bps:
+        # b = max(x) would leave the last segment empty
+        if not x_lo <= b < x_hi:
+            raise DataError(f"break-point {b:g} is outside [{x_lo:g}, {x_hi:g}), "
+                            "the x range of the data")
+    for b0, b1 in zip(bps, bps[1:]):
+        if b0 == b1:
+            raise DataError(f"break-point {b1:g} is given twice")
 
     v_global = ps.v
     edges = [-np.inf] + bps + [np.inf]
     fits: list[FitResult] = []
     for lo, hi in zip(edges, edges[1:]):
         mask = (s.x > lo) & (s.x <= hi)
-        xs = s.x[mask]
-        useg = _midranks(xs) / (xs.size + 1)
-        interval = (float(max(lo, s.x.min())), float(min(hi, s.x.max())))
-        fits.append(fit_segment(useg, v_global[mask], families, interval))
+        ranks = _midranks(s.x[mask])
+        interval = (max(lo, x_lo), min(hi, x_hi))
+        fits.append(_fit_ranked(ranks / (ranks.size + 1), ranks, v_global[mask],
+                                families, interval))
 
     model = PiecewiseRegressionModel(
         break_points=tuple(bps),

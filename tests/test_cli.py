@@ -212,12 +212,30 @@ class TestFitPredict:
     def test_bad_breakpoint_is_usage_error(self, tent_csv, tmp_path, capsys,
                                            value):
         model_path = tmp_path / "m.json"
-        # the = form lets argparse take "-inf" as a value, not an option
         code, out, err = run(capsys, "fit", str(tent_csv), f"--breakpoints={value}",
                              "--out-model", str(model_path))
         assert code == 1
         assert out == ""
         assert "break-point" in err and "Traceback" not in err
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("argv,code,words", [
+        # a value that starts with "-" is a value, not an option
+        (["--breakpoints", "-inf"], 1, ["break-points must be finite"]),
+        (["--breakpoints", "-0.5,0.3"], 2, ["-0.5", "outside", "x range"]),
+        (["--breakpoints=-0.5"], 2, ["-0.5", "outside", "x range"]),
+        (["--breakpoints=1.5"], 2, ["1.5", "outside", "x range"]),
+        (["--breakpoints=0.3,0.3"], 2, ["0.3", "twice"]),
+    ], ids=["space-inf", "space-negative-list", "below", "above", "duplicate"])
+    def test_breakpoint_values_are_checked(self, tent_csv, tmp_path, capsys,
+                                           argv, code, words):
+        model_path = tmp_path / "m.json"
+        got, out, err = run(capsys, "fit", str(tent_csv), *argv,
+                            "--out-model", str(model_path))
+        assert got == code
+        assert out == ""
+        assert all(w in err for w in words), err
+        assert "Traceback" not in err
         assert not model_path.exists()
 
     def test_unknown_family_is_usage_error(self, tent_csv, tmp_path, capsys):

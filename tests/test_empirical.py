@@ -29,8 +29,9 @@ from gluecop import (
     tent,
 )
 from gluecop import empirical
-from gluecop.empirical import (GOF_GRID_N, PseudoSample, _invert_rho, _midranks,
-                               sample_spearman)
+from gluecop.copulas import make_copula
+from gluecop.empirical import (_FIT_RANGES, GOF_GRID_N, PseudoSample, _invert_rho,
+                               _midranks, _rho_of, sample_spearman)
 
 
 class TestPseudoObservations:
@@ -234,20 +235,81 @@ class TestBreakpointDetection:
         assert crossing_breakpoints(x, report) == [0.0, 1.0]
 
 
+_INVERSION_CASES = [
+    ("clayton", 0.5), ("clayton", 2.0), ("clayton", 8.0),
+    ("frank", -8.0), ("frank", 2.0), ("frank", 12.0),
+    ("gumbel", 1.3), ("gumbel", 2.5), ("gumbel", 6.0),
+    ("fgm", -0.8), ("fgm", 0.4), ("fgm", 1.0),
+    ("plackett", 0.1), ("plackett", 4.0), ("plackett", 40.0),
+]
+
+
+def _bisect_rho(family, rho_hat):
+    """Reference inversion: 60 bisection steps on the family's range."""
+    lo, hi = _FIT_RANGES[family]["+" if rho_hat >= 0 else "-"]
+    increasing = _rho_of(family, hi) >= _rho_of(family, lo)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if (_rho_of(family, mid) < rho_hat) == increasing:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestRhoInversion:
-    @pytest.mark.parametrize("family,theta", [
-        ("clayton", 0.5), ("clayton", 2.0), ("clayton", 8.0),
-        ("frank", -8.0), ("frank", 2.0), ("frank", 12.0),
-        ("gumbel", 1.3), ("gumbel", 2.5), ("gumbel", 6.0),
-        ("fgm", -0.8), ("fgm", 0.4), ("fgm", 1.0),
-        ("plackett", 0.1), ("plackett", 4.0), ("plackett", 40.0),
-    ])
+    @pytest.fixture()
+    def rho_calls(self, monkeypatch):
+        """Every (family, theta) whose rho is evaluated, with the range-end
+        cache emptied before and after."""
+        calls = []
+
+        def counting(family, theta):
+            calls.append((family, theta))
+            return _rho_of(family, theta)
+
+        monkeypatch.setattr(empirical, "_rho_of", counting)
+        empirical._range_end_rho.cache_clear()
+        yield calls
+        empirical._range_end_rho.cache_clear()
+
+    @pytest.mark.parametrize("family,theta", _INVERSION_CASES)
     def test_round_trip_through_rho(self, family, theta):
-        from gluecop.copulas import make_copula
         rho = spearman_rho(make_copula(family, theta))
         theta_hat = _invert_rho(family, rho)
         rho_back = spearman_rho(make_copula(family, theta_hat))
         assert rho_back == pytest.approx(rho, abs=1e-6)
+
+    @pytest.mark.parametrize("family,theta", _INVERSION_CASES)
+    def test_residual_no_worse_than_bisection(self, family, theta):
+        rho = spearman_rho(make_copula(family, theta))
+        theta_hat = _invert_rho(family, rho)
+        lo, hi = _FIT_RANGES[family]["+" if rho >= 0 else "-"]
+        assert lo <= theta_hat <= hi
+        residual = abs(_rho_of(family, theta_hat) - rho)
+        assert residual <= abs(_rho_of(family, _bisect_rho(family, rho)) - rho) + 1e-15
+
+    def test_evaluation_count(self, rho_calls):
+        counts = []
+        for family, theta in _INVERSION_CASES:
+            rho = spearman_rho(make_copula(family, theta))
+            empirical._range_end_rho.cache_clear()  # count both range ends too
+            start = len(rho_calls)
+            _invert_rho(family, rho)
+            counts.append(len(rho_calls) - start)
+        assert max(counts) <= 24
+        # the 60-step bisection took 62 evaluations per call, range ends included
+        assert sum(counts) <= 62 * len(_INVERSION_CASES) / 4
+
+    def test_range_end_rho_once_per_family_and_sign(self, rho_calls):
+        pos = simulate_copula(ClaytonCopula(3.0), 500, seed=30)
+        neg = simulate_copula(FrankCopula(-5.0), 500, seed=31)
+        for _ in range(2):
+            fit_segment(pos.u, pos.v)
+            fit_segment(neg.u, neg.v)
+        ends = [(family, theta) for family, ranges in _FIT_RANGES.items()
+                for bracket in ranges.values() for theta in bracket]
+        assert [rho_calls.count(end) for end in ends] == [1] * len(ends)
 
     def test_unattainable_rho_returns_none(self):
         assert _invert_rho("fgm", 0.9) is None
