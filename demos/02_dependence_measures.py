@@ -6,10 +6,9 @@ sits entirely on one side of independence; the gap between them is the
 footprint of mixed dependence.
 """
 
-from gluecop import (ClaytonCopula, Example1Copula, FGMCopula, FrankCopula,
-                     GumbelCopula, IndependenceCopula, PlackettCopula,
-                     dependence_report, glue, FrechetUpperCopula,
-                     FrechetLowerCopula)
+from gluecop import (ClaytonCopula, FGMCopula, FrankCopula, GumbelCopula,
+                     IndependenceCopula, PlackettCopula, dependence_report,
+                     glue, make_copula, FrechetUpperCopula, FrechetLowerCopula)
 
 candidates = [
     IndependenceCopula(),
@@ -18,7 +17,7 @@ candidates = [
     FrankCopula(-5.0),
     FGMCopula(0.8),
     PlackettCopula(0.15),
-    Example1Copula(0.5),
+    make_copula("example1", 0.5),
     glue([FrechetUpperCopula(), FrechetLowerCopula()], [0.25]),
 ]
 

@@ -8,12 +8,12 @@ empirical diagonal is available.
 
 import numpy as np
 
-from gluecop import (Example1Copula, crossing_breakpoints, diagonal_crossings,
-                     empirical_crossing_report, simulate_example1,
+from gluecop import (crossing_breakpoints, diagonal_crossings,
+                     empirical_crossing_report, make_copula, simulate_example1,
                      simulate_example4)
 
 theta = 0.6
-c = Example1Copula(theta)
+c = make_copula("example1", theta)  # M glued to W at theta
 report = diagonal_crossings(c)
 print(f"closed-form diagonal, true gluing point {theta}:")
 for crossing in report.crossings:

@@ -8,13 +8,13 @@ model it recovers the parabola from the copula and the marginals alone.
 
 import numpy as np
 
-from gluecop import (Example1Copula, Example4Model, RegressionModel,
-                     UniformMarginal, mean_regression, median_regression,
-                     tent)
+from gluecop import (Example4Model, RegressionModel, UniformMarginal,
+                     make_copula, mean_regression, median_regression, tent)
 
 # --- singular model: Y is an exact function of X ---------------------------
 theta = 0.5
-m = RegressionModel(Example1Copula(theta), UniformMarginal(), UniformMarginal())
+m = RegressionModel(make_copula("example1", theta), UniformMarginal(),
+                    UniformMarginal())
 xs = np.linspace(0, 1, 11)
 mu = np.array([median_regression(m, x) for x in xs])
 print("tent model, median regression vs truth:")

@@ -2,10 +2,10 @@
 
 from .changepoint import (Crossing, CrossingReport, breakpoint_from_gluing_point,
                           diagonal_crossings, pqd_nqd_prescreen)
-from .copulas import (AxiomReport, ClaytonCopula, Copula, Example1Copula,
-                      FGMCopula, FrankCopula, FrechetLowerCopula,
-                      FrechetUpperCopula, GumbelCopula, IndependenceCopula,
-                      PlackettCopula, check_copula_axioms, conditional_cdf,
+from .copulas import (AxiomReport, ClaytonCopula, Copula, FGMCopula,
+                      FrankCopula, FrechetLowerCopula, FrechetUpperCopula,
+                      GumbelCopula, IndependenceCopula, PlackettCopula,
+                      check_copula_axioms, conditional_cdf,
                       conditional_quantile, make_copula)
 from .dependence import (DependenceReport, QuadrantClass, RegressionClass,
                          classify_quadrant, classify_regression_dependence,

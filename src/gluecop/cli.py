@@ -73,29 +73,32 @@ def read_xy_csv(path: str) -> Sample:
     Rows whose first two cells are not finite numbers (``nan`` and ``inf``
     included) are reported by line number in a ``DataError``."""
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     xs, ys, bad_lines = [], [], []
     with fh:
         reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 2:
-                bad_lines.append(lineno)
-                continue
-            try:
-                x, y = float(row[0]), float(row[1])
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                x = y = math.nan
-            if not (math.isfinite(x) and math.isfinite(y)):
-                bad_lines.append(lineno)
-                continue
-            xs.append(x)
-            ys.append(y)
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) < 2:
+                    bad_lines.append(lineno)
+                    continue
+                try:
+                    x, y = float(row[0]), float(row[1])
+                except ValueError:
+                    if lineno == 1:
+                        continue  # header row
+                    x = y = math.nan
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    bad_lines.append(lineno)
+                    continue
+                xs.append(x)
+                ys.append(y)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot parse {path}: {exc}") from exc
     if bad_lines:
         raise DataError(f"unparseable CSV rows at lines: "
                         f"{', '.join(map(str, bad_lines))}")

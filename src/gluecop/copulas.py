@@ -7,9 +7,11 @@ derivative provide it; the rest fall back to central finite differences.
 Inputs outside [0, 1] are rejected, never clamped — silent clamping hides
 marginal-model bugs upstream.
 
-Singular copulas (the Fréchet bounds and the tent-dependence copula) return
-{0, 1} indicator values from ``du``; their conditional quantiles resolve to
-the jump location through the infimum convention in ``conditional_quantile``.
+Singular copulas (the Fréchet bounds, and gluings of them such as the tent
+copula ``make_copula("example1", theta)``, which is M glued to W at theta)
+return {0, 1} indicator values from ``du``; their conditional quantiles
+resolve to the jump location through the infimum convention in
+``conditional_quantile``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,29 @@ def _validate_unit(*arrays):
             raise DomainError("copula arguments must lie in [0, 1] and be non-NaN")
 
 
+def _on_unit_square(f, u, v):
+    """f on the broadcast, validated arrays u and v; a float if both are
+    scalars."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    _validate_unit(u, v)
+    out = f(*np.broadcast_arrays(u, v))
+    if u.ndim == 0 and v.ndim == 0:
+        return float(out)
+    return out
+
+
+def bisect_monotone(f, p, lo, hi, steps: int):
+    """Halve each bracket [lo, hi] ``steps`` times towards inf{x : f(x) >= p},
+    for f non-decreasing; returns the final (lo, hi)."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        ge = f(mid) >= p
+        hi = np.where(ge, mid, hi)
+        lo = np.where(ge, lo, mid)
+    return lo, hi
+
+
 class Copula:
     """Abstract bivariate copula C(u, v).
 
@@ -50,24 +75,12 @@ class Copula:
     # -- evaluation ---------------------------------------------------------
 
     def cdf(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        _validate_unit(u, v)
-        out = self._cdf(*np.broadcast_arrays(u, v))
-        if u.ndim == 0 and v.ndim == 0:
-            return float(out)
-        return out
+        return _on_unit_square(self._cdf, u, v)
 
     def du(self, u, v):
         """∂C/∂u, clamped to [0, 1]; the conditional CDF of V given U=u."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        _validate_unit(u, v)
-        ub, vb = np.broadcast_arrays(u, v)
-        out = np.clip(self._du(ub, vb), 0.0, 1.0)
-        if u.ndim == 0 and v.ndim == 0:
-            return float(out)
-        return out
+        return _on_unit_square(lambda u, v: np.clip(self._du(u, v), 0.0, 1.0),
+                               u, v)
 
     def diagonal(self, t):
         """Diagonal section δ(t) = C(t, t)."""
@@ -275,36 +288,6 @@ class PlackettCopula(Copula):
         return 0.5 * (1.0 - (s - 2.0 * th * v) / d)
 
 
-class Example1Copula(Copula):
-    """Singular copula supported on two line segments (tent dependence).
-
-    Mass theta sits uniformly on the segment from (0,0) to (theta,1) and mass
-    1-theta on the segment from (theta,1) to (1,0); equivalently the gluing of
-    M and W at theta.  V is a deterministic tent function of U.
-    """
-
-    name = "example1"
-    smooth = False
-
-    def __init__(self, theta: float):
-        if not (np.isfinite(theta) and 0.0 < theta < 1.0):
-            raise ParameterError("tent copula requires theta in (0, 1)")
-        self.theta = float(theta)
-
-    def _cdf(self, u, v):
-        th = self.theta
-        return np.select(
-            [u <= th * v, u >= 1.0 - (1.0 - th) * v],
-            [u, u + v - 1.0],
-            default=th * v,
-        )
-
-    def _du(self, u, v):
-        th = self.theta
-        on = (u <= th * v) | (u >= 1.0 - (1.0 - th) * v)
-        return np.where(on, 1.0, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # conditional distributions and quantiles
 # ---------------------------------------------------------------------------
@@ -321,24 +304,15 @@ def conditional_quantile(c: Copula, u, p):
     Monotone in v by 2-increasingness; jump discontinuities of singular
     copulas resolve to the jump location.
     """
-    u = np.asarray(u, dtype=float)
-    p = np.asarray(p, dtype=float)
-    _validate_unit(u, p)
-    u, p = np.broadcast_arrays(u, p)
-    lo = np.zeros(u.shape)
-    hi = np.ones(u.shape)
-    # du(u, 0) = 0 <= p always holds for p > 0; p = 0 resolves to v = 0 via
-    # the shrinking upper bracket since du(u, v) >= 0 everywhere.
-    at0 = c.du(u, lo) >= p
-    for _ in range(BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        ge = c.du(u, mid) >= p
-        hi = np.where(ge, mid, hi)
-        lo = np.where(ge, lo, mid)
-    out = np.where(at0, 0.0, hi)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    def solve(u, p):
+        lo = np.zeros(u.shape)
+        # du(u, 0) = 0 <= p always holds for p > 0; p = 0 resolves to v = 0
+        # via the shrinking upper bracket since du(u, v) >= 0 everywhere.
+        at0 = c.du(u, lo) >= p
+        _, hi = bisect_monotone(lambda v: c.du(u, v), p, lo, np.ones(u.shape),
+                                BISECT_STEPS)
+        return np.where(at0, 0.0, hi)
+    return _on_unit_square(solve, u, p)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +364,14 @@ def check_copula_axioms(c: Copula, n: int = 101) -> AxiomReport:
                        worst_location=worst_loc)
 
 
+def _tent(theta: float) -> Copula:
+    """The tent copula of Example 1: M glued to W at theta."""
+    from .gluing import glue  # gluing imports this module
+    if not (np.isfinite(theta) and 0.0 < theta < 1.0):
+        raise ParameterError("tent copula requires theta in (0, 1)")
+    return glue([FrechetUpperCopula(), FrechetLowerCopula()], [theta])
+
+
 # family registry used by fitting and serialization -------------------------
 
 FAMILY_CONSTRUCTORS = {
@@ -401,7 +383,7 @@ FAMILY_CONSTRUCTORS = {
     "gumbel": GumbelCopula,
     "fgm": FGMCopula,
     "plackett": PlackettCopula,
-    "example1": Example1Copula,
+    "example1": _tent,
 }
 
 PARAMETRIC_FAMILIES = ("clayton", "frank", "gumbel", "fgm", "plackett", "example1")

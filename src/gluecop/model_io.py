@@ -16,6 +16,9 @@ from .marginals import EmpiricalMarginal, Marginal, UniformMarginal
 from .regression import PiecewiseRegressionModel
 
 SCHEMA_VERSION = 1
+#: deepest nesting of glued copulas a document may hold; evaluating a glued
+#: copula recurses once per level, so this keeps far below Python's limit
+MAX_GLUE_DEPTH = 64
 
 
 def copula_to_dict(c: Copula) -> dict:
@@ -34,9 +37,15 @@ def copula_to_dict(c: Copula) -> dict:
 
 
 def copula_from_dict(doc: dict) -> Copula:
+    return _copula_from_dict(doc, 0)
+
+
+def _copula_from_dict(doc: dict, depth: int) -> Copula:
     family = doc.get("family")
     if family == "glued":
-        return GluedCopula([copula_from_dict(p) for p in doc["pieces"]],
+        if depth >= MAX_GLUE_DEPTH:
+            raise DataError(f"glued copula nested deeper than {MAX_GLUE_DEPTH} levels")
+        return GluedCopula([_copula_from_dict(p, depth + 1) for p in doc["pieces"]],
                            doc["gluing_points"])
     return make_copula(family, doc.get("theta"))
 
@@ -111,6 +120,6 @@ def load_model(path: str) -> PiecewiseRegressionModel:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"invalid model JSON: {exc}") from exc
     return model_from_dict(doc)

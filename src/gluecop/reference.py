@@ -1,8 +1,9 @@
 """Executable reference models: tent dependence and parabola-plus-noise.
 
 Both serve as oracles for the rest of the package.  The tent model has
-uniform margins, a singular copula (the gluing of the Fréchet bounds) and a
-piecewise-linear regression curve known in closed form.  The parabola model
+uniform margins, a singular copula and a piecewise-linear regression curve
+known in closed form; its copula is ``make_copula("example1", theta)``, the
+upper Fréchet bound M glued to the lower bound W at theta.  The parabola model
 Y = (X-0.5)^2 + k*eps has a smooth copula only available through nested
 quadrature and inversion of the response marginal; its regression curve is
 the parabola itself.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copulas import Copula
+from .copulas import Copula, bisect_monotone
 from .errors import DomainError, ParameterError
 from .gluing import decompose
 from .marginals import Marginal, UniformMarginal
@@ -122,13 +123,8 @@ class Example4Model:
         pf = np.atleast_1d(p).astype(float)
         pc = np.clip(pf, self._Fgrid[0], self._Fgrid[-1])
         idx = np.clip(np.searchsorted(self._Fgrid, pc), 1, self.TABLE_SIZE - 1)
-        lo = self._ygrid[idx - 1].copy()
-        hi = self._ygrid[idx].copy()
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            ge = self.marginal_y_cdf(mid) >= pc
-            hi = np.where(ge, mid, hi)
-            lo = np.where(ge, lo, mid)
+        lo, hi = bisect_monotone(self.marginal_y_cdf, pc, self._ygrid[idx - 1],
+                                 self._ygrid[idx], 40)
         out = 0.5 * (lo + hi)
         return float(out[0]) if scalar else out.reshape(p.shape)
 

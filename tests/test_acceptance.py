@@ -9,7 +9,6 @@ import pytest
 
 from gluecop import (
     ClaytonCopula,
-    Example1Copula,
     Example4Model,
     FGMCopula,
     FrankCopula,
@@ -29,6 +28,7 @@ from gluecop import (
     decompose,
     diagonal_crossings,
     glue,
+    make_copula,
     median_regression,
     piecewise_regression,
     schweizer_wolff_sigma,
@@ -39,6 +39,7 @@ from gluecop import (
 )
 from gluecop.cli import main
 from gluecop.copulas import _finite_difference_du
+from oracles import tent_cdf
 
 M = FrechetUpperCopula()
 W = FrechetLowerCopula()
@@ -57,7 +58,7 @@ def test_criterion_1_rank_correlation_oracles(capsys):
     start = time.perf_counter()
     worst = 0.0
     for theta in (0.25, 0.5, 0.75):
-        c = Example1Copula(theta)
+        c = make_copula("example1", theta)
         worst = max(worst, abs(spearman_rho(c) - (2 * theta - 1)),
                     abs(schweizer_wolff_sigma(c)
                         - (theta**2 + (theta - 1) ** 2)))
@@ -75,7 +76,7 @@ def test_criterion_2_gluing_identity(capsys):
     for theta in (0.25, 0.5, 0.75):
         g = glue([M, W], [theta])
         worst = max(worst, float(np.max(np.abs(
-            g.cdf(U, V) - Example1Copula(theta).cdf(U, V)))))
+            g.cdf(U, V) - tent_cdf(theta, U, V)))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0
     report(capsys, 2, "gluing identity", ok,
@@ -87,7 +88,7 @@ def test_criterion_3_tent_regression(capsys):
     theta = 0.5
     xs = np.linspace(0, 1, 101)
     truth = tent(xs, theta)
-    direct = RegressionModel(Example1Copula(theta), UNIT, UNIT)
+    direct = RegressionModel(make_copula("example1", theta), UNIT, UNIT)
     err_direct = max(abs(median_regression(direct, x) - t_)
                      for x, t_ in zip(xs, truth))
     pw = PiecewiseRegressionModel((theta,), (M, W), UNIT, UNIT)
@@ -104,7 +105,7 @@ def test_criterion_4_diagonal_change_point(capsys):
     worst_t = 0.0
     counts_ok = True
     for theta in (0.3, 0.6):
-        r = diagonal_crossings(Example1Copula(theta))
+        r = diagonal_crossings(make_copula("example1", theta))
         counts_ok &= len(r.crossings) == 1
         if r.crossings:
             worst_t = max(worst_t, abs(r.crossings[0].t - theta))
@@ -114,7 +115,7 @@ def test_criterion_4_diagonal_change_point(capsys):
     for theta in (0.3, 0.6):
         expected = np.where(t <= 1.0 / (2.0 - theta), theta * t, 2 * t - 1)
         worst_d = max(worst_d, float(np.max(np.abs(
-            Example1Copula(theta).diagonal(t) - expected))))
+            make_copula("example1", theta).diagonal(t) - expected))))
     elapsed = time.perf_counter() - start
     ok = counts_ok and worst_t <= 1e-3 and worst_d <= 1e-12 and elapsed < 1.0
     report(capsys, 4, "diagonal change-point", ok,
@@ -246,7 +247,7 @@ def test_criterion_9_property_suites(capsys):
                    FrankCopula(-6.0), FrankCopula(6.0), GumbelCopula(1.5),
                    GumbelCopula(4.0), FGMCopula(-1.0), FGMCopula(1.0),
                    PlackettCopula(0.2), PlackettCopula(20.0),
-                   Example1Copula(0.3), Example1Copula(0.7),
+                   make_copula("example1", 0.3), make_copula("example1", 0.7),
                    glue([M, W], [0.4])]
     axioms_ok = all(check_copula_axioms(c, 41).passed(1e-9)
                     for c in closed_form)

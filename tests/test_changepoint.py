@@ -5,7 +5,6 @@ from gluecop import (
     ClaytonCopula,
     Copula,
     DomainError,
-    Example1Copula,
     FrankCopula,
     FrechetLowerCopula,
     FrechetUpperCopula,
@@ -17,6 +16,7 @@ from gluecop import (
     breakpoint_from_gluing_point,
     diagonal_crossings,
     glue,
+    make_copula,
     pqd_nqd_prescreen,
     simulate_example4,
 )
@@ -32,14 +32,14 @@ class TestDiagonalCrossings:
 
     @pytest.mark.parametrize("theta", [0.3, 0.6])
     def test_tent_copula_single_down_crossing(self, theta):
-        report = diagonal_crossings(Example1Copula(theta))
+        report = diagonal_crossings(make_copula("example1", theta))
         assert len(report.crossings) == 1
         c = report.crossings[0]
         assert c.direction == "down"
         assert c.t == pytest.approx(theta, abs=1e-3)
 
     def test_refinement_accuracy(self):
-        c = Example1Copula(0.37)
+        c = make_copula("example1", 0.37)
         report = diagonal_crossings(c)
         t_star = report.crossings[0].t
         assert abs(c.diagonal(t_star) - t_star**2) <= 1e-6
@@ -159,7 +159,7 @@ class TestPrescreen:
         assert pqd_nqd_prescreen(PI) is False
 
     def test_tent_copula_true(self):
-        assert pqd_nqd_prescreen(Example1Copula(0.5)) is True
+        assert pqd_nqd_prescreen(make_copula("example1", 0.5)) is True
 
     @pytest.mark.parametrize("tol", [-1.0, -1e-12, np.nan, np.inf])
     def test_negative_or_non_finite_tol(self, tol):
@@ -168,7 +168,7 @@ class TestPrescreen:
 
     def test_zero_tol_is_allowed(self):
         assert pqd_nqd_prescreen(M, tol=0.0) is False
-        assert pqd_nqd_prescreen(Example1Copula(0.5), tol=0.0) is True
+        assert pqd_nqd_prescreen(make_copula("example1", 0.5), tol=0.0) is True
 
 
 class TestBreakpointMapping:

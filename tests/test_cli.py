@@ -57,6 +57,21 @@ class TestReadCsv:
         with pytest.raises(DataError):
             read_xy_csv("/nonexistent/path.csv")
 
+    @pytest.mark.parametrize("command", ["analyze", "fit", "measures"])
+    @pytest.mark.parametrize("content", [
+        b"x,y\n0.1,0.2\n0.3," + b"1" * 140_000 + b"\n",
+        b"x,y\n0.1,0.2\n0.3,0.\xff4\n",
+    ], ids=["cell-over-field-limit", "non-utf8-byte"])
+    def test_unparseable_file_is_data_error(self, tmp_path, capsys, command,
+                                            content):
+        p = tmp_path / "d.csv"
+        p.write_bytes(content)
+        extra = ["--out-model", str(tmp_path / "m.json")] if command == "fit" else []
+        code, out, err = run(capsys, command, str(p), *extra)
+        assert code == 2
+        assert out == ""
+        assert f"cannot parse {p}" in err and "Traceback" not in err
+
 
 class TestSimulate:
     def test_stdout_header_and_shape(self, capsys):
@@ -277,6 +292,16 @@ def _model_doc(**changes):
     return {k: v for k, v in doc.items() if v is not None}
 
 
+def _nested_glue_model(depth):
+    """A model document whose one segment is a glued copula with its left
+    piece glued again, ``depth`` levels deep; written as text, since
+    ``json.dumps`` cannot encode the deepest of them."""
+    copula = ('{"family":"glued","gluing_points":[0.5],"pieces":[' * depth
+              + '{"family":"product"}' + ',{"family":"product"}]}' * depth)
+    return json.dumps(_model_doc(break_points=[], segment_copulas=["*"])).replace(
+        '"*"', copula)
+
+
 class TestPredictInputs:
     @pytest.mark.parametrize("num", ["0", "-3"])
     def test_num_below_one_is_usage_error(self, tmp_path, capsys, num):
@@ -304,6 +329,19 @@ class TestPredictInputs:
         path = tmp_path / "m.json"
         if text is not None:
             path.write_text(text)
+        code, out, err = run(capsys, "predict", str(path))
+        assert code == 2
+        assert out == ""
+        assert "data error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        _nested_glue_model(500),
+        _nested_glue_model(65),
+    ], ids=["brackets", "glued-500-deep", "glued-65-deep"])
+    def test_deeply_nested_model_is_data_error(self, tmp_path, capsys, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
         code, out, err = run(capsys, "predict", str(path))
         assert code == 2
         assert out == ""
@@ -395,7 +433,32 @@ class TestMeasures:
         code, _, _ = run(capsys, "measures")
         assert code == 1
 
-    def test_bad_theta_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, "measures", "--family", "clayton",
-                         "--theta", "-2")
+    @pytest.mark.parametrize("family, theta, message", [
+        ("clayton", "-2", "Clayton requires theta > 0"),
+        ("example1", "0", "tent copula requires theta in (0, 1)"),
+        ("example1", "1", "tent copula requires theta in (0, 1)"),
+        ("example1", "nan", "tent copula requires theta in (0, 1)"),
+    ])
+    def test_bad_theta_is_usage_error(self, capsys, family, theta, message):
+        code, out, err = run(capsys, "measures", "--family", family,
+                             "--theta", theta)
         assert code == 1
+        assert out == ""
+        assert message in err
+
+    # recorded from the hand-written tent copula that M glued to W replaced
+    @pytest.mark.parametrize("theta, text", [
+        ("0.2", '{"quadrant_class":"NEITHER","regression_class":"NEITHER",'
+                '"rho":-0.6000009208917616,"schema_version":1,'
+                '"sigma":0.680001524090767}'),
+        ("0.5", '{"quadrant_class":"NEITHER","regression_class":"NEITHER",'
+                '"rho":0.0,"schema_version":1,"sigma":0.5000038146972656}'),
+        ("0.9", '{"quadrant_class":"NEITHER","regression_class":"NEITHER",'
+                '"rho":0.8000015392899513,"schema_version":1,'
+                '"sigma":0.8200044259428978}'),
+    ])
+    def test_tent_family_report_is_pinned(self, capsys, theta, text):
+        code, out, _ = run(capsys, "measures", "--family", "example1",
+                           "--theta", theta)
+        assert code == 0
+        assert out == text + "\n"

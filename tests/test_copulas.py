@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from gluecop import (
     ClaytonCopula,
     DomainError,
-    Example1Copula,
     FGMCopula,
     FrankCopula,
     FrechetLowerCopula,
@@ -38,7 +37,7 @@ SMOOTH_FAMILIES = [
 ]
 ALL_CLOSED_FORM = SMOOTH_FAMILIES + [
     PI, M, W,
-    Example1Copula(0.25), Example1Copula(0.5), Example1Copula(0.75),
+    *(make_copula("example1", theta) for theta in (0.25, 0.5, 0.75)),
 ]
 
 
@@ -51,10 +50,10 @@ class TestEval:
 
     def test_example1_middle_branch(self):
         # theta*v = 0.2 < u = 0.25 < 1 - (1-theta)*v = 0.8
-        assert Example1Copula(0.5).cdf(0.25, 0.4) == pytest.approx(0.2)
+        assert make_copula("example1", 0.5).cdf(0.25, 0.4) == pytest.approx(0.2)
 
     def test_example1_outer_branches(self):
-        c = Example1Copula(0.5)
+        c = make_copula("example1", 0.5)
         assert c.cdf(0.1, 0.4) == pytest.approx(0.1)
         assert c.cdf(0.9, 0.5) == pytest.approx(0.4)
 
@@ -79,7 +78,7 @@ GLUED = glue([ClaytonCopula(3.0), FrankCopula(-8.0), GumbelCopula(3.0)],
              [0.3, 0.65])
 GRID_FAMILIES = ALL_CLOSED_FORM + [
     GLUED, *decompose(GLUED, 0.3), *decompose(FrankCopula(5.0), 0.4),
-    *decompose(Example1Copula(0.4), 0.4),
+    *decompose(make_copula("example1", 0.4), 0.4),
 ]
 
 
@@ -177,7 +176,7 @@ class TestConditional:
 
     def test_example1_step_location(self):
         # conditional CDF of Y | X=0.25 jumps 0 -> 1 at y = x/theta = 0.5
-        c = Example1Copula(0.5)
+        c = make_copula("example1", 0.5)
         mx = my = UniformMarginal()
         assert conditional_cdf(c, mx, my, 0.25, 0.49) == 0.0
         assert conditional_cdf(c, mx, my, 0.25, 0.51) == 1.0
@@ -200,6 +199,20 @@ class TestConditional:
         v = conditional_quantile(M, u, 0.5)
         assert np.allclose(v, u, atol=1e-9)
 
+    @pytest.mark.parametrize("c", ALL_CLOSED_FORM, ids=lambda c: repr(c))
+    def test_quantile_is_the_34_step_bisection(self, c):
+        u, p = np.meshgrid(np.linspace(0, 1, 33), np.linspace(0, 1, 17),
+                           indexing="ij")
+        lo, hi = np.zeros(u.shape), np.ones(u.shape)
+        at0 = c.du(u, lo) >= p
+        for _ in range(34):
+            mid = 0.5 * (lo + hi)
+            ge = c.du(u, mid) >= p
+            hi = np.where(ge, mid, hi)
+            lo = np.where(ge, lo, mid)
+        assert np.array_equal(conditional_quantile(c, u, p),
+                              np.where(at0, 0.0, hi))
+
     @settings(max_examples=60, deadline=None)
     @given(u=st.floats(0.01, 0.99), v=st.floats(0.01, 0.99),
            theta=st.floats(0.2, 8.0))
@@ -215,7 +228,7 @@ class TestDiagonal:
         assert PI.diagonal(0.5) == pytest.approx(0.25)
 
     def test_example1_branches(self):
-        c = Example1Copula(0.5)
+        c = make_copula("example1", 0.5)
         assert c.diagonal(0.4) == pytest.approx(0.2)    # theta*t branch
         assert c.diagonal(0.8) == pytest.approx(0.6)    # 2t - 1 branch
 
@@ -233,7 +246,7 @@ class TestAxioms:
         assert report.worst == pytest.approx(0.0, abs=1e-15)
 
     def test_example1_passes(self):
-        assert check_copula_axioms(Example1Copula(0.3), 101).passed(1e-12)
+        assert check_copula_axioms(make_copula("example1", 0.3), 101).passed(1e-12)
 
     def test_counterexample_fails_groundedness(self):
         class Bad(Copula):

@@ -4,7 +4,6 @@ import pytest
 from gluecop import (
     ClaytonCopula,
     DomainError,
-    Example1Copula,
     FGMCopula,
     FrankCopula,
     FrechetLowerCopula,
@@ -17,6 +16,7 @@ from gluecop import (
     classify_quadrant,
     classify_regression_dependence,
     dependence_report,
+    make_copula,
     schweizer_wolff_sigma,
     spearman_rho,
 )
@@ -48,7 +48,7 @@ class TestSpearman:
 
     @pytest.mark.parametrize("theta", [0.1, 0.25, 0.5, 0.75, 0.9])
     def test_tent_copula_formula(self, theta):
-        assert spearman_rho(Example1Copula(theta)) == pytest.approx(
+        assert spearman_rho(make_copula("example1", theta)) == pytest.approx(
             2 * theta - 1, abs=1e-3)
 
     def test_fgm_is_theta_over_three(self):
@@ -61,15 +61,15 @@ class TestSchweizerWolff:
 
     @pytest.mark.parametrize("theta", [0.1, 0.25, 0.5, 0.75, 0.9])
     def test_tent_copula_formula(self, theta):
-        assert schweizer_wolff_sigma(Example1Copula(theta)) == pytest.approx(
+        assert schweizer_wolff_sigma(make_copula("example1", theta)) == pytest.approx(
             theta**2 + (theta - 1) ** 2, abs=1e-3)
 
     def test_tent_at_half_attains_minimum(self):
-        assert schweizer_wolff_sigma(Example1Copula(0.5)) == pytest.approx(
+        assert schweizer_wolff_sigma(make_copula("example1", 0.5)) == pytest.approx(
             0.5, abs=1e-3)
 
     @pytest.mark.parametrize("c", ORDERED_SWEEP + [PI, M, W,
-                                                   Example1Copula(0.3)],
+                                                   make_copula("example1", 0.3)],
                              ids=lambda c: repr(c))
     def test_sigma_dominates_abs_rho(self, c):
         assert abs(spearman_rho(c)) <= schweizer_wolff_sigma(c) + 2e-3
@@ -86,7 +86,7 @@ class TestQuadrantClassification:
         assert classify_quadrant(PI) is QuadrantClass.INDEPENDENT_LIKE
 
     def test_tent_copula_neither(self):
-        assert classify_quadrant(Example1Copula(0.5)) is QuadrantClass.NEITHER
+        assert classify_quadrant(make_copula("example1", 0.5)) is QuadrantClass.NEITHER
 
     @pytest.mark.parametrize("c", ORDERED_SWEEP, ids=lambda c: repr(c))
     def test_ordered_families_never_neither(self, c):
@@ -114,7 +114,7 @@ class TestRegressionClassification:
         assert classify_regression_dependence(FrankCopula(-5.0)) is RegressionClass.NRD
 
     def test_tent_copula_neither(self):
-        assert classify_regression_dependence(Example1Copula(0.5)) is \
+        assert classify_regression_dependence(make_copula("example1", 0.5)) is \
             RegressionClass.NEITHER
 
     @pytest.mark.parametrize("c", ORDERED_SWEEP + [M, W], ids=lambda c: repr(c))
@@ -168,7 +168,7 @@ class TestQuadratureCache:
 
 class TestReport:
     def test_report_fields(self):
-        r = dependence_report(Example1Copula(0.25))
+        r = dependence_report(make_copula("example1", 0.25))
         assert r.rho == pytest.approx(-0.5, abs=1e-3)
         assert r.sigma == pytest.approx(0.625, abs=1e-3)
         assert r.quadrant_class is QuadrantClass.NEITHER

@@ -429,8 +429,7 @@ class TestSimulateCopula:
         assert np.max(np.abs(ps.u - ps.v)) < 1e-9
 
     def test_tent_copula_draws_lie_on_tent_support(self):
-        from gluecop import Example1Copula
-        ps = simulate_copula(Example1Copula(0.4), 500, seed=28)
+        ps = simulate_copula(make_copula("example1", 0.4), 500, seed=28)
         # support of the singular measure: v = u/theta or v = (1-u)/(1-theta)
         d = np.minimum(np.abs(ps.v - ps.u / 0.4),
                        np.abs(ps.v - (1 - ps.u) / 0.6))

@@ -22,7 +22,9 @@ from gluecop import (
     piecewise_regression,
     save_model,
 )
-from gluecop.model_io import dumps_canonical, marginal_from_dict, marginal_to_dict
+from gluecop.model_io import (MAX_GLUE_DEPTH, dumps_canonical, marginal_from_dict,
+                              marginal_to_dict)
+from oracles import tent_cdf
 
 
 def tent_model():
@@ -51,6 +53,29 @@ class TestCopulaRoundTrip:
         t = np.linspace(0, 1, 21)
         U, V = np.meshgrid(t, t, indexing="ij")
         assert np.array_equal(back.cdf(U, V), g.cdf(U, V))
+
+    def test_tent_document_loads(self):
+        c = copula_from_dict({"family": "example1", "theta": 0.4})
+        t = np.linspace(0, 1, 101)
+        U, V = np.meshgrid(t, t, indexing="ij")
+        assert np.max(np.abs(c.cdf(U, V) - tent_cdf(0.4, U, V))) <= 1e-12
+
+    def test_tent_is_written_as_its_gluing(self):
+        c = copula_from_dict({"family": "example1", "theta": 0.4})
+        assert copula_to_dict(c) == {
+            "family": "glued", "gluing_points": [0.4],
+            "pieces": [{"family": "frechet-upper"}, {"family": "frechet-lower"}]}
+
+    def test_glue_nesting_bound(self):
+        doc = {"family": "product"}
+        for _ in range(MAX_GLUE_DEPTH):
+            doc = {"family": "glued", "gluing_points": [0.5],
+                   "pieces": [doc, {"family": "product"}]}
+        assert copula_from_dict(doc).cdf(0.3, 0.6) == pytest.approx(0.18)
+        too_deep = {"family": "glued", "gluing_points": [0.5],
+                    "pieces": [doc, {"family": "product"}]}
+        with pytest.raises(DataError, match="nested deeper"):
+            copula_from_dict(too_deep)
 
     def test_unserializable_copula(self):
         from gluecop import Example4Model

@@ -5,12 +5,12 @@ from scipy.stats import kstest
 
 from gluecop import (
     DomainError,
-    Example1Copula,
     Example4Copula,
     Example4Model,
     ParameterError,
     Sample,
     check_copula_axioms,
+    make_copula,
     simulate_example1,
     simulate_example4,
     tent,
@@ -39,7 +39,7 @@ class TestTentModel:
         assert tent(0.9, 0.3) == pytest.approx(1.0 / 7.0)
 
     def test_copula_branches(self):
-        c = Example1Copula(0.5)
+        c = make_copula("example1", 0.5)
         # first branch: C = u on {u <= theta v}
         assert c.cdf(0.1, 0.4) == pytest.approx(0.1)
         # middle branch: C = theta v
@@ -48,7 +48,7 @@ class TestTentModel:
         assert c.cdf(0.9, 0.9) == pytest.approx(0.8)
 
     def test_copula_axioms(self):
-        assert check_copula_axioms(Example1Copula(0.3), 101).passed(1e-12)
+        assert check_copula_axioms(make_copula("example1", 0.3), 101).passed(1e-12)
 
     def test_simulation_lies_on_tent(self):
         s = simulate_example1(500, 0.4, seed=11)
@@ -102,6 +102,18 @@ class TestParabolaMarginal:
         ys = model.marginal_y_quantile(ps)
         assert np.max(np.abs(model.marginal_y_cdf(ys) - ps)) < 1e-6
         assert np.all(np.diff(ys) > 0)
+
+    def test_quantile_is_the_40_step_bisection(self, model):
+        ps = np.linspace(0, 1, 2001)
+        pc = np.clip(ps, model._Fgrid[0], model._Fgrid[-1])
+        idx = np.clip(np.searchsorted(model._Fgrid, pc), 1, model.TABLE_SIZE - 1)
+        lo, hi = model._ygrid[idx - 1], model._ygrid[idx]
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            ge = model.marginal_y_cdf(mid) >= pc
+            hi = np.where(ge, mid, hi)
+            lo = np.where(ge, lo, mid)
+        assert np.array_equal(model.marginal_y_quantile(ps), 0.5 * (lo + hi))
 
     def test_marginal_object_round_trip(self, model):
         m = model.marginal_y()

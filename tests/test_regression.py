@@ -6,7 +6,6 @@ from gluecop import (
     Copula,
     DomainError,
     EmpiricalMarginal,
-    Example1Copula,
     Example4Model,
     FGMCopula,
     FrankCopula,
@@ -22,6 +21,7 @@ from gluecop import (
     classify_regression_dependence,
     decompose,
     glue,
+    make_copula,
     mean_regression,
     median_psi,
     median_regression,
@@ -53,7 +53,7 @@ class TestMedianPsi:
 
 class TestMedianRegression:
     def test_tent_first_branch(self):
-        m = RegressionModel(Example1Copula(0.5), UNIT, UNIT)
+        m = RegressionModel(make_copula("example1", 0.5), UNIT, UNIT)
         assert median_regression(m, 0.25) == pytest.approx(0.5, abs=1e-9)
 
     def test_product_constant_half(self):
@@ -79,7 +79,7 @@ class TestMeanRegression:
 
     def test_tent_degenerate_conditional(self):
         # conditional law is a point mass, so mean equals median
-        m = RegressionModel(Example1Copula(0.5), UNIT, UNIT)
+        m = RegressionModel(make_copula("example1", 0.5), UNIT, UNIT)
         assert mean_regression(m, 0.7) == pytest.approx(0.6, abs=1e-3)
 
     def test_parabola_model(self):
@@ -115,7 +115,7 @@ def per_x_mean(m: RegressionModel, x):
 
 MEAN_COPULAS = [
     ClaytonCopula(2.0), FrankCopula(-8.0), FrankCopula(3.0), GumbelCopula(1.5),
-    FGMCopula(-0.3), PlackettCopula(5.0), PI, M, W, Example1Copula(0.4),
+    FGMCopula(-0.3), PlackettCopula(5.0), PI, M, W, make_copula("example1", 0.4),
     glue(*GLUED3), decompose(glue(*GLUED3), 0.3)[1],
 ]
 
