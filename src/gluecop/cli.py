@@ -180,6 +180,8 @@ def cmd_fit(args) -> int:
     families = DEFAULT_FIT_FAMILIES
     if args.families is not None:
         families = tuple(tok.strip() for tok in args.families.split(",") if tok.strip())
+        if not families:
+            raise _usage_error(f"--families list is empty: {args.families!r}")
         unknown = [f for f in families if f not in DEFAULT_FIT_FAMILIES]
         if unknown:
             raise _usage_error(f"unknown families: {', '.join(unknown)}")
@@ -200,6 +202,9 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     if args.num < 1:
         raise _usage_error("--num must be >= 1")
+    for flag, value in (("--x-min", args.x_min), ("--x-max", args.x_max)):
+        if value is not None and not math.isfinite(value):
+            raise _usage_error(f"{flag} must be finite, got {value!r}")
     pm = model_io.load_model(args.model)
     lo, hi = pm.marginal_x.support
     x_min = lo if args.x_min is None else args.x_min

@@ -43,23 +43,29 @@ class GluedCopula(Copula):
         self._bounds = np.concatenate(([0.0], pts, [1.0]))
         self.numerical = any(p.numerical for p in pieces)
 
-    def _on_slabs(self, u, v, cdf: bool):
-        """C (``cdf``) or its u-derivative, one rescaled piece per slab."""
-        shape = np.broadcast(u, v).shape
-        u, v = (a.ravel() for a in np.broadcast_arrays(u, v))
-        # Left-closed assignment: u exactly at a gluing point belongs to the
-        # left slab (u* = 1 there), matching the x <= b segments of
-        # PiecewiseRegressionModel; cdf is continuous there, du is not.
+    def slabs(self, u):
+        """(piece index, mask, u*) for each occupied slab of the flat array u,
+        with u* = (u - lo)/(hi - lo) on the slab [lo, hi].  Left-closed: u
+        exactly at a gluing point belongs to the left slab (u* = 1 there),
+        matching the x <= b segments of PiecewiseRegressionModel."""
         idx = np.clip(np.searchsorted(self._bounds, u, side="left") - 1,
                       0, len(self.pieces) - 1)
-        out = np.empty(u.shape)
-        for i, piece in enumerate(self.pieces):
+        for i in range(len(self.pieces)):
             m = idx == i
-            if not np.any(m):
-                continue
-            lo, hi = self._bounds[i], self._bounds[i + 1]
-            us, vs = (u[m] - lo) / (hi - lo), v[m]
+            if np.any(m):
+                lo, hi = self._bounds[i], self._bounds[i + 1]
+                yield i, m, (u[m] - lo) / (hi - lo)
+
+    def _on_slabs(self, u, v, cdf: bool):
+        """C (``cdf``) or its u-derivative, one rescaled piece per slab;
+        cdf is continuous at a gluing point, du is not."""
+        shape = np.broadcast(u, v).shape
+        u, v = (a.ravel() for a in np.broadcast_arrays(u, v))
+        out = np.empty(u.shape)
+        for i, m, us in self.slabs(u):
+            piece, vs = self.pieces[i], v[m]
             if cdf:
+                lo, hi = self._bounds[i], self._bounds[i + 1]
                 out[m] = (hi - lo) * piece._cdf(us, vs) + lo * vs
             else:
                 out[m] = piece._du(us, vs)

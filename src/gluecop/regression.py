@@ -10,9 +10,10 @@ is the median.  The mean curve integrates the conditional CDF over the
 response's effective support [Q_Y(MEAN_EPS), Q_Y(1 - MEAN_EPS)] with a
 composite midpoint rule whose nodes depend on the response marginal alone,
 so they are built once per curve, and x is taken MEAN_BLOCK rows per du call
-so that memory stays bounded.  A piecewise model's mean goes through the glued
-copula of its segments; its median applies the construction per segment with
-the segment-conditioned explanatory marginal, which is equivalent.
+so that memory stays bounded.  A piecewise model holds the glued copula of
+its segments, and both curves are read off it: the mean is ``mean_regression``
+on the model, and the median takes each x to its slab of the glued copula and
+the rescaled u* there, one conditional quantile per x.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .copulas import Copula, conditional_quantile
 from .errors import DomainError
-from .gluing import glue
+from .gluing import GluedCopula, glue
 from .marginals import Marginal
 
 MEAN_EPS = 1e-6     # tail mass cut from each end of the response marginal
@@ -66,7 +67,7 @@ def _mean_grid(my: Marginal):
     return a, side(a, yhi), side(ylo, a)
 
 
-def mean_regression(m: RegressionModel, x):
+def mean_regression(m: RegressionModel | PiecewiseRegressionModel, x):
     """Mean regression curve; requires the conditional expectation to exist."""
     m.marginal_x.require_in_support(x)
     x = np.asarray(x, dtype=float)
@@ -90,9 +91,9 @@ def mean_regression(m: RegressionModel, x):
 class PiecewiseRegressionModel:
     """Break-points in x-space plus one copula per segment.
 
-    Segment i covers (b_{i-1}, b_i] (left-closed at the first segment); its
-    conditional explanatory variable rescales u through the gluing points
-    theta_i = F_X(b_i).
+    Segment i covers (b_{i-1}, b_i] (left-closed at the first segment).  The
+    model's copula is the segment copulas glued at theta_i = F_X(b_i), and
+    ``GluedCopula`` checks the piece count and the gluing points.
     """
 
     break_points: tuple
@@ -100,34 +101,15 @@ class PiecewiseRegressionModel:
     marginal_x: Marginal
     marginal_y: Marginal
     gluing_points: tuple = field(init=False)
+    copula: GluedCopula = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bps = tuple(float(b) for b in self.break_points)
-        if len(self.segment_copulas) != len(bps) + 1:
-            raise DomainError("need exactly one more segment copula than break-points")
         thetas = tuple(float(self.marginal_x.cdf(b)) for b in bps)
-        if any(t2 <= t1 for t1, t2 in zip(thetas, thetas[1:])) or \
-           any(not 0.0 < t < 1.0 for t in thetas):
-            raise DomainError("break-points must map to strictly increasing "
-                              "gluing points inside (0, 1)")
+        object.__setattr__(self, "copula", glue(self.segment_copulas, thetas))
         object.__setattr__(self, "break_points", bps)
         object.__setattr__(self, "segment_copulas", tuple(self.segment_copulas))
         object.__setattr__(self, "gluing_points", thetas)
-
-    def segment_index(self, x) -> int:
-        # x <= b_i assigns segment i (left-closed, per the break-point definition)
-        for i, b in enumerate(self.break_points):
-            if x <= b:
-                return i
-        return len(self.break_points)
-
-    def segment_u(self, x) -> tuple[int, float]:
-        """(segment index, u rescaled by the segment-conditioned marginal)."""
-        i = self.segment_index(x)
-        bounds = (0.0,) + self.gluing_points + (1.0,)
-        lo, hi = bounds[i], bounds[i + 1]
-        u = (float(self.marginal_x.cdf(x)) - lo) / (hi - lo)
-        return i, float(np.clip(u, 0.0, 1.0))
 
 
 def piecewise_regression(pm: PiecewiseRegressionModel, x,
@@ -136,12 +118,11 @@ def piecewise_regression(pm: PiecewiseRegressionModel, x,
     if statistic not in ("median", "mean"):
         raise DomainError(f"unknown statistic {statistic!r}")
     if statistic == "mean":
-        glued = glue(pm.segment_copulas, pm.gluing_points)
-        return mean_regression(RegressionModel(glued, pm.marginal_x, pm.marginal_y), x)
+        return mean_regression(pm, x)
     pm.marginal_x.require_in_support(x)
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.size)
-    for j, xj in enumerate(x.ravel()):
-        i, u = pm.segment_u(xj)
-        out[j] = pm.marginal_y.quantile(median_psi(pm.segment_copulas[i], u))
+    psi = np.empty(x.size)
+    for i, m, us in pm.copula.slabs(pm.marginal_x.cdf(x.ravel())):
+        psi[m] = [median_psi(pm.copula.pieces[i], u) for u in us]
+    out = pm.marginal_y.quantile(psi)
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

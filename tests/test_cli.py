@@ -258,6 +258,16 @@ class TestFitPredict:
                          "--out-model", str(tmp_path / "m.json"))
         assert code == 1
 
+    @pytest.mark.parametrize("families", [",", "", " , "])
+    def test_empty_family_list_is_usage_error(self, tent_csv, tmp_path, capsys,
+                                              families):
+        code, out, err = run(capsys, "fit", str(tent_csv), "--families", families,
+                             "--out-model", str(tmp_path / "m.json"))
+        assert code == 1
+        assert out == ""
+        assert "--families list is empty" in err and "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_predict_outside_support_nan_vs_strict(self, tent_csv, tmp_path,
                                                    capsys):
         model_path = tmp_path / "m.json"
@@ -313,6 +323,18 @@ class TestPredictInputs:
         assert out == ""
         assert "--num" in err
 
+    @pytest.mark.parametrize("flag", ["--x-min", "--x-max"])
+    @pytest.mark.parametrize("value", ["-inf", "inf", "nan"])
+    def test_non_finite_grid_bound_is_usage_error(self, tmp_path, capsys, flag,
+                                                  value):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_model_doc()))
+        code, out, err = run(capsys, "predict", str(path), flag, value)
+        assert code == 1
+        assert out == ""
+        assert f"{flag} must be finite" in err
+        assert "Traceback" not in err and "Warning" not in err
+
     @pytest.mark.parametrize("text", [
         None,
         "[1, 2]",
@@ -323,8 +345,13 @@ class TestPredictInputs:
             {"family": "glued", "gluing_points": [float("nan")],
              "pieces": [{"family": "frechet-upper"}, {"family": "frechet-lower"}]}])),
         json.dumps(_model_doc(marginal_y=[0.0, 1.0])),
+        json.dumps(_model_doc(break_points=[0.6, 0.4], segment_copulas=[
+            {"family": "frechet-upper"}, {"family": "product"},
+            {"family": "frechet-lower"}])),
+        json.dumps(_model_doc(break_points=[-0.5])),
     ], ids=["missing-file", "json-array", "no-break-points", "bad-theta",
-            "nan-gluing-point", "marginal-not-object"])
+            "nan-gluing-point", "marginal-not-object", "decreasing-break-points",
+            "break-point-below-support"])
     def test_malformed_model_is_data_error(self, tmp_path, capsys, text):
         path = tmp_path / "m.json"
         if text is not None:

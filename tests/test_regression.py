@@ -206,9 +206,15 @@ class TestPiecewise:
         with pytest.raises(DomainError):
             piecewise_regression(self.tent_model(), 0.3, statistic="mode")
 
-    def test_segment_count_mismatch(self):
-        with pytest.raises(DomainError):
-            PiecewiseRegressionModel((0.5,), (M,), UNIT, UNIT)
+    @pytest.mark.parametrize("bps,pieces,message", [
+        ((0.5,), (M,), "one more piece than gluing points"),
+        ((0.6, 0.4), (M, PI, W), "strictly increasing in \\(0, 1\\)"),
+        ((-0.5,), (M, W), "strictly increasing in \\(0, 1\\)"),
+    ], ids=["count-mismatch", "decreasing-break-points", "break-point-below-support"])
+    def test_segment_count_mismatch(self, bps, pieces, message):
+        # the glued copula built at construction does the only checks
+        with pytest.raises(DomainError, match=message):
+            PiecewiseRegressionModel(bps, pieces, UNIT, UNIT)
 
     def test_break_point_belongs_to_left_segment(self):
         # the model is left-closed at a break (x <= b), and GluedCopula sends
@@ -275,6 +281,26 @@ class TestGluingEquivalence:
         for theta, piece in zip(thetas, pieces):
             alone = curve(RegressionModel(piece, UNIT, UNIT), 1.0)
             assert piecewise_regression(pw, theta, statistic=statistic) == alone
+
+    def test_tied_x_with_break_points_on_tie_values(self):
+        # x on 7 tied levels; a break-point at a level maps to the gluing
+        # point F_X(b), so x <= b and F_X(x) <= F_X(b) pick the same piece
+        levels = np.linspace(-1.0, 2.0, 7)
+        mx = EmpiricalMarginal(np.random.default_rng(5).choice(levels, 400))
+        pieces, _ = GLUED3
+        pm = PiecewiseRegressionModel((levels[2], levels[4]), tuple(pieces), mx,
+                                      TWO_SIDED_Y)
+        assert len(pm.copula.pieces) == len(pm.segment_copulas) and all(
+            a is b for a, b in zip(pm.copula.pieces, pm.segment_copulas))
+        xs = np.concatenate((levels, np.linspace(*mx.support, 101)))
+        slab = np.empty(xs.size, dtype=int)
+        for i, m, _ in pm.copula.slabs(mx.cdf(xs)):
+            slab[m] = i
+        np.testing.assert_array_equal(
+            slab, np.searchsorted(pm.break_points, xs, side="left"))
+        glued = RegressionModel(pm.copula, mx, TWO_SIDED_Y)
+        np.testing.assert_array_equal(piecewise_regression(pm, xs),
+                                      median_regression(glued, xs))
 
 
 class TestMonotoneRegression:
