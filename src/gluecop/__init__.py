@@ -13,7 +13,7 @@ from .dependence import (DependenceReport, QuadrantClass, RegressionClass,
 from .empirical import (EmpiricalCopula, FitResult, PiecewiseFit, PseudoSample,
                         crossing_breakpoints, empirical_crossing_report,
                         empirical_tolerance, fit_piecewise, fit_segment, pseudo_observations,
-                        simulate_copula)
+                        sample_dependence_report, simulate_copula)
 from .errors import (DataError, DomainError, GluecopError, NumericalError,
                      ParameterError)
 from .gluing import GluedCopula, decompose, glue

@@ -17,7 +17,7 @@ import numpy as np
 
 from .copulas import Copula
 from .dependence import _tolerance
-from .errors import DomainError
+from .errors import DomainError, check_array_size
 from .marginals import Marginal
 
 GRID_N_DEFAULT = 512
@@ -74,6 +74,7 @@ def diagonal_crossings(c: Copula, grid_n: int = GRID_N_DEFAULT,
     if persistence < 1:
         raise DomainError("persistence must be >= 1")
     tol = _tolerance(c, tol)
+    check_array_size("grid_n", grid_n)
     grid = np.linspace(0.0, 1.0, grid_n)
     g = lambda tt: c.diagonal(tt) - tt * tt
     values = g(grid)

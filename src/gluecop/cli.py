@@ -6,7 +6,9 @@ document), ``predict`` (regression curve CSV from a model document) and
 ``measures`` (dependence report for a family or a dataset).
 
 Exit codes are a stable contract for scripting: 0 success, 1 usage error,
-2 data error, 3 numerical failure.
+2 data error, 3 numerical failure (running out of memory included).  The
+commands raise the package's typed errors, and ``main`` alone turns them into
+an error line and an exit code.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from .changepoint import GRID_N_DEFAULT
 from .copulas import make_copula
 from .dependence import dependence_report, schweizer_wolff_sigma
 from .empirical import (DEFAULT_FIT_FAMILIES, DETECTION_PERSISTENCE,
-                        MIN_DETECTION_POINTS, EmpiricalCopula, crossing_breakpoints,
-                        crossing_report, empirical_tolerance, fit_piecewise,
-                        pseudo_observations, sample_spearman)
-from .errors import (DataError, DomainError, GluecopError, NumericalError,
-                     ParameterError)
+                        EmpiricalCopula, crossing_breakpoints, crossing_report,
+                        fit_piecewise, pseudo_observations,
+                        sample_dependence_report, sample_spearman,
+                        small_sample_note)
+from .errors import (DataError, DomainError, NumericalError, ParameterError,
+                     check_array_size)
 from .reference import Sample, simulate_example1, simulate_example4
 from .regression import piecewise_regression
 
@@ -56,11 +59,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _usage_error(message: str) -> "SystemExit":
-    print(f"gluecop: error: {message}", file=sys.stderr)
-    return SystemExit(EXIT_USAGE)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +131,7 @@ def _emit_json(doc: dict, path: str | None) -> None:
 
 def cmd_simulate(args) -> int:
     if args.n < 1:
-        raise _usage_error("--n must be >= 1")
+        raise DomainError("--n must be >= 1")
     if args.model == "example1":
         sample = simulate_example1(args.n, args.theta, args.seed)
     else:
@@ -155,9 +153,9 @@ def cmd_analyze(args) -> int:
         "crossings": [asdict(c) for c in report.crossings],
         "candidates": crossing_breakpoints(sample.x, report),
     }
-    if sample.n < MIN_DETECTION_POINTS:
-        doc["warning"] = (f"only {sample.n} points; detection is unreliable "
-                          f"below {MIN_DETECTION_POINTS}")
+    note = small_sample_note(sample.n, "detection")
+    if note is not None:
+        doc["warning"] = note
     _emit_json(doc, args.out)
     return EXIT_OK
 
@@ -166,9 +164,9 @@ def _parse_breakpoints(text: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise _usage_error(f"invalid break-point list: {text!r}")
+        raise DomainError(f"invalid break-point list: {text!r}") from None
     if not all(math.isfinite(b) for b in values):
-        raise _usage_error(f"break-points must be finite: {text!r}")
+        raise DomainError(f"break-points must be finite: {text!r}")
     return values
 
 
@@ -181,10 +179,7 @@ def cmd_fit(args) -> int:
     if args.families is not None:
         families = tuple(tok.strip() for tok in args.families.split(",") if tok.strip())
         if not families:
-            raise _usage_error(f"--families list is empty: {args.families!r}")
-        unknown = [f for f in families if f not in DEFAULT_FIT_FAMILIES]
-        if unknown:
-            raise _usage_error(f"unknown families: {', '.join(unknown)}")
+            raise DomainError(f"--families list is empty: {args.families!r}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = fit_piecewise(sample, candidates=candidates, families=families)
@@ -201,16 +196,17 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     if args.num < 1:
-        raise _usage_error("--num must be >= 1")
+        raise DomainError("--num must be >= 1")
     for flag, value in (("--x-min", args.x_min), ("--x-max", args.x_max)):
         if value is not None and not math.isfinite(value):
-            raise _usage_error(f"{flag} must be finite, got {value!r}")
+            raise DomainError(f"{flag} must be finite, got {value!r}")
     pm = model_io.load_model(args.model)
     lo, hi = pm.marginal_x.support
     x_min = lo if args.x_min is None else args.x_min
     x_max = hi if args.x_max is None else args.x_max
     if not x_max > x_min:
-        raise _usage_error("--x-max must exceed --x-min")
+        raise DomainError("--x-max must exceed --x-min")
+    check_array_size("--num", args.num)
     xs = np.linspace(x_min, x_max, args.num)
     inside = (xs >= lo) & (xs <= hi)
     if not np.all(inside):
@@ -228,18 +224,11 @@ def cmd_predict(args) -> int:
 
 def cmd_measures(args) -> int:
     if (args.input is None) == (args.family is None):
-        raise _usage_error("provide either a dataset or --family, not both")
+        raise DomainError("provide either a dataset or --family, not both")
     if args.family is not None:
-        try:
-            c = make_copula(args.family, args.theta)
-        except ParameterError as exc:
-            raise _usage_error(str(exc))
-        grid_n, tol = 64, None
+        report = dependence_report(make_copula(args.family, args.theta), 64)
     else:
-        sample = read_xy_csv(args.input)
-        c = EmpiricalCopula(pseudo_observations(sample))
-        grid_n, tol = 16, 2.0 * empirical_tolerance(sample.n)
-    report = dependence_report(c, grid_n, tol=tol)
+        report = sample_dependence_report(read_xy_csv(args.input))
     _emit_json({"schema_version": REPORT_SCHEMA_VERSION, **report.to_dict()},
                args.out)
     return EXIT_OK
@@ -312,20 +301,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except (DataError,) as exc:
+    except DataError as exc:
         print(f"gluecop: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:
         print(f"gluecop: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"gluecop: numerical error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ParameterError, DomainError) as exc:
         print(f"gluecop: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except GluecopError as exc:  # pragma: no cover - safety net
-        print(f"gluecop: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,10 +22,10 @@ import numpy as np
 from .changepoint import GRID_N_DEFAULT, CrossingReport, diagonal_crossings
 from .copulas import (Copula, _finite_difference_du, _validate_unit,
                       conditional_quantile, make_copula)
-from .dependence import spearman_rho
+from .dependence import DependenceReport, dependence_report, spearman_rho
 from .errors import DataError, ParameterError
 from .marginals import EmpiricalMarginal
-from .reference import Sample
+from .reference import Sample, seeded_rng
 from .regression import PiecewiseRegressionModel
 
 MIN_SEGMENT_POINTS = 20
@@ -163,10 +163,19 @@ def empirical_tolerance(n: int) -> float:
     return 1.5 / np.sqrt(n)
 
 
-def _warn_if_small(n: int, what: str) -> None:
+def small_sample_note(n: int, what: str) -> str | None:
+    """The note that ``what`` is unreliable on n points, or None when n
+    reaches ``MIN_DETECTION_POINTS``."""
     if n < MIN_DETECTION_POINTS:
-        warnings.warn(f"only {n} points; {what} is unreliable below "
-                      f"{MIN_DETECTION_POINTS}", stacklevel=3)
+        return (f"only {n} points; {what} is unreliable below "
+                f"{MIN_DETECTION_POINTS}")
+    return None
+
+
+def _warn_if_small(n: int, what: str) -> None:
+    note = small_sample_note(n, what)
+    if note is not None:
+        warnings.warn(note, stacklevel=3)
 
 
 def crossing_report(ps: PseudoSample, grid_n: int = GRID_N_DEFAULT,
@@ -194,6 +203,13 @@ def crossing_breakpoints(x, report: CrossingReport) -> list[float]:
     top = float(np.max(x))
     return [b for b in dict.fromkeys(float(np.quantile(x, c.t))
                                      for c in report.crossings) if b != top]
+
+
+def sample_dependence_report(s: Sample) -> DependenceReport:
+    """The dependence report of a sample: its empirical copula on a 16-point
+    grid, with twice the detection tolerance ``empirical_tolerance(n)``."""
+    return dependence_report(EmpiricalCopula(pseudo_observations(s)), grid_n=16,
+                             tol=2.0 * empirical_tolerance(s.n))
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +295,17 @@ def _brent_root(f, a: float, b: float, fa: float, fb: float) -> float:
         fb = f(b)
 
 
+def _check_families(families) -> None:
+    unknown = [f for f in families if f not in DEFAULT_FIT_FAMILIES]
+    if unknown:
+        raise ParameterError(f"unknown families: {', '.join(unknown)}")
+
+
 def fit_segment(u, v, families=DEFAULT_FIT_FAMILIES,
                 interval: tuple[float, float] | None = None) -> FitResult:
-    """Best moment-matched copula for one segment's pseudo-observations."""
+    """Best moment-matched copula for one segment's pseudo-observations; a
+    family outside ``DEFAULT_FIT_FAMILIES`` is a ``ParameterError``."""
+    _check_families(families)
     return _fit_ranked(u, None, v, families, interval)
 
 
@@ -313,10 +337,7 @@ def _fit_ranked(u, u_ranks, v, families, interval) -> FitResult:
             c = make_copula(family, theta)
         else:
             theta = None
-            try:
-                c = make_copula(family)
-            except ParameterError:
-                raise DataError(f"unknown family {family!r}") from None
+            c = make_copula(family)
         gof = float(np.mean((emp - c.cdf_grid(t, t)) ** 2))
         if best is None or gof < best.gof_distance:
             best = FitResult(family=family, theta=theta, rho_hat=rho_hat,
@@ -337,7 +358,10 @@ def fit_piecewise(s: Sample, candidates=None,
                   families=DEFAULT_FIT_FAMILIES) -> PiecewiseFit:
     """Split at break-points, rescale each segment's u by within-segment
     ranks (the empirical conditional marginal), fit each segment, and
-    assemble a piecewise regression model with empirical marginals."""
+    assemble a piecewise regression model with empirical marginals.  A
+    family outside ``DEFAULT_FIT_FAMILIES`` is a ``ParameterError``, raised
+    before the data is ranked."""
+    _check_families(families)
     _warn_if_small(s.n, "piecewise fitting")
     ps = pseudo_observations(s)  # ranked once: detection and global y ranks
     if candidates is None:
@@ -379,7 +403,7 @@ def fit_piecewise(s: Sample, candidates=None,
 def simulate_copula(c: Copula, n: int, seed: int = 0) -> PseudoSample:
     """Draw (U, V) from a copula: U uniform, V by conditional-quantile
     inversion; exact for singular copulas."""
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(n, seed)
     u = rng.uniform(size=n)
     p = rng.uniform(size=n)
     return PseudoSample(u=u, v=np.asarray(conditional_quantile(c, u, p)))

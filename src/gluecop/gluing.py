@@ -24,6 +24,15 @@ from .copulas import Copula
 from .errors import DomainError
 
 
+def misplaced_gluing_point(pts) -> int | None:
+    """Index of the first gluing point that is not above the one before it
+    (0 for the first) and below 1, or None when they are strictly increasing
+    in (0, 1); written as a positive test so that a NaN point is misplaced."""
+    pts = np.asarray(pts, dtype=float)
+    bad = np.flatnonzero(~((pts > np.r_[0.0, pts[:-1]]) & (pts < 1.0)))
+    return int(bad[0]) if bad.size else None
+
+
 class GluedCopula(Copula):
     """Copula assembled from rescaled pieces on vertical slabs."""
 
@@ -35,8 +44,7 @@ class GluedCopula(Copula):
         pts = np.asarray(list(gluing_points), dtype=float)
         if len(pieces) != pts.size + 1 or len(pieces) < 1:
             raise DomainError("need exactly one more piece than gluing points")
-        # written as a positive test so that NaN points fail it
-        if pts.size and not (np.all(np.diff(pts) > 0) and pts[0] > 0 and pts[-1] < 1):
+        if misplaced_gluing_point(pts) is not None:
             raise DomainError("gluing points must be strictly increasing in (0, 1)")
         self.pieces = pieces
         self.gluing_points = pts

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .copulas import Copula, PARAMETRIC_FAMILIES, make_copula
-from .errors import DataError, DomainError, ParameterError
+from .errors import DataError, DomainError, NumericalError, ParameterError
 from .gluing import GluedCopula
 from .marginals import EmpiricalMarginal, Marginal, UniformMarginal
 from .regression import PiecewiseRegressionModel
@@ -97,8 +97,14 @@ def model_from_dict(doc: dict) -> PiecewiseRegressionModel:
 
 
 def dumps_canonical(doc: dict) -> str:
-    """Deterministic JSON text: sorted keys, no whitespace variance."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic JSON text: sorted keys, no whitespace variance.  JSON has
+    no NaN or infinity, so a non-finite number is a ``NumericalError``."""
+    try:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericalError("a non-finite number (NaN or infinity) cannot be "
+                             "written as JSON") from None
 
 
 def write_text(path: str, text: str) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copulas import Copula, bisect_monotone
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_array_size
 from .gluing import decompose
 from .marginals import Marginal, UniformMarginal
 
@@ -43,6 +43,15 @@ class Sample:
         return self.x.size
 
 
+def seeded_rng(n: int, seed: int) -> np.random.Generator:
+    """numpy's seeded PCG64 generator for a draw of n values: a negative
+    seed is a ``DomainError``, an impossibly large n a ``MemoryError``."""
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
+    check_array_size("n", n)
+    return np.random.default_rng(seed)
+
+
 # ---------------------------------------------------------------------------
 # tent model
 # ---------------------------------------------------------------------------
@@ -63,7 +72,7 @@ def simulate_example1(n: int, theta: float, seed: int) -> Sample:
         raise DomainError("n must be >= 1")
     if not 0.0 < theta < 1.0:
         raise ParameterError("theta must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(n, seed)
     x = rng.uniform(size=n)
     return Sample(x=x, y=tent(x, theta))
 
@@ -216,7 +225,7 @@ def simulate_example4(n: int, k: float = 0.1, seed: int = 0) -> Sample:
         raise DomainError("n must be >= 1")
     if k < 0 or not np.isfinite(k):
         raise ParameterError("noise scale k must be non-negative")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(n, seed)
     x = rng.uniform(size=n)
     eps = rng.standard_normal(size=n)
     return Sample(x=x, y=(x - 0.5) ** 2 + k * eps)

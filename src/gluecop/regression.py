@@ -24,7 +24,7 @@ import numpy as np
 
 from .copulas import Copula, conditional_quantile
 from .errors import DomainError
-from .gluing import GluedCopula, glue
+from .gluing import GluedCopula, glue, misplaced_gluing_point
 from .marginals import Marginal
 
 MEAN_EPS = 1e-6     # tail mass cut from each end of the response marginal
@@ -93,7 +93,8 @@ class PiecewiseRegressionModel:
 
     Segment i covers (b_{i-1}, b_i] (left-closed at the first segment).  The
     model's copula is the segment copulas glued at theta_i = F_X(b_i), and
-    ``GluedCopula`` checks the piece count and the gluing points.
+    ``GluedCopula`` checks the piece count and the gluing points; a misplaced
+    gluing point is reported as its break-point first.
     """
 
     break_points: tuple
@@ -106,6 +107,11 @@ class PiecewiseRegressionModel:
     def __post_init__(self):
         bps = tuple(float(b) for b in self.break_points)
         thetas = tuple(float(self.marginal_x.cdf(b)) for b in bps)
+        bad = misplaced_gluing_point(thetas)
+        if bad is not None:
+            raise DomainError(f"break-point {bps[bad]!r} has gluing point "
+                              f"F_X(b) = {thetas[bad]!r}; gluing points must be "
+                              "strictly increasing in (0, 1)")
         object.__setattr__(self, "copula", glue(self.segment_copulas, thetas))
         object.__setattr__(self, "break_points", bps)
         object.__setattr__(self, "segment_copulas", tuple(self.segment_copulas))

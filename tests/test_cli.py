@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gluecop.cli import main, read_xy_csv
+from gluecop.empirical import sample_dependence_report
 from gluecop.errors import DataError
 
 
@@ -117,7 +118,8 @@ class TestAnalyze:
         p.write_text(rows + "\n")
         code, out, _ = run(capsys, "analyze", str(p))
         assert code == 0
-        assert "warning" in json.loads(out)
+        assert json.loads(out)["warning"] == ("only 20 points; detection is "
+                                              "unreliable below 50")
 
     def test_missing_file_is_data_error(self, capsys):
         code, _, err = run(capsys, "analyze", "/nope.csv")
@@ -375,6 +377,23 @@ class TestPredictInputs:
         assert "data error" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("break_points, segments, named", [
+        ([-0.5], 2, "break-point -0.5 has gluing point F_X(b) = 0.0;"),
+        ([0.6, 0.4], 3, "break-point 0.4 has gluing point F_X(b) = 0.4;"),
+    ], ids=["below-support", "decreasing"])
+    def test_misplaced_break_point_is_named(self, tmp_path, capsys, break_points,
+                                            segments, named):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_model_doc(
+            break_points=break_points,
+            segment_copulas=[{"family": "product"}] * segments)))
+        code, out, err = run(capsys, "predict", str(path))
+        assert code == 2
+        assert out == ""
+        assert named in err and "strictly increasing in (0, 1)" in err
+        assert err.count("\n") == 1
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize("argv", [
         ["simulate", "example1", "--n", "5", "--out"],
@@ -393,6 +412,57 @@ class TestUnwritableOutput:
         assert out == ""
         assert f"data error: cannot write {target}: " in err
         assert "Traceback" not in err
+
+
+class TestTypedErrorPath:
+    """Inputs that ended in a traceback or in invalid JSON: each now exits
+    with a documented code and one error line.  Every count here fails
+    before numpy allocates anything: 10**15 float64 values are 7.11 PiB,
+    beyond any address space, and 10**20 is refused outright."""
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "simulate", "example1", "--n", "5",
+                             "--seed", "-1")
+        assert (code, out, err) == (1, "", "gluecop: error: seed must be >= 0\n")
+
+    @pytest.mark.parametrize("count", [10**20, 10**15], ids=["1e20", "1e15"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "example1", "--n"],
+        ["predict", "{model}", "--num"],
+        ["analyze", "{csv}", "--grid-n"],
+    ], ids=["simulate", "predict", "analyze"])
+    def test_oversized_count_is_out_of_memory(self, tent_csv, tmp_path, capsys,
+                                              argv, count):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(_model_doc()))
+        argv = [a.format(csv=tent_csv, model=model_path) for a in argv]
+        code, out, err = run(capsys, *argv, str(count))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("gluecop: numerical error: out of memory: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_non_finite_report_is_numerical_error(self, tmp_path, capsys,
+                                                  to_file):
+        target = tmp_path / "r.json"
+        extra = ["--out", str(target)] if to_file else []
+        code, out, err = run(capsys, "measures", "--family", "plackett",
+                             "--theta", "1e16", *extra)
+        assert code == 3
+        assert out == ""
+        # numpy's RuntimeWarnings from the overflowing family may come first
+        assert err.splitlines()[-1] == (
+            "gluecop: numerical error: a non-finite number (NaN or infinity) "
+            "cannot be written as JSON")
+        assert "Traceback" not in err
+        assert not target.exists()
+
+    def test_dataset_report_is_the_library_report(self, tent_csv, capsys):
+        code, out, _ = run(capsys, "measures", str(tent_csv))
+        assert code == 0
+        report = sample_dependence_report(read_xy_csv(str(tent_csv)))
+        assert json.loads(out) == {"schema_version": 1, **report.to_dict()}
 
 
 class TestConstantColumn:

@@ -14,6 +14,7 @@ from gluecop import (
     FGMCopula,
     FrankCopula,
     GumbelCopula,
+    ParameterError,
     PlackettCopula,
     Sample,
     crossing_breakpoints,
@@ -344,9 +345,13 @@ class TestFitSegment:
             fit_segment(np.linspace(0.1, 0.9, 10), np.linspace(0.1, 0.9, 10))
 
     def test_unknown_family(self):
+        # checked once at entry, before any ranking: a ParameterError that
+        # names every unknown family, for the segment and the piecewise fit
         u = np.arange(1, 101) / 101
-        with pytest.raises(DataError):
-            fit_segment(u, u, families=("gaussian",))
+        with pytest.raises(ParameterError, match="^unknown families: gaussian, t$"):
+            fit_segment(u, u, families=("gaussian", "clayton", "t"))
+        with pytest.raises(ParameterError, match="^unknown families: gaussian$"):
+            fit_piecewise(Sample(x=u, y=u), families=("product", "gaussian"))
 
     def test_gof_distance_is_l2_grid_distance(self):
         ps = simulate_copula(FrankCopula(-5.0), 500, seed=22)

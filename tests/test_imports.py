@@ -29,6 +29,22 @@ def test_import_leaves_scipy_stats_unloaded(module):
     assert not _scipy_loaded_after(f"import {module}")
 
 
+def test_simulate_example4_pipeline_leaves_scipy_unloaded():
+    # drawing the parabola needs no normal CDF; only Example4Model's
+    # response marginal and copula do
+    assert not _scipy_loaded_after(
+        "import warnings\n"
+        "import numpy as np\n"
+        "from gluecop import fit_piecewise, piecewise_regression, simulate_example4\n"
+        "s = simulate_example4(2000, 0.1, seed=3)\n"
+        "with warnings.catch_warnings():\n"
+        "    warnings.simplefilter('ignore')\n"
+        "    model = fit_piecewise(s).model\n"
+        "xs = np.linspace(*model.marginal_x.support, 11)\n"
+        "for statistic in ('median', 'mean'):\n"
+        "    piecewise_regression(model, xs, statistic=statistic)")
+
+
 def test_fit_piecewise_leaves_scipy_unloaded():
     # rho inversion for every family and both signs runs on numpy alone
     assert not _scipy_loaded_after(

@@ -11,6 +11,7 @@ from gluecop import (
     FrechetLowerCopula,
     FrechetUpperCopula,
     IndependenceCopula,
+    NumericalError,
     PiecewiseRegressionModel,
     UniformMarginal,
     copula_from_dict,
@@ -116,6 +117,13 @@ class TestModelRoundTrip:
         reparsed = json.loads(text)
         assert dumps_canonical(reparsed) == text
         assert dumps_canonical(model_to_dict(model_from_dict(reparsed))) == text
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_number_is_numerical_error(self, value):
+        # JSON has no NaN or infinity
+        for doc in ({"rho": value, "n": 3}, {"break_points": [0.5, value]}):
+            with pytest.raises(NumericalError, match="non-finite number"):
+                dumps_canonical(doc)
 
     def test_schema_version_checked(self):
         doc = model_to_dict(tent_model())

@@ -4,6 +4,7 @@ from scipy.special import ndtr
 from scipy.stats import kstest
 
 from gluecop import (
+    ClaytonCopula,
     DomainError,
     Example4Copula,
     Example4Model,
@@ -11,6 +12,7 @@ from gluecop import (
     Sample,
     check_copula_axioms,
     make_copula,
+    simulate_copula,
     simulate_example1,
     simulate_example4,
     tent,
@@ -29,6 +31,17 @@ class TestSample:
 
     def test_n(self):
         assert Sample(x=[1.0, 2.0, 3.0], y=[0.0, 1.0, 0.0]).n == 3
+
+
+@pytest.mark.parametrize("simulate", [
+    lambda seed: simulate_example1(5, 0.5, seed),
+    lambda seed: simulate_example4(5, 0.1, seed),
+    lambda seed: simulate_copula(ClaytonCopula(2.0), 5, seed),
+], ids=["example1", "example4", "copula"])
+def test_negative_seed_is_domain_error(simulate):
+    assert simulate(0) is not None
+    with pytest.raises(DomainError, match="^seed must be >= 0$"):
+        simulate(-1)
 
 
 class TestTentModel:

@@ -212,7 +212,8 @@ class TestPiecewise:
         ((-0.5,), (M, W), "strictly increasing in \\(0, 1\\)"),
     ], ids=["count-mismatch", "decreasing-break-points", "break-point-below-support"])
     def test_segment_count_mismatch(self, bps, pieces, message):
-        # the glued copula built at construction does the only checks
+        # one rule, gluing.misplaced_gluing_point, checks the gluing points;
+        # the model names the break-point of a misplaced one
         with pytest.raises(DomainError, match=message):
             PiecewiseRegressionModel(bps, pieces, UNIT, UNIT)
 

@@ -12,8 +12,14 @@ every break is found.  For each case the script compares
 - the input CSV text and the model document of ``fit_piecewise``;
 - the ``tobytes()`` of the median and mean curves on a 1001-point grid over
   the x support plus the break-points;
-- stdout, stderr and exit code of ``gluecop fit``, ``gluecop predict`` and
-  ``gluecop predict --statistic mean``, and the model file ``fit`` writes.
+- stdout, stderr and exit code of ``gluecop fit``, ``gluecop predict``,
+  ``gluecop predict --statistic mean``, ``gluecop analyze``, ``gluecop
+  measures`` on the data and ``gluecop measures --family clayton --theta 2``,
+  and the model file ``fit`` writes.
+
+After the cases, a fixed set of usage errors (a bad ``--families``,
+``--theta``, ``--num``, ``--x-min`` or ``--breakpoints``) runs on the last
+case's files, and their stdout, stderr and exit code are compared too.
 
 Every difference is listed; the exit code is 1 on any difference, else 0.
 Both trees run at once, so two CPUs halve the wall time.
@@ -41,6 +47,18 @@ CLI_RUNS = {
     "fit": ["fit", "data.csv", "--out-model", "cli_model.json"],
     "predict-median": ["predict", "cli_model.json"],
     "predict-mean": ["predict", "cli_model.json", "--statistic", "mean"],
+    "analyze": ["analyze", "data.csv"],
+    "measures": ["measures", "data.csv"],
+    "measures-family": ["measures", "--family", "clayton", "--theta", "2"],
+}
+USAGE_ERRORS = {
+    "fit --families gaussian": ["fit", "data.csv", "--families", "gaussian",
+                                "--out-model", "bad_model.json"],
+    "measures --theta -2": ["measures", "--family", "clayton", "--theta", "-2"],
+    "predict --num 0": ["predict", "cli_model.json", "--num", "0"],
+    "predict --x-min nan": ["predict", "cli_model.json", "--x-min", "nan"],
+    "fit --breakpoints abc": ["fit", "data.csv", "--breakpoints", "abc",
+                              "--out-model", "bad_model.json"],
 }
 
 
@@ -96,6 +114,8 @@ def collect() -> None:
             for seed in SEEDS:
                 for item, value in _case(wl, seed).items():
                     records[(wl.name, seed, item)] = value
+        for name, argv in USAGE_ERRORS.items():
+            records[("usage errors", 0, f"gluecop {name}")] = _cli(argv)
     sys.stdout.buffer.write(pickle.dumps(records))
 
 
