@@ -1,12 +1,10 @@
 """Bivariate copula gluing, dependence diagnostics and piecewise regression."""
 
-from .changepoint import (Crossing, CrossingReport, breakpoint_from_gluing_point,
-                          diagonal_crossings, pqd_nqd_prescreen)
+from .changepoint import Crossing, CrossingReport, diagonal_crossings
 from .copulas import (AxiomReport, ClaytonCopula, Copula, FGMCopula,
                       FrankCopula, FrechetLowerCopula, FrechetUpperCopula,
                       GumbelCopula, IndependenceCopula, PlackettCopula,
-                      check_copula_axioms, conditional_cdf,
-                      conditional_quantile, make_copula)
+                      check_copula_axioms, conditional_quantile, make_copula)
 from .dependence import (DependenceReport, QuadrantClass, RegressionClass,
                          classify_quadrant, classify_regression_dependence,
                          dependence_report, schweizer_wolff_sigma, spearman_rho)

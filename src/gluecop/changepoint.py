@@ -18,7 +18,6 @@ import numpy as np
 from .copulas import Copula
 from .dependence import _tolerance
 from .errors import DomainError, check_array_size
-from .marginals import Marginal
 
 GRID_N_DEFAULT = 512
 TOL_DEFAULT = 1e-4
@@ -67,7 +66,9 @@ def diagonal_crossings(c: Copula, grid_n: int = GRID_N_DEFAULT,
     than ``persistence`` points are dropped; between two adjacent surviving
     runs of opposite sign lies a crossing, refined by bisection, and between
     two of the same sign a tangential touch, reported at the gap's midpoint.
-    ``tol=None`` takes the copula's default tolerance.
+    ``tol=None`` takes the copula's default tolerance.  ``mixed_dependence``
+    (g beyond +tol somewhere and beyond -tol elsewhere, filtered runs too) is
+    the necessary condition for mixed dependence that motivates break points.
     """
     if grid_n < 64:
         raise DomainError("grid_n must be >= 64")
@@ -98,18 +99,3 @@ def diagonal_crossings(c: Copula, grid_n: int = GRID_N_DEFAULT,
                           tolerance=tol, persistence=persistence,
                           mixed_dependence=bool(np.any(codes == 1)
                                                 and np.any(codes == -1)))
-
-
-def pqd_nqd_prescreen(c: Copula, grid_n: int = GRID_N_DEFAULT,
-                      tol: float | None = None) -> bool:
-    """True iff the diagonal lies strictly above t^2 somewhere and strictly
-    below somewhere else — the necessary condition for mixed dependence that
-    motivates break-point analysis."""
-    return diagonal_crossings(c, grid_n, tol).mixed_dependence
-
-
-def breakpoint_from_gluing_point(theta: float, mx: Marginal) -> float:
-    """Map a gluing point in u-space to a break-point in x-space."""
-    if not 0.0 < theta < 1.0:
-        raise DomainError("gluing point must lie in (0, 1)")
-    return float(mx.quantile(theta))

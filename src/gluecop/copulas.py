@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .marginals import Marginal
 
 FD_STEP = 1e-5          # finite-difference step for the u-derivative
 BISECT_STEPS = 34       # conditional-quantile halvings of [0, 1]: 2**-34 < 1e-10
@@ -159,6 +158,19 @@ class FrechetLowerCopula(Copula):
         return np.where(u + v >= 1.0, 1.0, 0.0)
 
 
+_M, _W = FrechetUpperCopula(), FrechetLowerCopula()
+
+
+def _bound_where_lost(value, held, bound, u, v):
+    """``value`` where ``held``, else ``bound(u, v)``: the ``_cdf`` or ``_du``
+    of the Fréchet bound a family tends to as |theta| grows, for points where
+    its closed form over- or underflowed.  There the family's cdf is within
+    log(2)/|theta| of the bound."""
+    if held.all():
+        return value
+    return np.where(held, value, bound(u, v))
+
+
 # ---------------------------------------------------------------------------
 # one-parameter families
 # ---------------------------------------------------------------------------
@@ -178,14 +190,16 @@ class ClaytonCopula(Copula):
         with np.errstate(divide="ignore", over="ignore"):
             s = u ** (-th) + v ** (-th) - 1.0
             out = s ** (-1.0 / th)
+        out = _bound_where_lost(out, np.isfinite(s), _M._cdf, u, v)
         return np.where((u <= 0) | (v <= 0), 0.0, out)
 
     def _du(self, u, v):
         th = self.theta
-        uu = np.clip(u, 1e-12, 1.0)
-        with np.errstate(divide="ignore", over="ignore"):
-            s = uu ** (-th) + np.clip(v, 1e-300, 1.0) ** (-th) - 1.0
+        uu = np.maximum(u, 1e-12)  # u and v are already checked to be <= 1
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            s = uu ** (-th) + np.maximum(v, 1e-300) ** (-th) - 1.0
             out = uu ** (-th - 1.0) * s ** (-1.0 / th - 1.0)
+        out = _bound_where_lost(out, np.isfinite(out), _M._du, u, v)
         return np.where(v <= 0, 0.0, np.where(v >= 1, 1.0, out))
 
 
@@ -204,10 +218,8 @@ class FrankCopula(Copula):
         with np.errstate(divide="ignore", invalid="ignore"):
             num = np.expm1(-th * u) * np.expm1(-th * v)
             out = -np.log1p(num / np.expm1(-th)) / th
-        # for |theta| large enough that doubles cannot resolve 1 + num/expm1,
-        # the exact value is within 1e-14 of the matching Fréchet bound
-        bound = np.minimum(u, v) if th > 0 else np.maximum(u + v - 1.0, 0.0)
-        return np.where(np.isfinite(out), out, bound)
+        return _bound_where_lost(out, np.isfinite(out),
+                                 _M._cdf if th > 0 else _W._cdf, u, v)
 
     def _du(self, u, v):
         th = self.theta
@@ -232,17 +244,21 @@ class GumbelCopula(Copula):
         with np.errstate(divide="ignore", over="ignore"):
             a = (-np.log(uu)) ** th + (-np.log(vv)) ** th
             out = np.exp(-a ** (1.0 / th))
+        # a also underflows towards (1, 1), where the closed form tends to 1
+        held = (a >= np.finfo(float).tiny) & (a < np.inf)
+        out = _bound_where_lost(out, held, _M._cdf, u, v)
         return np.where((u <= 0) | (v <= 0), 0.0, out)
 
     def _du(self, u, v):
         th = self.theta
         uu = np.clip(u, 1e-12, 1.0 - 1e-16)
-        vv = np.clip(v, 1e-300, 1.0)
-        with np.errstate(divide="ignore", over="ignore"):
+        vv = np.maximum(v, 1e-300)  # v is already checked to be <= 1
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             lu = -np.log(uu)
             a = lu ** th + (-np.log(vv)) ** th
             c = np.exp(-a ** (1.0 / th))
             out = c * a ** (1.0 / th - 1.0) * lu ** (th - 1.0) / uu
+        out = _bound_where_lost(out, np.isfinite(out), _M._du, u, v)
         return np.where(v <= 0, 0.0, np.where(v >= 1, 1.0, out))
 
 
@@ -273,30 +289,27 @@ class PlackettCopula(Copula):
             raise ParameterError("Plackett requires theta > 0, theta != 1")
         self.theta = float(theta)
 
+    # extreme theta can cancel d to NaN, which callers report without a warning
     def _cdf(self, u, v):
         th = self.theta
         eta = th - 1.0
-        s = 1.0 + eta * (u + v)
-        d = np.sqrt(s * s - 4.0 * th * eta * u * v)
-        return (s - d) / (2.0 * eta)
+        with np.errstate(all="ignore"):
+            s = 1.0 + eta * (u + v)
+            d = np.sqrt(s * s - 4.0 * th * eta * u * v)
+            return (s - d) / (2.0 * eta)
 
     def _du(self, u, v):
         th = self.theta
         eta = th - 1.0
-        s = 1.0 + eta * (u + v)
-        d = np.sqrt(s * s - 4.0 * th * eta * u * v)
-        return 0.5 * (1.0 - (s - 2.0 * th * v) / d)
+        with np.errstate(all="ignore"):
+            s = 1.0 + eta * (u + v)
+            d = np.sqrt(s * s - 4.0 * th * eta * u * v)
+            return 0.5 * (1.0 - (s - 2.0 * th * v) / d)
 
 
 # ---------------------------------------------------------------------------
 # conditional distributions and quantiles
 # ---------------------------------------------------------------------------
-
-def conditional_cdf(c: Copula, mx: Marginal, my: Marginal, x, y):
-    """F_{Y|X}(y|x) = ∂C/∂u at (F_X(x), F_Y(y))."""
-    mx.require_in_support(x)
-    return c.du(mx.cdf(x), my.cdf(y))
-
 
 def conditional_quantile(c: Copula, u, p):
     """Generalized inverse v = inf{v : ∂C/∂u (u, v) >= p}, by bisection.
@@ -375,9 +388,9 @@ def _tent(theta: float) -> Copula:
 # family registry used by fitting and serialization -------------------------
 
 FAMILY_CONSTRUCTORS = {
-    "product": lambda: IndependenceCopula(),
-    "frechet-upper": lambda: FrechetUpperCopula(),
-    "frechet-lower": lambda: FrechetLowerCopula(),
+    "product": IndependenceCopula,
+    "frechet-upper": FrechetUpperCopula,
+    "frechet-lower": FrechetLowerCopula,
     "clayton": ClaytonCopula,
     "frank": FrankCopula,
     "gumbel": GumbelCopula,

@@ -330,14 +330,12 @@ def _fit_ranked(u, u_ranks, v, families, interval) -> FitResult:
     emp = EmpiricalCopula(PseudoSample(u=u, v=v)).cdf_grid(t, t)
     best: FitResult | None = None
     for family in families:
+        theta = None
         if family in _FIT_RANGES:
             theta = _invert_rho(family, rho_hat)
             if theta is None:
                 continue
-            c = make_copula(family, theta)
-        else:
-            theta = None
-            c = make_copula(family)
+        c = make_copula(family, theta)
         gof = float(np.mean((emp - c.cdf_grid(t, t)) ** 2))
         if best is None or gof < best.gof_distance:
             best = FitResult(family=family, theta=theta, rho_hat=rho_hat,

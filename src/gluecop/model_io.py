@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 
-from .copulas import Copula, PARAMETRIC_FAMILIES, make_copula
+from .copulas import (FAMILY_CONSTRUCTORS, PARAMETRIC_FAMILIES, Copula,
+                      make_copula)
 from .errors import DataError, DomainError, NumericalError, ParameterError
 from .gluing import GluedCopula
 from .marginals import EmpiricalMarginal, Marginal, UniformMarginal
@@ -28,11 +29,11 @@ def copula_to_dict(c: Copula) -> dict:
             "gluing_points": [float(t) for t in c.gluing_points],
             "pieces": [copula_to_dict(p) for p in c.pieces],
         }
+    if c.name not in FAMILY_CONSTRUCTORS:
+        raise DataError(f"copula {c.name!r} is not serializable")
     doc: dict = {"family": c.name}
     if c.name in PARAMETRIC_FAMILIES:
         doc["theta"] = float(c.theta)
-    elif c.name not in ("product", "frechet-upper", "frechet-lower"):
-        raise DataError(f"copula {c.name!r} is not serializable")
     return doc
 
 
@@ -54,7 +55,7 @@ def marginal_to_dict(m: Marginal) -> dict:
     if isinstance(m, UniformMarginal):
         return {"type": "uniform", "a": m.a, "b": m.b}
     if isinstance(m, EmpiricalMarginal):
-        return {"type": "empirical", "knots": [float(x) for x in m.knots_x]}
+        return {"type": "empirical", "knots": m.knots_x.tolist()}
     raise DataError(f"marginal {m!r} is not serializable")
 
 

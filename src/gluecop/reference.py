@@ -44,8 +44,11 @@ class Sample:
 
 
 def seeded_rng(n: int, seed: int) -> np.random.Generator:
-    """numpy's seeded PCG64 generator for a draw of n values: a negative
-    seed is a ``DomainError``, an impossibly large n a ``MemoryError``."""
+    """numpy's seeded PCG64 generator for a draw of n values: n < 1 or a
+    negative seed is a ``DomainError``, an impossibly large n a
+    ``MemoryError``."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
     if seed < 0:
         raise DomainError("seed must be >= 0")
     check_array_size("n", n)
@@ -68,8 +71,6 @@ def simulate_example1(n: int, theta: float, seed: int) -> Sample:
 
     Uses numpy's seeded PCG64 generator; reproducible for a fixed seed.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
     if not 0.0 < theta < 1.0:
         raise ParameterError("theta must lie in (0, 1)")
     rng = seeded_rng(n, seed)
@@ -221,8 +222,6 @@ class Example4Copula(Copula):
 
 def simulate_example4(n: int, k: float = 0.1, seed: int = 0) -> Sample:
     """Draw the parabola model; k = 0 is allowed and gives the exact parabola."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
     if k < 0 or not np.isfinite(k):
         raise ParameterError("noise scale k must be non-negative")
     rng = seeded_rng(n, seed)

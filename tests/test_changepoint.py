@@ -11,14 +11,9 @@ from gluecop import (
     GumbelCopula,
     IndependenceCopula,
     PlackettCopula,
-    UniformMarginal,
-    EmpiricalMarginal,
-    breakpoint_from_gluing_point,
     diagonal_crossings,
     glue,
     make_copula,
-    pqd_nqd_prescreen,
-    simulate_example4,
 )
 
 PI = IndependenceCopula()
@@ -30,13 +25,16 @@ class TestDiagonalCrossings:
     def test_product_has_no_crossings(self):
         assert diagonal_crossings(PI).crossings == []
 
-    @pytest.mark.parametrize("theta", [0.3, 0.6])
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.6])
     def test_tent_copula_single_down_crossing(self, theta):
         report = diagonal_crossings(make_copula("example1", theta))
         assert len(report.crossings) == 1
         c = report.crossings[0]
         assert c.direction == "down"
         assert c.t == pytest.approx(theta, abs=1e-3)
+        # at the copula's own tolerance too
+        assert diagonal_crossings(make_copula("example1", theta),
+                                  tol=None).mixed_dependence is True
 
     def test_refinement_accuracy(self):
         c = make_copula("example1", 0.37)
@@ -53,10 +51,11 @@ class TestDiagonalCrossings:
         assert report.crossings[0].t == pytest.approx(theta, abs=1e-3)
 
     @pytest.mark.parametrize("c", [ClaytonCopula(2), FrankCopula(5), FrankCopula(-5),
-                                   GumbelCopula(2), PlackettCopula(0.3), M, W],
+                                   GumbelCopula(2), PlackettCopula(0.3), M, W, PI],
                              ids=lambda c: repr(c))
     def test_totally_ordered_families_have_no_crossings(self, c):
         assert diagonal_crossings(c, tol=1e-6).crossings == []
+        assert diagonal_crossings(c, tol=None).mixed_dependence is False
 
     def test_crossings_increasing_and_alternating(self):
         g = glue([M, W, M, W], [0.25, 0.5, 0.75])
@@ -72,11 +71,15 @@ class TestDiagonalCrossings:
 
     @pytest.mark.parametrize("tol", [-1.0, -1e-12, np.nan, np.inf])
     def test_negative_or_non_finite_tol(self, tol):
-        with pytest.raises(DomainError, match="must be >= "):
+        with pytest.raises(DomainError, match=r"^tol must be >= 0 and finite$"):
             diagonal_crossings(PI, tol=tol)
 
     def test_zero_tol_is_allowed(self):
-        assert diagonal_crossings(M, tol=0.0).crossings == []
+        report = diagonal_crossings(M, tol=0.0)
+        assert report.crossings == []
+        assert report.mixed_dependence is False
+        assert diagonal_crossings(make_copula("example1", 0.5),
+                                  tol=0.0).mixed_dependence is True
 
 
 class _StepDiagonal(Copula):
@@ -138,54 +141,12 @@ class TestTouches:
         assert report.crossings == []
         assert report.touches == [0.5 * (GRID_64[19] + GRID_64[44])]
         assert report.mixed_dependence is False
-        assert pqd_nqd_prescreen(c, 64, tol=1e-4) is False
 
     def test_filtered_run_still_counts_as_mixed(self):
         # a 3-point - run below persistence is no crossing, but g does go
-        # below -tol, which is all the prescreen asks
+        # below -tol, which is all mixed dependence asks
         c = _StepDiagonal(_steps((0.01, 30), (-0.01, 3), (0.01, 31)))
         report = diagonal_crossings(c, 64, tol=1e-4, persistence=5)
         assert report.crossings == []
         assert report.touches == [0.5 * (GRID_64[29] + GRID_64[33])]
         assert report.mixed_dependence is True
-        assert pqd_nqd_prescreen(c, 64, tol=1e-4) is True
-
-
-class TestPrescreen:
-    def test_frechet_upper_false(self):
-        assert pqd_nqd_prescreen(M) is False
-
-    def test_product_false(self):
-        assert pqd_nqd_prescreen(PI) is False
-
-    def test_tent_copula_true(self):
-        assert pqd_nqd_prescreen(make_copula("example1", 0.5)) is True
-
-    @pytest.mark.parametrize("tol", [-1.0, -1e-12, np.nan, np.inf])
-    def test_negative_or_non_finite_tol(self, tol):
-        with pytest.raises(DomainError, match=r"^tol must be >= 0 and finite$"):
-            pqd_nqd_prescreen(PI, tol=tol)
-
-    def test_zero_tol_is_allowed(self):
-        assert pqd_nqd_prescreen(M, tol=0.0) is False
-        assert pqd_nqd_prescreen(make_copula("example1", 0.5), tol=0.0) is True
-
-
-class TestBreakpointMapping:
-    def test_identity_quantile(self):
-        assert breakpoint_from_gluing_point(0.6, UniformMarginal()) == \
-            pytest.approx(0.6)
-
-    def test_affine_quantile(self):
-        assert breakpoint_from_gluing_point(0.5, UniformMarginal(2, 4)) == \
-            pytest.approx(3.0)
-
-    def test_empirical_quantile_median(self):
-        s = simulate_example4(2001, 0.1, seed=5)
-        m = EmpiricalMarginal(s.x)
-        assert breakpoint_from_gluing_point(0.5, m) == \
-            pytest.approx(float(np.median(s.x)), abs=1e-3)
-
-    def test_range_check(self):
-        with pytest.raises(DomainError):
-            breakpoint_from_gluing_point(1.0, UniformMarginal())

@@ -14,9 +14,7 @@ from gluecop import (
     IndependenceCopula,
     ParameterError,
     PlackettCopula,
-    UniformMarginal,
     check_copula_axioms,
-    conditional_cdf,
     conditional_quantile,
     decompose,
     glue,
@@ -35,9 +33,13 @@ SMOOTH_FAMILIES = [
     FGMCopula(-1.0), FGMCopula(-0.3), FGMCopula(0.5), FGMCopula(1.0),
     PlackettCopula(0.2), PlackettCopula(5.0), PlackettCopula(50.0),
 ]
+#: past where the closed forms overflow, so that C and du fall back to M
+LARGE_THETA = [ClaytonCopula(200.0), ClaytonCopula(2000.0),
+               GumbelCopula(200.0), GumbelCopula(2000.0)]
 ALL_CLOSED_FORM = SMOOTH_FAMILIES + [
     PI, M, W,
     *(make_copula("example1", theta) for theta in (0.25, 0.5, 0.75)),
+    *LARGE_THETA,
 ]
 
 
@@ -151,6 +153,15 @@ class TestDu:
         fd = _finite_difference_du(c._cdf, U, V)
         assert np.max(np.abs(np.clip(fd, 0, 1) - c.du(U, V))) < 1e-6
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", LARGE_THETA,
+                             ids=lambda c: f"{c.name}-{c.theta:g}")
+    def test_large_theta_tends_to_frechet_upper(self, c):
+        assert c.cdf(0.3, 0.4) == pytest.approx(0.3, abs=1e-3)
+        t = np.linspace(0.0, 1.0, 101)
+        U, V = np.meshgrid(t, t, indexing="ij")
+        assert np.all(np.isfinite(c.du(U, V)))
+
     @pytest.mark.parametrize("c", ALL_CLOSED_FORM, ids=lambda c: repr(c))
     def test_du_nondecreasing_in_v(self, c):
         t = np.linspace(0.02, 0.98, 49)
@@ -170,20 +181,11 @@ class TestDu:
 
 
 class TestConditional:
-    def test_independence_conditional_is_marginal(self):
-        mx, my = UniformMarginal(0, 2), UniformMarginal(0, 4)
-        assert conditional_cdf(PI, mx, my, 1.0, 1.0) == pytest.approx(0.25)
-
     def test_example1_step_location(self):
-        # conditional CDF of Y | X=0.25 jumps 0 -> 1 at y = x/theta = 0.5
+        # conditional CDF of V | U=0.25 jumps 0 -> 1 at v = u/theta = 0.5
         c = make_copula("example1", 0.5)
-        mx = my = UniformMarginal()
-        assert conditional_cdf(c, mx, my, 0.25, 0.49) == 0.0
-        assert conditional_cdf(c, mx, my, 0.25, 0.51) == 1.0
-
-    def test_outside_support_rejected(self):
-        with pytest.raises(DomainError):
-            conditional_cdf(PI, UniformMarginal(0, 1), UniformMarginal(), 2.0, 0.5)
+        assert c.du(0.25, 0.49) == 0.0
+        assert c.du(0.25, 0.51) == 1.0
 
     def test_quantile_product(self):
         assert conditional_quantile(PI, 0.7, 0.5) == pytest.approx(0.5, abs=1e-9)

@@ -33,15 +33,20 @@ class TestSample:
         assert Sample(x=[1.0, 2.0, 3.0], y=[0.0, 1.0, 0.0]).n == 3
 
 
+@pytest.mark.parametrize("n, seed, message", [
+    (5, -1, "^seed must be >= 0$"),
+    (0, 0, "^n must be >= 1$"),
+    (-1, 0, "^n must be >= 1$"),
+], ids=["seed-1", "n0", "n-1"])
 @pytest.mark.parametrize("simulate", [
-    lambda seed: simulate_example1(5, 0.5, seed),
-    lambda seed: simulate_example4(5, 0.1, seed),
-    lambda seed: simulate_copula(ClaytonCopula(2.0), 5, seed),
+    lambda n, seed: simulate_example1(n, 0.5, seed),
+    lambda n, seed: simulate_example4(n, 0.1, seed),
+    lambda n, seed: simulate_copula(ClaytonCopula(2.0), n, seed),
 ], ids=["example1", "example4", "copula"])
-def test_negative_seed_is_domain_error(simulate):
-    assert simulate(0) is not None
-    with pytest.raises(DomainError, match="^seed must be >= 0$"):
-        simulate(-1)
+def test_negative_seed_is_domain_error(simulate, n, seed, message):
+    assert simulate(5, 0) is not None
+    with pytest.raises(DomainError, match=message):
+        simulate(n, seed)
 
 
 class TestTentModel:

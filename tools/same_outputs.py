@@ -19,7 +19,10 @@ every break is found.  For each case the script compares
 
 After the cases, a fixed set of usage errors (a bad ``--families``,
 ``--theta``, ``--num``, ``--x-min`` or ``--breakpoints``) runs on the last
-case's files, and their stdout, stderr and exit code are compared too.
+case's files, and their stdout, stderr and exit code are compared too.  So
+are those of a few commands that read no file: ``gluecop simulate`` of both
+reference models, and ``gluecop measures --family`` for Clayton, Gumbel and
+Frank at the ends of the parameter ranges that fitting searches.
 
 Every difference is listed; the exit code is 1 on any difference, else 0.
 Both trees run at once, so two CPUs halve the wall time.
@@ -59,6 +62,15 @@ USAGE_ERRORS = {
     "predict --x-min nan": ["predict", "cli_model.json", "--x-min", "nan"],
     "fit --breakpoints abc": ["fit", "data.csv", "--breakpoints", "abc",
                               "--out-model", "bad_model.json"],
+}
+
+FIXED_RUNS = {
+    "simulate example1": ["simulate", "example1", "--theta", "0.6", "--n", "500",
+                          "--seed", "3"],
+    "simulate example4": ["simulate", "example4", "--n", "500", "--seed", "3"],
+    "measures clayton 50": ["measures", "--family", "clayton", "--theta", "50"],
+    "measures gumbel 50": ["measures", "--family", "gumbel", "--theta", "50"],
+    "measures frank -30": ["measures", "--family", "frank", "--theta", "-30"],
 }
 
 
@@ -116,6 +128,8 @@ def collect() -> None:
                     records[(wl.name, seed, item)] = value
         for name, argv in USAGE_ERRORS.items():
             records[("usage errors", 0, f"gluecop {name}")] = _cli(argv)
+        for name, argv in FIXED_RUNS.items():
+            records[("fixed commands", 0, f"gluecop {name}")] = _cli(argv)
     sys.stdout.buffer.write(pickle.dumps(records))
 
 
