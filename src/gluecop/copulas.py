@@ -296,7 +296,10 @@ class PlackettCopula(Copula):
         with np.errstate(all="ignore"):
             s = 1.0 + eta * (u + v)
             d = np.sqrt(s * s - 4.0 * th * eta * u * v)
-            return (s - d) / (2.0 * eta)
+            c = (s - d) / (2.0 * eta)
+        # at large theta the rounding of s - d can leave the Frechet bounds
+        # next to the edges; clipping into them keeps the margins exact
+        return np.clip(c, np.maximum(u + v - 1.0, 0.0), np.minimum(u, v))
 
     def _du(self, u, v):
         th = self.theta

@@ -9,11 +9,15 @@ singular copulas whose conditional CDF is a step function: the jump location
 is the median.  The mean curve integrates the conditional CDF over the
 response's effective support [Q_Y(MEAN_EPS), Q_Y(1 - MEAN_EPS)] with a
 composite midpoint rule whose nodes depend on the response marginal alone,
-so they are built once per curve, and x is taken MEAN_BLOCK rows per du call
-so that memory stays bounded.  A piecewise model holds the glued copula of
-its segments, and both curves are read off it: the mean is ``mean_regression``
-on the model, and the median takes each x to its slab of the glued copula and
-the rescaled u* there, one conditional quantile per x.
+so they are built once per curve.
+
+On a vertical slab of a glued copula, dC/du is the active piece's dC/du at
+the rescaled u*, so E[Y | X = x] is that piece's conditional mean at u*.
+Both curves therefore take each x to its slab once and work on the piece
+there (a copula that is not glued is a single slab): the mean integrates the
+piece MEAN_BLOCK rows per du call, so that memory stays bounded, and the
+median takes one conditional quantile per x.  A piecewise model holds the
+glued copula of its segments, and both curves are read off it.
 """
 
 from __future__ import annotations
@@ -67,23 +71,39 @@ def _mean_grid(my: Marginal):
     return a, side(a, yhi), side(ylo, a)
 
 
+def _slabs(c: Copula, us):
+    """(piece, rows, u*) for each occupied slab of c at the flat array us;
+    a copula that is not glued is one slab, itself at u* = u."""
+    if isinstance(c, GluedCopula):
+        for i, m, ustar in c.slabs(us):
+            yield c.pieces[i], m, ustar
+    else:
+        yield c, slice(None), us
+
+
 def mean_regression(m: RegressionModel | PiecewiseRegressionModel, x):
     """Mean regression curve; requires the conditional expectation to exist."""
     m.marginal_x.require_in_support(x)
     x = np.asarray(x, dtype=float)
-    us = m.marginal_x.cdf(x.ravel())
     a, upper, lower = _mean_grid(m.marginal_y)
-    out = np.full(us.shape, a)
+    out = np.empty(x.size)
     # E[Y | U=u] = a + int_a^hi (1 - F) dy - int_lo^a F dy, F = dC/du(u, F_Y);
-    # a row sum of a block is the same pairwise sum a lone x would get
-    for j in range(0, us.size, MEAN_BLOCK):
-        block = us[j:j + MEAN_BLOCK, None]
-        if upper is not None:
-            h, v = upper
-            out[j:j + MEAN_BLOCK] += h * np.sum(1.0 - m.copula.du(block, v), axis=1)
-        if lower is not None:
-            h, v = lower
-            out[j:j + MEAN_BLOCK] -= h * np.sum(m.copula.du(block, v), axis=1)
+    # a row sum of a block is the same pairwise sum a lone x would get.  F is
+    # du without its argument checks (u* is in [0, 1]), so the piece sees the
+    # block and the nodes unbroadcast
+    for piece, rows, us in _slabs(m.copula, m.marginal_x.cdf(x.ravel())):
+        mu = np.full(us.shape, a)
+        for j in range(0, us.size, MEAN_BLOCK):
+            block = us[j:j + MEAN_BLOCK, None]
+            if upper is not None:
+                h, v = upper
+                F = np.clip(piece._du(block, v), 0.0, 1.0)
+                mu[j:j + MEAN_BLOCK] += h * np.sum(1.0 - F, axis=1)
+            if lower is not None:
+                h, v = lower
+                F = np.clip(piece._du(block, v), 0.0, 1.0)
+                mu[j:j + MEAN_BLOCK] -= h * np.sum(F, axis=1)
+        out[rows] = mu
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
@@ -128,7 +148,7 @@ def piecewise_regression(pm: PiecewiseRegressionModel, x,
     pm.marginal_x.require_in_support(x)
     x = np.asarray(x, dtype=float)
     psi = np.empty(x.size)
-    for i, m, us in pm.copula.slabs(pm.marginal_x.cdf(x.ravel())):
-        psi[m] = [median_psi(pm.copula.pieces[i], u) for u in us]
+    for piece, rows, us in _slabs(pm.copula, pm.marginal_x.cdf(x.ravel())):
+        psi[rows] = [median_psi(piece, u) for u in us]
     out = pm.marginal_y.quantile(psi)
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

@@ -67,9 +67,11 @@ class TestEval:
         with pytest.raises(DomainError):
             PI.du(np.nan, 0.5)
 
-    @pytest.mark.parametrize("c", ALL_CLOSED_FORM, ids=lambda c: repr(c))
+    @pytest.mark.parametrize("c", ALL_CLOSED_FORM + [PlackettCopula(1e4)],
+                             ids=lambda c: repr(c))
     def test_within_frechet_bounds(self, c):
-        t = np.linspace(0, 1, 33)
+        # points within 1e-12 of the edges catch rounding at large theta
+        t = np.r_[np.linspace(0, 1, 33), 1e-12, 1 - 1e-12]
         U, V = np.meshgrid(t, t, indexing="ij")
         vals = c.cdf(U, V)
         assert np.all(vals >= np.maximum(U + V - 1, 0) - 1e-12)

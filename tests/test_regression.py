@@ -118,6 +118,13 @@ MEAN_COPULAS = [
     FGMCopula(-0.3), PlackettCopula(5.0), PI, M, W, make_copula("example1", 0.4),
     glue(*GLUED3), decompose(glue(*GLUED3), 0.3)[1],
 ]
+# x grids that leave slabs of GLUED3 empty: the first slab alone, the first
+# two with x exactly at both gluing points, and the last slab alone
+EMPTY_SLAB_GRIDS = [
+    np.linspace(0.0, 0.25, 40),
+    np.r_[np.linspace(0.0, 0.25, 40), GLUED3[1]],
+    np.linspace(0.7, 1.0, 40),
+]
 
 
 class _CountingCopula(Copula):
@@ -140,10 +147,11 @@ class TestMeanBlocks:
     @pytest.mark.parametrize("c", MEAN_COPULAS, ids=repr)
     def test_equals_per_x_mean_bit_for_bit(self, c, my):
         m = RegressionModel(c, UNIT, my)
-        for n in (0, 1, MEAN_BLOCK, MEAN_BLOCK + 1, 1001):
-            xs = np.linspace(0.0, 1.0, n) if n != 1 else np.array([0.37])
+        grids = [np.linspace(0.0, 1.0, n) if n != 1 else np.array([0.37])
+                 for n in (0, 1, MEAN_BLOCK, MEAN_BLOCK + 1, 1001)]
+        for xs in grids + EMPTY_SLAB_GRIDS:
             mu = mean_regression(m, xs)
-            assert mu.shape == (n,)
+            assert mu.shape == xs.shape
             np.testing.assert_array_equal(mu, per_x_mean(m, xs))
         mu = mean_regression(m, 0.37)
         assert type(mu) is float
@@ -162,13 +170,20 @@ class TestMeanBlocks:
         assert max(counted.sizes) <= MEAN_BLOCK * MEAN_NODES
         assert sum(counted.sizes) == 2 * xs.size * MEAN_NODES  # both sides
 
-    def test_piecewise_du_calls_are_bounded(self):
-        left, right = _CountingCopula(ClaytonCopula(3.0)), _CountingCopula(FrankCopula(-8.0))
-        pm = PiecewiseRegressionModel((0.4,), (left, right), UNIT, TWO_SIDED_Y)
-        piecewise_regression(pm, np.linspace(0.0, 1.0, 1001), statistic="mean")
-        sizes = left.sizes + right.sizes
+    @pytest.mark.parametrize("bps,xs,empty", [
+        ((0.4,), np.linspace(0.0, 1.0, 1001), ()),
+        *(((0.3, 0.65), xs, empty)
+          for xs, empty in zip(EMPTY_SLAB_GRIDS, [(1, 2), (2,), (0, 1)])),
+    ], ids=["two-pieces", "first-slab", "at-gluing-points", "last-slab"])
+    def test_piecewise_du_calls_are_bounded(self, bps, xs, empty):
+        pieces = [_CountingCopula(c) for c in GLUED3[0][:len(bps) + 1]]
+        pm = PiecewiseRegressionModel(bps, pieces, UNIT, TWO_SIDED_Y)
+        piecewise_regression(pm, xs, statistic="mean")
+        for i, piece in enumerate(pieces):
+            assert (piece.sizes == []) == (i in empty)  # an empty slab is skipped
+        sizes = [size for piece in pieces for size in piece.sizes]
         assert max(sizes) <= MEAN_BLOCK * MEAN_NODES
-        assert sum(sizes) == 2 * 1001 * MEAN_NODES
+        assert sum(sizes) == 2 * xs.size * MEAN_NODES
 
 
 class TestArrayShapes:
@@ -265,9 +280,12 @@ class TestGluingEquivalence:
         pw = PiecewiseRegressionModel((theta,), (a, b), UNIT, UNIT)
         xs = np.linspace(0, 1, 21)
         assert theta in xs
-        mu_glued = mean_regression(glued, xs)
-        mu_pw = piecewise_regression(pw, xs, statistic="mean")
-        np.testing.assert_array_equal(mu_glued, mu_pw)
+        # then grids that leave the right slab, and the left one, empty
+        for xs in (xs, np.linspace(0, theta, 11), np.linspace(theta, 1, 11)[1:]):
+            mu_glued = mean_regression(glued, xs)
+            mu_pw = piecewise_regression(pw, xs, statistic="mean")
+            np.testing.assert_array_equal(mu_glued, mu_pw)
+            np.testing.assert_array_equal(mu_glued, per_x_mean(glued, xs))
 
     @pytest.mark.parametrize("statistic", ["median", "mean"])
     def test_three_pieces_at_both_gluing_points(self, statistic):

@@ -17,6 +17,12 @@ every break is found.  For each case the script compares
   measures`` on the data and ``gluecop measures --family clayton --theta 2``,
   and the model file ``fit`` writes.
 
+Two more sets of curves are fixed rather than fitted: the median and mean
+of a single-family model (Frank(-8) with an empirical response) on a
+1001-point grid, and those of the benchmark's glued Clayton/Frank/Gumbel
+copula, as a glued model and as a piecewise one, on a grid that leaves its
+last slab empty (x in [0, 0.25] plus both gluing points).
+
 After the cases, a fixed set of usage errors (a bad ``--families``,
 ``--theta``, ``--num``, ``--x-min`` or ``--breakpoints``) runs on the last
 case's files, and their stdout, stderr and exit code are compared too.  So
@@ -114,6 +120,33 @@ def _case(wl, seed: int) -> dict[str, bytes]:
     return rec
 
 
+def _fixed_curves() -> dict[str, bytes]:
+    import numpy as np
+
+    from bench.workloads import GLUED_POINTS, glued_truth
+    from gluecop import (EmpiricalMarginal, FrankCopula, PiecewiseRegressionModel,
+                         RegressionModel, UniformMarginal, mean_regression,
+                         median_regression, piecewise_regression)
+
+    unit = UniformMarginal()
+    my = EmpiricalMarginal(np.random.default_rng(7).normal(0.2, 1.0, 2000))
+    frank = RegressionModel(FrankCopula(-8.0), unit, my)
+    glued = RegressionModel(glued_truth(), unit, my)
+    pm = PiecewiseRegressionModel(GLUED_POINTS, glued.copula.pieces, unit, my)
+    grid = np.linspace(0.0, 1.0, 1001)
+    empty_slab = np.r_[np.linspace(0.0, 0.25, 101), GLUED_POINTS]
+    curves = {
+        "frank -8 median curve": median_regression(frank, grid),
+        "frank -8 mean curve": mean_regression(frank, grid),
+        "glued three median curve": median_regression(glued, empty_slab),
+        "glued three mean curve": mean_regression(glued, empty_slab),
+        "glued three piecewise median curve": piecewise_regression(pm, empty_slab),
+        "glued three piecewise mean curve": piecewise_regression(
+            pm, empty_slab, statistic="mean"),
+    }
+    return {item: np.asarray(mu).tobytes() for item, mu in curves.items()}
+
+
 def collect() -> None:
     """Child side: run every case with the ``gluecop`` on sys.path and
     pickle ``{(workload, seed, item): bytes}`` to stdout."""
@@ -126,6 +159,8 @@ def collect() -> None:
             for seed in SEEDS:
                 for item, value in _case(wl, seed).items():
                     records[(wl.name, seed, item)] = value
+        for item, value in _fixed_curves().items():
+            records[("fixed curves", 0, item)] = value
         for name, argv in USAGE_ERRORS.items():
             records[("usage errors", 0, f"gluecop {name}")] = _cli(argv)
         for name, argv in FIXED_RUNS.items():
