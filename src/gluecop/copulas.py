@@ -7,6 +7,9 @@ derivative provide it; the rest fall back to central finite differences.
 Inputs outside [0, 1] are rejected, never clamped — silent clamping hides
 marginal-model bugs upstream.
 
+``slabs(u)`` walks the vertical slabs (a copula that is not glued is one),
+and ``conditional_quantile`` inverts each slab's piece on its own rows.
+
 Singular copulas (the Fréchet bounds, and gluings of them such as the tent
 copula ``make_copula("example1", theta)``, which is M glued to W at theta)
 return {0, 1} indicator values from ``du``; their conditional quantiles
@@ -95,6 +98,18 @@ class Copula:
         _validate_unit(us, vs)
         return self._cdf(*np.broadcast_arrays(us[:, None], vs[None, :]))
 
+    @property
+    def pieces(self) -> tuple:
+        """The copulas on the slabs of ``slabs``: this one alone."""
+        return (self,)
+
+    def slabs(self, u):
+        """(index into ``pieces``, rows, u*) for each occupied slab of the array
+        u; a copula that is not glued is one slab, all rows at u* = u.  That u
+        is passed on as given: numpy can round a 0-d, a strided and a
+        contiguous array differently in the last bit."""
+        yield 0, ..., u
+
     # -- implementation hooks ----------------------------------------------
 
     def _cdf(self, u, v):  # pragma: no cover - abstract
@@ -104,7 +119,8 @@ class Copula:
         return _finite_difference_du(self._cdf, u, v)
 
     def __repr__(self):
-        return f"<{type(self).__name__} {self.name}>"
+        theta = f" theta={self.theta!r}" if hasattr(self, "theta") else ""
+        return f"<{type(self).__name__} {self.name}{theta}>"
 
 
 def _finite_difference_du(f, u, v, h: float = FD_STEP):
@@ -318,16 +334,20 @@ def conditional_quantile(c: Copula, u, p):
     """Generalized inverse v = inf{v : ∂C/∂u (u, v) >= p}, by bisection.
 
     Monotone in v by 2-increasingness; jump discontinuities of singular
-    copulas resolve to the jump location.
+    copulas resolve to the jump location.  Each slab of ``c.slabs`` bisects
+    its piece's ``du`` at u* on its own rows: that is c's ``du`` there.
     """
     def solve(u, p):
-        lo = np.zeros(u.shape)
-        # du(u, 0) = 0 <= p always holds for p > 0; p = 0 resolves to v = 0
-        # via the shrinking upper bracket since du(u, v) >= 0 everywhere.
-        at0 = c.du(u, lo) >= p
-        _, hi = bisect_monotone(lambda v: c.du(u, v), p, lo, np.ones(u.shape),
-                                BISECT_STEPS)
-        return np.where(at0, 0.0, hi)
+        out = np.empty(u.shape)
+        for i, rows, us in c.slabs(u):
+            piece, ps, lo = c.pieces[i], p[rows], np.zeros(us.shape)
+            # du(u, 0) = 0 <= p always holds for p > 0; p = 0 resolves to v = 0
+            # via the shrinking upper bracket since du(u, v) >= 0 everywhere.
+            at0 = piece.du(us, lo) >= ps
+            _, hi = bisect_monotone(lambda v: piece.du(us, v), ps, lo,
+                                    np.ones(us.shape), BISECT_STEPS)
+            out[rows] = np.where(at0, 0.0, hi)
+        return out
     return _on_unit_square(solve, u, p)
 
 

@@ -400,7 +400,8 @@ def fit_piecewise(s: Sample, candidates=None,
 
 def simulate_copula(c: Copula, n: int, seed: int = 0) -> PseudoSample:
     """Draw (U, V) from a copula: U uniform, V by conditional-quantile
-    inversion; exact for singular copulas."""
+    inversion, piece by piece on the slabs of a glued copula; exact for
+    singular copulas."""
     rng = seeded_rng(n, seed)
     u = rng.uniform(size=n)
     p = rng.uniform(size=n)

@@ -46,14 +46,18 @@ class GluedCopula(Copula):
             raise DomainError("need exactly one more piece than gluing points")
         if misplaced_gluing_point(pts) is not None:
             raise DomainError("gluing points must be strictly increasing in (0, 1)")
-        self.pieces = pieces
+        self._pieces = tuple(pieces)
         self.gluing_points = pts
         self._bounds = np.concatenate(([0.0], pts, [1.0]))
         self.numerical = any(p.numerical for p in pieces)
 
+    @property
+    def pieces(self) -> tuple:
+        return self._pieces
+
     def slabs(self, u):
-        """(piece index, mask, u*) for each occupied slab of the flat array u,
-        with u* = (u - lo)/(hi - lo) on the slab [lo, hi].  Left-closed: u
+        """(piece index, mask, u*) for each occupied slab of the array u, with
+        the flat u* = (u - lo)/(hi - lo) on the slab [lo, hi].  Left-closed: u
         exactly at a gluing point belongs to the left slab (u* = 1 there),
         matching the x <= b segments of PiecewiseRegressionModel."""
         idx = np.clip(np.searchsorted(self._bounds, u, side="left") - 1,
@@ -67,8 +71,7 @@ class GluedCopula(Copula):
     def _on_slabs(self, u, v, cdf: bool):
         """C (``cdf``) or its u-derivative, one rescaled piece per slab;
         cdf is continuous at a gluing point, du is not."""
-        shape = np.broadcast(u, v).shape
-        u, v = (a.ravel() for a in np.broadcast_arrays(u, v))
+        u, v = np.broadcast_arrays(u, v)
         out = np.empty(u.shape)
         for i, m, us in self.slabs(u):
             piece, vs = self.pieces[i], v[m]
@@ -77,7 +80,7 @@ class GluedCopula(Copula):
                 out[m] = (hi - lo) * piece._cdf(us, vs) + lo * vs
             else:
                 out[m] = piece._du(us, vs)
-        return out.reshape(shape)
+        return out
 
     def _cdf(self, u, v):
         return self._on_slabs(u, v, cdf=True)

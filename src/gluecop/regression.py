@@ -13,11 +13,12 @@ so they are built once per curve.
 
 On a vertical slab of a glued copula, dC/du is the active piece's dC/du at
 the rescaled u*, so E[Y | X = x] is that piece's conditional mean at u*.
-Both curves therefore take each x to its slab once and work on the piece
-there (a copula that is not glued is a single slab): the mean integrates the
-piece MEAN_BLOCK rows per du call, so that memory stays bounded, and the
-median takes one conditional quantile per x.  A piecewise model holds the
-glued copula of its segments, and both curves are read off it.
+Both curves therefore take each x to its slab once on ``Copula.slabs``
+(a copula that is not glued is a single slab) and work on the piece there:
+the mean integrates it MEAN_BLOCK rows per du call, so that memory stays
+bounded, and the median inverts it, as ``conditional_quantile`` does.  A
+piecewise model holds the glued copula of its segments, and both curves
+are read off it.
 """
 
 from __future__ import annotations
@@ -71,16 +72,6 @@ def _mean_grid(my: Marginal):
     return a, side(a, yhi), side(ylo, a)
 
 
-def _slabs(c: Copula, us):
-    """(piece, rows, u*) for each occupied slab of c at the flat array us;
-    a copula that is not glued is one slab, itself at u* = u."""
-    if isinstance(c, GluedCopula):
-        for i, m, ustar in c.slabs(us):
-            yield c.pieces[i], m, ustar
-    else:
-        yield c, slice(None), us
-
-
 def mean_regression(m: RegressionModel | PiecewiseRegressionModel, x):
     """Mean regression curve; requires the conditional expectation to exist."""
     m.marginal_x.require_in_support(x)
@@ -91,8 +82,8 @@ def mean_regression(m: RegressionModel | PiecewiseRegressionModel, x):
     # a row sum of a block is the same pairwise sum a lone x would get.  F is
     # du without its argument checks (u* is in [0, 1]), so the piece sees the
     # block and the nodes unbroadcast
-    for piece, rows, us in _slabs(m.copula, m.marginal_x.cdf(x.ravel())):
-        mu = np.full(us.shape, a)
+    for i, rows, us in m.copula.slabs(m.marginal_x.cdf(x.ravel())):
+        piece, mu = m.copula.pieces[i], np.full(us.shape, a)
         for j in range(0, us.size, MEAN_BLOCK):
             block = us[j:j + MEAN_BLOCK, None]
             if upper is not None:
@@ -148,7 +139,7 @@ def piecewise_regression(pm: PiecewiseRegressionModel, x,
     pm.marginal_x.require_in_support(x)
     x = np.asarray(x, dtype=float)
     psi = np.empty(x.size)
-    for piece, rows, us in _slabs(pm.copula, pm.marginal_x.cdf(x.ravel())):
-        psi[rows] = [median_psi(piece, u) for u in us]
+    for i, rows, us in pm.copula.slabs(pm.marginal_x.cdf(x.ravel())):
+        psi[rows] = [median_psi(pm.copula.pieces[i], u) for u in us]
     out = pm.marginal_y.quantile(psi)
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

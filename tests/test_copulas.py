@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gluecop import (
@@ -21,6 +21,7 @@ from gluecop import (
     make_copula,
 )
 from gluecop.copulas import Copula, _finite_difference_du
+from oracles import bisection_quantile
 
 PI = IndependenceCopula()
 M = FrechetUpperCopula()
@@ -41,6 +42,9 @@ ALL_CLOSED_FORM = SMOOTH_FAMILIES + [
     *(make_copula("example1", theta) for theta in (0.25, 0.5, 0.75)),
     *LARGE_THETA,
 ]
+#: three smooth pieces glued at two points of the 33-point u grid below
+GLUED_SMOOTH = glue([ClaytonCopula(3.0), FrankCopula(-8.0), GumbelCopula(3.0)],
+                    [0.25, 0.625])
 
 
 class TestEval:
@@ -203,23 +207,26 @@ class TestConditional:
         v = conditional_quantile(M, u, 0.5)
         assert np.allclose(v, u, atol=1e-9)
 
-    @pytest.mark.parametrize("c", ALL_CLOSED_FORM, ids=lambda c: repr(c))
+    @pytest.mark.parametrize("c", ALL_CLOSED_FORM + [GLUED_SMOOTH],
+                             ids=lambda c: repr(c))
     def test_quantile_is_the_34_step_bisection(self, c):
         u, p = np.meshgrid(np.linspace(0, 1, 33), np.linspace(0, 1, 17),
                            indexing="ij")
-        lo, hi = np.zeros(u.shape), np.ones(u.shape)
-        at0 = c.du(u, lo) >= p
-        for _ in range(34):
-            mid = 0.5 * (lo + hi)
-            ge = c.du(u, mid) >= p
-            hi = np.where(ge, mid, hi)
-            lo = np.where(ge, lo, mid)
         assert np.array_equal(conditional_quantile(c, u, p),
-                              np.where(at0, 0.0, hi))
+                              bisection_quantile(c, u, p))
+        # a scalar u, alone or broadcast against p, is bisected as it is given;
+        # p = du(u, 1/2) puts flat stretches of du, where the last bit of du
+        # decides each step, into the bracket
+        for u0 in (0.01, 0.25, 0.5, 0.625, 0.99):
+            p0 = c.du(u0, 0.5)
+            assert conditional_quantile(c, u0, p0) == bisection_quantile(c, u0, p0)
+            assert np.array_equal(conditional_quantile(c, u0, p[0]),
+                                  bisection_quantile(c, u0, p[0]))
 
     @settings(max_examples=60, deadline=None)
     @given(u=st.floats(0.01, 0.99), v=st.floats(0.01, 0.99),
            theta=st.floats(0.2, 8.0))
+    @example(u=0.01, v=0.5, theta=6.0540158930013295)  # du(u, v) = 1 - 6e-11
     def test_galois_inequality_clayton(self, u, v, theta):
         # generalized inverse: quantile(du(u, v)) <= v for continuous cases
         c = ClaytonCopula(theta)

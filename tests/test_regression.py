@@ -19,6 +19,7 @@ from gluecop import (
     RegressionModel,
     UniformMarginal,
     classify_regression_dependence,
+    conditional_quantile,
     decompose,
     glue,
     make_copula,
@@ -29,6 +30,7 @@ from gluecop import (
     tent,
 )
 from gluecop.regression import MEAN_BLOCK, MEAN_NODES, _mean_grid
+from oracles import bisection_quantile
 
 PI = IndependenceCopula()
 M = FrechetUpperCopula()
@@ -125,6 +127,15 @@ EMPTY_SLAB_GRIDS = [
     np.r_[np.linspace(0.0, 0.25, 40), GLUED3[1]],
     np.linspace(0.7, 1.0, 40),
 ]
+
+
+@pytest.mark.parametrize("u", EMPTY_SLAB_GRIDS + GLUED3[1], ids=[
+    "first-slab", "at-gluing-points", "last-slab", "scalar-at-0.3", "scalar-at-0.65"])
+def test_quantile_slab_by_slab_is_the_whole_copula_bisection(u):
+    c = glue(*GLUED3)
+    v = conditional_quantile(c, u, 0.5)
+    assert type(v) is (float if np.ndim(u) == 0 else np.ndarray)
+    np.testing.assert_array_equal(v, bisection_quantile(c, u, 0.5))
 
 
 class _CountingCopula(Copula):

@@ -21,7 +21,9 @@ Two more sets of curves are fixed rather than fitted: the median and mean
 of a single-family model (Frank(-8) with an empirical response) on a
 1001-point grid, and those of the benchmark's glued Clayton/Frank/Gumbel
 copula, as a glued model and as a piecewise one, on a grid that leaves its
-last slab empty (x in [0, 0.25] plus both gluing points).
+last slab empty (x in [0, 0.25] plus both gluing points).  So is that glued
+copula's conditional quantile at p in {0, 0.25, 0.5, 1} on a u grid that
+holds 0, both gluing points and 1, which no seeded case draws exactly.
 
 After the cases, a fixed set of usage errors (a bad ``--families``,
 ``--theta``, ``--num``, ``--x-min`` or ``--breakpoints``) runs on the last
@@ -125,8 +127,8 @@ def _fixed_curves() -> dict[str, bytes]:
 
     from bench.workloads import GLUED_POINTS, glued_truth
     from gluecop import (EmpiricalMarginal, FrankCopula, PiecewiseRegressionModel,
-                         RegressionModel, UniformMarginal, mean_regression,
-                         median_regression, piecewise_regression)
+                         RegressionModel, UniformMarginal, conditional_quantile,
+                         mean_regression, median_regression, piecewise_regression)
 
     unit = UniformMarginal()
     my = EmpiricalMarginal(np.random.default_rng(7).normal(0.2, 1.0, 2000))
@@ -135,6 +137,8 @@ def _fixed_curves() -> dict[str, bytes]:
     pm = PiecewiseRegressionModel(GLUED_POINTS, glued.copula.pieces, unit, my)
     grid = np.linspace(0.0, 1.0, 1001)
     empty_slab = np.r_[np.linspace(0.0, 0.25, 101), GLUED_POINTS]
+    u, p = np.meshgrid(np.r_[np.linspace(0.0, 1.0, 41), GLUED_POINTS],
+                       [0.0, 0.25, 0.5, 1.0], indexing="ij")
     curves = {
         "frank -8 median curve": median_regression(frank, grid),
         "frank -8 mean curve": mean_regression(frank, grid),
@@ -143,6 +147,7 @@ def _fixed_curves() -> dict[str, bytes]:
         "glued three piecewise median curve": piecewise_regression(pm, empty_slab),
         "glued three piecewise mean curve": piecewise_regression(
             pm, empty_slab, statistic="mean"),
+        "glued three quantile curve": conditional_quantile(glued.copula, u, p),
     }
     return {item: np.asarray(mu).tobytes() for item, mu in curves.items()}
 
