@@ -66,43 +66,115 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 def read_xy_csv(path: str) -> Sample:
-    """Read the first two numeric columns; header auto-detected.
+    """Read (x, y) from the first two columns of a CSV file.
 
-    Rows whose first two cells are not finite numbers (``nan`` and ``inf``
-    included) are reported by line number in a ``DataError``."""
+    Line 1 is a header when its first two cells are not both numbers; a
+    UTF-8 byte-order mark is accepted and columns after the second are
+    ignored.  Blank rows are skipped.  Rows whose first two cells are not
+    finite numbers (``nan`` and ``inf`` included) are reported by line number
+    in a ``DataError``, as are files that cannot be parsed and files with
+    fewer than 2 rows.
+
+    numpy parses the file when it can (see ``_read_xy_numpy``); every file
+    it declines, the rejected ones included, goes to the row reader
+    ``_read_xy_rows``, which decides and words every error.  Both give the
+    same ``Sample``, bit for bit."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    sample = _read_xy_numpy(data)
+    return _read_xy_rows(data, path) if sample is None else sample
+
+
+def _read_xy_rows(data: bytes, path: str) -> Sample:
+    """The row reader: ``csv.reader`` over the decoded file, one row at a
+    time.  ``path`` only names the file in error messages."""
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
     xs, ys, bad_lines = [], [], []
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            for lineno, row in enumerate(reader, start=1):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) < 2:
-                    bad_lines.append(lineno)
-                    continue
-                try:
-                    x, y = float(row[0]), float(row[1])
-                except ValueError:
-                    if lineno == 1:
-                        continue  # header row
-                    x = y = math.nan
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    bad_lines.append(lineno)
-                    continue
-                xs.append(x)
-                ys.append(y)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot parse {path}: {exc}") from exc
+    try:
+        for lineno, row in enumerate(csv.reader(text), start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) < 2:
+                bad_lines.append(lineno)
+                continue
+            try:
+                x, y = float(row[0]), float(row[1])
+            except ValueError:
+                if lineno == 1:
+                    continue  # header row
+                x = y = math.nan
+            if not (math.isfinite(x) and math.isfinite(y)):
+                bad_lines.append(lineno)
+                continue
+            xs.append(x)
+            ys.append(y)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot parse {path}: {exc}") from exc
     if bad_lines:
         raise DataError(f"unparseable CSV rows at lines: "
                         f"{', '.join(map(str, bad_lines))}")
     if len(xs) < 2:
         raise DataError("need at least 2 numeric (x, y) rows")
     return Sample(x=np.array(xs), y=np.array(ys))
+
+
+# Lines after the first may hold only these bytes.  On them numpy's parser and
+# float() agree bit for bit; other bytes are where they part or where csv
+# reads what numpy does not: a quote opens a field that can span lines, float()
+# takes underscores and numpy does not, numpy strips \x1c-\x1f and float()
+# does not, and csv on Python 3.10 rejects NUL.
+_NUMERIC_BYTES = b"0123456789+-.eE, \t\r\n"
+_LINE_END = re.compile(rb"\r\n?|\n")
+
+
+def _read_xy_numpy(data: bytes) -> Sample | None:
+    """The row reader's ``Sample``, parsed by ``np.loadtxt``, or None to
+    leave the file to the row reader.
+
+    Line 1 is parsed by ``csv.reader`` under the row reader's header rule and
+    must be one whole record: a header or two finite numbers.  The rest is
+    declined when it holds a byte outside ``_NUMERIC_BYTES`` or a line longer
+    than ``csv.field_size_limit()``, when numpy cannot parse it, or when a
+    value is not finite.  Files with fewer than 2 rows are declined too."""
+    end = _LINE_END.search(data)
+    if end is None:
+        return None  # one line holds fewer than 2 rows
+    # a "line" here runs from one \n to the next, so it is never shorter
+    # than any line csv sees
+    codes = np.frombuffer(data, dtype=np.uint8, offset=end.end())
+    line_ends = np.flatnonzero(codes == ord("\n"))
+    line_lengths = np.diff(line_ends, prepend=-1, append=codes.size) - 1
+    if line_lengths.max() > csv.field_size_limit():
+        return None
+    head, rest = data[:end.start()], data[end.end():]
+    if rest.translate(None, _NUMERIC_BYTES):
+        return None
+    try:
+        reader = csv.reader([head.decode("utf-8-sig"), ""])
+        row = next(reader)
+    except (csv.Error, UnicodeDecodeError):
+        return None
+    if reader.line_num != 1 or len(row) < 2:
+        return None  # a quoted cell runs on past line 1, or a short row
+    try:
+        first = [float(row[0]), float(row[1])]
+    except ValueError:
+        first = []  # a header, or blank cells the row reader skips
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy warns on an input with no rows
+        try:
+            xy = np.loadtxt(io.BytesIO(rest), delimiter=",", comments=None,
+                            usecols=(0, 1), ndmin=2, encoding="ascii")
+        except ValueError:
+            return None
+    if first:
+        xy = np.concatenate(([first], xy))
+    if len(xy) < 2 or not np.isfinite(xy).all():
+        return None
+    return Sample(x=xy[:, 0], y=xy[:, 1])
 
 
 def _write(path: str | None, text: str) -> None:

@@ -1,11 +1,20 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gluecop.cli import main, read_xy_csv
+from gluecop import (ClaytonCopula, FrankCopula, GumbelCopula, glue,
+                     simulate_copula, simulate_example1, simulate_example4)
+from gluecop.cli import _read_xy_numpy, _read_xy_rows, main, read_xy_csv
 from gluecop.empirical import sample_dependence_report
 from gluecop.errors import DataError
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
+_SPEC = importlib.util.spec_from_file_location("same_outputs", _TOOL)
+same_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(same_outputs)
 
 
 def run(capsys, *argv):
@@ -57,6 +66,56 @@ class TestReadCsv:
     def test_missing_file(self):
         with pytest.raises(DataError):
             read_xy_csv("/nonexistent/path.csv")
+
+    @pytest.mark.parametrize("text", ["\ufeffx,y\n1,2\n3,4\n5,6\n",
+                                      "\ufeff1,2\n3,4\n5,6\n"],
+                             ids=["header", "no-header"])
+    def test_byte_order_mark_keeps_every_row(self, tmp_path, text):
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode())
+        s = read_xy_csv(str(p))
+        assert s.x.tolist() == [1.0, 3.0, 5.0] and s.y.tolist() == [2.0, 4.0, 6.0]
+
+    @staticmethod
+    def _assert_same_as_row_reader(path):
+        try:
+            want = _read_xy_rows(path.read_bytes(), str(path))
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                read_xy_csv(str(path))
+            assert str(got.value) == str(exc)
+            return
+        got = read_xy_csv(str(path))
+        for a, b in ((got.x, want.x), (got.y, want.y)):
+            assert a.dtype == b.dtype == np.float64
+            assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+    # the same files run through the CLI in tools/same_outputs.py
+    @pytest.mark.parametrize("name", list(same_outputs.CSV_EDGE_FILES))
+    def test_numpy_parse_is_the_row_reader(self, tmp_path, name):
+        p = tmp_path / "d.csv"
+        p.write_bytes(same_outputs.CSV_EDGE_FILES[name])
+        self._assert_same_as_row_reader(p)
+
+    # the benchmark's three generators, in the format `gluecop simulate` writes
+    @pytest.mark.parametrize("name", ["tent", "parabola", "glued-three"])
+    def test_generator_csv_is_parsed_by_numpy(self, tmp_path, name):
+        if name == "glued-three":
+            glued = glue([ClaytonCopula(3.0), FrankCopula(-8.0),
+                          GumbelCopula(3.0)], (0.3, 0.65))
+            ps = simulate_copula(glued, 2000, seed=5)
+            x, y = ps.u, ps.v
+        else:
+            s = (simulate_example1(2000, 0.6, 5) if name == "tent"
+                 else simulate_example4(2000, 0.1, 5))
+            x, y = s.x, s.y
+        p = tmp_path / "d.csv"
+        p.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in
+                                       zip(x.tolist(), y.tolist())))
+        assert _read_xy_numpy(p.read_bytes()) is not None
+        self._assert_same_as_row_reader(p)
+        got = read_xy_csv(str(p))
+        assert got.x.tobytes() == x.tobytes() and got.y.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("command", ["analyze", "fit", "measures"])
     @pytest.mark.parametrize("content", [
@@ -517,14 +576,19 @@ class TestMeasures:
     @pytest.mark.parametrize("family, theta", [
         ("clayton", "200"), ("clayton", "2000"),
         ("gumbel", "200"), ("gumbel", "2000"),
+        ("frank", "1000"), ("frank", "-1000"),
     ])
     def test_large_theta_family_report(self, capsys, family, theta):
         code, out, err = run(capsys, "measures", "--family", family,
                              "--theta", theta)
         assert (code, err) == (0, "")
         doc = json.loads(out)
-        assert (doc["quadrant_class"], doc["regression_class"]) == ("PQD", "PRD")
-        assert doc["rho"] >= 0.999
+        if theta.startswith("-"):
+            assert (doc["quadrant_class"], doc["regression_class"]) == ("NQD", "NRD")
+            assert doc["rho"] <= -0.999
+        else:
+            assert (doc["quadrant_class"], doc["regression_class"]) == ("PQD", "PRD")
+            assert doc["rho"] >= 0.999
 
     def test_dataset_report(self, tent_csv, capsys):
         code, out, _ = run(capsys, "measures", str(tent_csv))

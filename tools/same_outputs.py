@@ -30,7 +30,12 @@ After the cases, a fixed set of usage errors (a bad ``--families``,
 case's files, and their stdout, stderr and exit code are compared too.  So
 are those of a few commands that read no file: ``gluecop simulate`` of both
 reference models, and ``gluecop measures --family`` for Clayton, Gumbel and
-Frank at the ends of the parameter ranges that fitting searches.
+Frank at the ends of the parameter ranges that fitting searches.  Last,
+``gluecop analyze`` and ``gluecop measures`` run on each small CSV file of
+``CSV_EDGE_FILES`` (quotes, comments, blank lines, line ends, a byte-order
+mark, ragged rows, non-finite and over-long cells, stray bytes), so that a
+change to the CSV reader, either its numpy parse or its row reader, is checked
+file by file against the base tree.
 
 Every difference is listed; the exit code is 1 on any difference, else 0.
 Both trees run at once, so two CPUs halve the wall time.
@@ -70,6 +75,37 @@ USAGE_ERRORS = {
     "predict --x-min nan": ["predict", "cli_model.json", "--x-min", "nan"],
     "fit --breakpoints abc": ["fit", "data.csv", "--breakpoints", "abc",
                               "--out-model", "bad_model.json"],
+}
+
+# small files at the edges of the CSV reader, where the numpy parse must give
+# the row reader's sample or leave the file to it
+CSV_EDGE_FILES = {
+    "quoted header": b'"x","y"\n0.1,0.2\n0.3,0.4\n',
+    "quoted cells": b'x,y\n"0.1","0.2"\n0.3,0.4\n0.5,0.6,"a\nb"\n',
+    "quoted first data row": b'"1","2"\n3,4\n5,6\n',
+    "quoted comma cell": b'x,y\n"1,5",2\n3,4\n',
+    "quote spanning lines": b'x,y\n1,2,"\n3,4,"\n5,6\n',
+    "header quote open to the end": b'x,"y\n1,2\n3,4\n',
+    "hash header": b"# x,y\n1,2\n3,4\n",
+    "hash line": b"x,y\n# note\n1,2\n3,4\n",
+    "blank lines": b"x,y\n\n1,2\n\n3,4\n\n",
+    "whitespace-only cells": b"x,y\n1,2\n  ,\t\n3,4\n",
+    "crlf line ends": b"x,y\r\n1,2\r\n3,4\r\n",
+    "cr line ends": b"x,y\r1,2\r3,4\r",
+    "bom and header": b"\xef\xbb\xbfx,y\n1,2\n3,4\n",
+    "bom without header": b"\xef\xbb\xbf1,2\n3,4\n5,6\n",
+    "ragged extra columns": b"x,y,z\n1,2,3\n3,4\n5,6,7,8\n",
+    "spaces and tabs": b"x,y\n 1 ,\t2\t\n3 , 4\n",
+    "underscore digits": b"x,y\n1_0,2\n3,4\n",
+    "Infinity": b"x,y\nInfinity,2\n3,4\n",
+    "1e400": b"x,y\n1e400,2\n3,4\n",
+    "file separator byte": b"x,y\n1\x1c,2\n3,4\n",
+    "nul byte": b"x,y\n1\x00,2\n3,4\n",
+    "single data row": b"x,y\n1,2\n",
+    "one-cell header": b"x\n1,2\n3,4\n",
+    "cell over field limit": b"x,y\n0.1,0.2\n0.3,0." + b"1" * 140_000 + b"\n",
+    "non-utf8 byte": b"x,y\n0.1,0.2\n0.3,0.\xff4\n",
+    "non-utf8 header": b"x\xff,y\n1,2\n3,4\n",
 }
 
 FIXED_RUNS = {
@@ -170,6 +206,11 @@ def collect() -> None:
             records[("usage errors", 0, f"gluecop {name}")] = _cli(argv)
         for name, argv in FIXED_RUNS.items():
             records[("fixed commands", 0, f"gluecop {name}")] = _cli(argv)
+        for name, content in CSV_EDGE_FILES.items():
+            Path("edge.csv").write_bytes(content)
+            for command in ("analyze", "measures"):
+                records[("csv edge files", 0, f"gluecop {command} {name}")] = (
+                    _cli([command, "edge.csv"]))
     sys.stdout.buffer.write(pickle.dumps(records))
 
 
