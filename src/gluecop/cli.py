@@ -31,9 +31,8 @@ from .copulas import make_copula
 from .dependence import dependence_report, schweizer_wolff_sigma
 from .empirical import (DEFAULT_FIT_FAMILIES, DETECTION_PERSISTENCE,
                         EmpiricalCopula, crossing_breakpoints, crossing_report,
-                        fit_piecewise, pseudo_observations,
-                        sample_dependence_report, sample_spearman,
-                        small_sample_note)
+                        fit_piecewise, pseudo_observations, rank_correlation,
+                        sample_dependence_report, small_sample_note)
 from .errors import (DataError, DomainError, NumericalError, ParameterError,
                      check_array_size)
 from .reference import Sample, simulate_example1, simulate_example4
@@ -219,7 +218,7 @@ def cmd_analyze(args) -> int:
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "n": sample.n,
-        "rho_hat": sample_spearman(ps.u, ps.v),
+        "rho_hat": rank_correlation(*ps.ranks),
         "sigma_hat": schweizer_wolff_sigma(EmpiricalCopula(ps)),
         "mixed_dependence": report.mixed_dependence,
         "crossings": [asdict(c) for c in report.crossings],

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,20 +51,33 @@ DEFAULT_FIT_FAMILIES = ("product", "frechet-upper", "frechet-lower",
 
 @dataclass(frozen=True)
 class PseudoSample:
-    """Rank-transformed sample with coordinates strictly inside (0, 1)."""
+    """Rank-transformed sample with coordinates strictly inside (0, 1).
+
+    A ranking also keeps the midranks behind u and v and the permutations
+    that sort them, so that Spearman rho and the empirical copula's counts
+    need no second sort; both are None on a sample that was not ranked."""
 
     u: np.ndarray
     v: np.ndarray
+    ranks: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
+    orders: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.u.size
 
 
-def _midranks(a: np.ndarray) -> np.ndarray:
-    """1-based ranks; each tie group gets the mean of its ranks."""
+def _sort_ranks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation that sorts ``a``, and the midranks of ``a``."""
     order = np.argsort(a)
-    s = a[order]
+    return order, _ranks_in_order(a[order], order)
+
+
+def _ranks_in_order(s: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """1-based midranks, in data order, of the values ``s`` = a[order]
+    sorted by ``order``; each tie group gets the mean of its ranks."""
     first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
     counts = np.diff(np.r_[first, s.size])
     ranks = np.empty(s.size)
@@ -72,24 +85,35 @@ def _midranks(a: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _midranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks; each tie group gets the mean of its ranks."""
+    return _sort_ranks(a)[1]
+
+
 def pseudo_observations(s: Sample) -> PseudoSample:
     """Coordinatewise midranks scaled by 1/(n+1); a constant column carries
-    no rank information and is a ``DataError``."""
+    no rank information and is a ``DataError``.  Each column is sorted once,
+    and the ranks and sort orders ride along on the result."""
     for name, col in (("x", s.x), ("y", s.y)):
         if col.min() == col.max():
             raise DataError(f"the {name} column is constant")
     n = s.n
-    return PseudoSample(u=_midranks(s.x) / (n + 1), v=_midranks(s.y) / (n + 1))
+    (ox, rx), (oy, ry) = _sort_ranks(s.x), _sort_ranks(s.y)
+    return PseudoSample(u=rx / (n + 1), v=ry / (n + 1), ranks=(rx, ry),
+                        orders=(ox, oy))
 
 
 def sample_spearman(u: np.ndarray, v: np.ndarray) -> float:
     """Sample Spearman rho: the Pearson correlation of the midranks, by the
     same column-stacked ``np.corrcoef`` call as SciPy, so the two agree bit
     for bit (NaN for a constant column)."""
-    return _rank_correlation(_midranks(u), _midranks(v))
+    return rank_correlation(_midranks(u), _midranks(v))
 
 
-def _rank_correlation(ru: np.ndarray, rv: np.ndarray) -> float:
+def rank_correlation(ru: np.ndarray, rv: np.ndarray) -> float:
+    """The Pearson correlation of two midrank vectors, ``sample_spearman``
+    without the ranking; the midranks of r/(n+1) are r, so a ranking's own
+    ranks give the sample Spearman rho of its pseudo-observations."""
     return float(np.corrcoef(np.column_stack((ru, rv)), rowvar=False)[1, 0])
 
 
@@ -104,13 +128,29 @@ class EmpiricalCopula(Copula):
         self.u = np.asarray(ps.u, dtype=float)
         self.v = np.asarray(ps.v, dtype=float)
         self.n = self.u.size
+        self._orders = ps.orders
+
+    @functools.cached_property
+    def _sorted_columns(self):
+        """Each column's sorting permutation and sorted values: the
+        ranking's orders when it kept them, else one sort each."""
+        orders = self._orders or (np.argsort(self.u), np.argsort(self.v))
+        return tuple((o, c[o]) for o, c in zip(orders, (self.u, self.v)))
 
     def _count_grid(self, us, vs):
-        # histogram-and-cumsum count on sorted axes: O(n + grid^2), not O(n*grid^2)
-        iu = np.searchsorted(us, self.u, side="left")
-        iv = np.searchsorted(vs, self.v, side="left")
-        counts = np.zeros((us.size + 1, vs.size + 1))
-        np.add.at(counts, (iu, iv), 1.0)
+        # histogram-and-cumsum count on sorted axes: O(n + grid^2), not
+        # O(n*grid^2).  Cell k of an axis holds the values in
+        # (axis[k-1], axis[k]]; a sorted column fills its cells in order,
+        # so each point's cell comes from the column's order and the cell
+        # sizes, found by binary search of the axis in the sorted column.
+        cells = np.zeros(self.n, dtype=np.intp)
+        for (order, col), axis, stride in zip(self._sorted_columns, (us, vs),
+                                              (vs.size + 1, 1)):
+            upto = np.searchsorted(col, axis, side="right")
+            sizes = np.diff(upto, prepend=0, append=self.n)
+            cells[order] += np.repeat(np.arange(axis.size + 1) * stride, sizes)
+        counts = np.bincount(cells, minlength=(us.size + 1) * (vs.size + 1))
+        counts = counts.reshape(us.size + 1, vs.size + 1)
         return counts[:-1, :-1].cumsum(axis=0).cumsum(axis=1) / self.n
 
     def _on_distinct(self, u, v):
@@ -306,19 +346,19 @@ def fit_segment(u, v, families=DEFAULT_FIT_FAMILIES,
     """Best moment-matched copula for one segment's pseudo-observations; a
     family outside ``DEFAULT_FIT_FAMILIES`` is a ``ParameterError``."""
     _check_families(families)
-    return _fit_ranked(u, None, v, families, interval)
-
-
-def _fit_ranked(u, u_ranks, v, families, interval) -> FitResult:
-    """``fit_segment`` given the midranks of u, or None to rank u here."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.size < MIN_SEGMENT_POINTS:
-        raise DataError(f"segment has {u.size} points; need >= {MIN_SEGMENT_POINTS}")
-    if u_ranks is None:
-        u_ranks = _midranks(u)
+    (ou, ru), (ov, rv) = _sort_ranks(u), _sort_ranks(v)
+    return _fit_ranked(PseudoSample(u=u, v=v, ranks=(ru, rv), orders=(ou, ov)),
+                       families, interval)
+
+
+def _fit_ranked(ps: PseudoSample, families, interval) -> FitResult:
+    """``fit_segment`` on a segment ranked with its midranks and orders."""
+    if ps.n < MIN_SEGMENT_POINTS:
+        raise DataError(f"segment has {ps.n} points; need >= {MIN_SEGMENT_POINTS}")
     with np.errstate(invalid="ignore", divide="ignore"):
-        rho_hat = _rank_correlation(u_ranks, _midranks(v))
+        rho_hat = rank_correlation(*ps.ranks)
     if np.isnan(rho_hat):
         where = "" if interval is None else f" ({interval[0]:g}, {interval[1]:g}]"
         raise DataError(f"segment{where} has a constant x or y column; "
@@ -327,7 +367,7 @@ def _fit_ranked(u, u_ranks, v, families, interval) -> FitResult:
     # goodness of fit: mean squared difference between the empirical and
     # the fitted copula on one grid, built once for every candidate
     t = np.arange(1, GOF_GRID_N + 1) / (GOF_GRID_N + 1)
-    emp = EmpiricalCopula(PseudoSample(u=u, v=v)).cdf_grid(t, t)
+    emp = EmpiricalCopula(ps).cdf_grid(t, t)
     best: FitResult | None = None
     for family in families:
         theta = None
@@ -345,6 +385,28 @@ def _fit_ranked(u, u_ranks, v, families, interval) -> FitResult:
     return best
 
 
+def _segment(ps: PseudoSample, k_lo: int, k_hi: int) -> PseudoSample:
+    """Places k_lo to k_hi - 1 of the x order of the ranked sample ``ps``,
+    in data order and ranked within the segment without a sort.
+
+    A segment is a range of x values, so no tie group of x straddles its
+    ends: each x midrank drops by k_lo = #(x <= lo).  The y order
+    restricted to the segment sorts the segment's v, whose ties are those
+    of y, and gives its midranks."""
+    (ox, oy), (rx, _) = ps.orders, ps.ranks
+    inside = np.zeros(ps.n, dtype=bool)
+    inside[ox[k_lo:k_hi]] = True
+    idx = np.flatnonzero(inside)
+    local = np.empty(ps.n, dtype=np.intp)  # global index -> segment position
+    local[idx] = np.arange(idx.size)
+    oy_in = oy[inside[oy]]
+    u_order, v_order = local[ox[k_lo:k_hi]], local[oy_in]
+    u_ranks = rx[idx] - k_lo
+    v_ranks = _ranks_in_order(ps.v[oy_in], v_order)
+    return PseudoSample(u=u_ranks / (idx.size + 1), v=ps.v[idx],
+                        ranks=(u_ranks, v_ranks), orders=(u_order, v_order))
+
+
 @dataclass(frozen=True)
 class PiecewiseFit:
     model: PiecewiseRegressionModel
@@ -358,10 +420,12 @@ def fit_piecewise(s: Sample, candidates=None,
     ranks (the empirical conditional marginal), fit each segment, and
     assemble a piecewise regression model with empirical marginals.  A
     family outside ``DEFAULT_FIT_FAMILIES`` is a ``ParameterError``, raised
-    before the data is ranked."""
+    before the data is ranked.  Each column is sorted once: detection, the
+    within-segment ranks and every goodness-of-fit count come from those
+    two orders."""
     _check_families(families)
     _warn_if_small(s.n, "piecewise fitting")
-    ps = pseudo_observations(s)  # ranked once: detection and global y ranks
+    ps = pseudo_observations(s)
     if candidates is None:
         candidates = crossing_breakpoints(s.x, crossing_report(ps))
     bps = sorted(float(b) for b in candidates)
@@ -375,15 +439,13 @@ def fit_piecewise(s: Sample, candidates=None,
         if b0 == b1:
             raise DataError(f"break-point {b1:g} is given twice")
 
-    v_global = ps.v
     edges = [-np.inf] + bps + [np.inf]
+    # the segment (lo, hi] is places k_lo = #(x <= lo) to k_hi - 1 of the x order
+    k = [0, *np.searchsorted(s.x[ps.orders[0]], bps, side="right"), s.n]
     fits: list[FitResult] = []
-    for lo, hi in zip(edges, edges[1:]):
-        mask = (s.x > lo) & (s.x <= hi)
-        ranks = _midranks(s.x[mask])
+    for lo, hi, k_lo, k_hi in zip(edges, edges[1:], k, k[1:]):
         interval = (max(lo, x_lo), min(hi, x_hi))
-        fits.append(_fit_ranked(ranks / (ranks.size + 1), ranks, v_global[mask],
-                                families, interval))
+        fits.append(_fit_ranked(_segment(ps, k_lo, k_hi), families, interval))
 
     model = PiecewiseRegressionModel(
         break_points=tuple(bps),

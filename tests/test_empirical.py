@@ -29,10 +29,12 @@ from gluecop import (
     spearman_rho,
     tent,
 )
-from gluecop import empirical
+from gluecop import EmpiricalMarginal, PiecewiseRegressionModel, empirical
 from gluecop.copulas import make_copula
-from gluecop.empirical import (_FIT_RANGES, GOF_GRID_N, PseudoSample, _invert_rho,
-                               _midranks, _rho_of, sample_spearman)
+from gluecop.empirical import (_FIT_RANGES, GOF_GRID_N, MIN_SEGMENT_POINTS,
+                               PseudoSample, _invert_rho, _midranks, _rho_of,
+                               crossing_report, rank_correlation, sample_spearman)
+from gluecop.model_io import dumps_canonical, model_to_dict
 
 
 class TestPseudoObservations:
@@ -145,6 +147,31 @@ class TestEmpiricalCopula:
         t = np.linspace(0, 1, 64)
         ec.du(*np.meshgrid(t, t, indexing="ij"))
         assert all(nu * nv <= block ** 2 for nu, nv in sizes)
+
+    @pytest.mark.parametrize("ranked", [True, False],
+                             ids=["ranking's orders", "sorted here"])
+    def test_counts_on_ties_and_data_values(self, ranked):
+        # binning from the sorted columns goes wrong first where values tie
+        # and where an axis value equals a data value: brute force there
+        rng = np.random.default_rng(11)
+        x = rng.integers(0, 6, 300).astype(float)
+        y = np.round(x + rng.normal(size=300))
+        ps = pseudo_observations(Sample(x=x, y=y))
+        if not ranked:
+            ps = PseudoSample(u=ps.u, v=ps.v)
+        ec = EmpiricalCopula(ps)
+        us = np.unique(np.r_[0.0, ps.u, 1.0, rng.uniform(size=5)])
+        vs = np.unique(np.r_[0.0, ps.v, 1.0, rng.uniform(size=5)])
+        brute = np.mean((ps.u[:, None, None] <= us[None, :, None])
+                        & (ps.v[:, None, None] <= vs[None, None, :]), axis=0)
+        np.testing.assert_array_equal(ec.cdf_grid(us, vs), brute)
+        np.testing.assert_array_equal(
+            ec.cdf(*np.meshgrid(us, vs, indexing="ij")), brute)
+        # unsorted, repeated query points, all on data values
+        i, j = rng.integers(0, 300, (2, 2000))
+        np.testing.assert_array_equal(
+            ec.cdf(ps.u[i], ps.v[j]),
+            [np.mean((ps.u <= a) & (ps.v <= b)) for a, b in zip(ps.u[i], ps.v[j])])
 
     def test_diagonal_matches_cdf(self):
         ps = simulate_copula(FrankCopula(3.0), 200, seed=5)
@@ -395,16 +422,25 @@ class TestFitPiecewise:
 
     def test_ranks_once_and_matches_explicit_candidates(self, monkeypatch):
         s = simulate_example4(3000, 0.1, seed=14)
-        calls = []
-        rank = empirical.pseudo_observations
+        ranked, sorted_sizes = [], []
+        rank, argsort = empirical._sort_ranks, np.argsort
 
-        def counting(sample):
-            calls.append(sample)
-            return rank(sample)
+        def counting_rank(a):
+            ranked.append(a)
+            return rank(a)
 
-        monkeypatch.setattr(empirical, "pseudo_observations", counting)
+        def counting_argsort(a, *args, **kwargs):
+            sorted_sizes.append(np.size(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(empirical, "_sort_ranks", counting_rank)
+        monkeypatch.setattr(np, "argsort", counting_argsort)
         auto = fit_piecewise(s)
-        assert len(calls) == 1
+        # one full-column sort per column: detection, the segment ranks and
+        # every goodness-of-fit count come from those two orders
+        assert len(ranked) == 2
+        assert ranked[0] is s.x and ranked[1] is s.y
+        assert sorted_sizes == [s.n, s.n]
         assert len(auto.break_points) == 1
         explicit = fit_piecewise(
             s, candidates=crossing_breakpoints(s.x, empirical_crossing_report(s)))
@@ -425,6 +461,115 @@ class TestFitPiecewise:
         s = Sample(x=ps.u, y=ps.v)
         with pytest.raises(DataError):
             fit_piecewise(s, candidates=[0.01])
+
+
+def _fit_per_segment(s, candidates):
+    """The reference fit: each segment's x ranked on its own by
+    ``_midranks``, then ``fit_segment``."""
+    ps = pseudo_observations(s)
+    if candidates is None:
+        candidates = crossing_breakpoints(s.x, crossing_report(ps))
+    bps = sorted(candidates)
+    x_lo, x_hi = float(s.x.min()), float(s.x.max())
+    edges = [-np.inf] + bps + [np.inf]
+    fits = []
+    for lo, hi in zip(edges, edges[1:]):
+        mask = (s.x > lo) & (s.x <= hi)
+        ranks = _midranks(s.x[mask])
+        fits.append(fit_segment(ranks / (ranks.size + 1), ps.v[mask],
+                                interval=(max(lo, x_lo), min(hi, x_hi))))
+    model = PiecewiseRegressionModel(tuple(bps), tuple(f.copula for f in fits),
+                                     EmpiricalMarginal(s.x), EmpiricalMarginal(s.y))
+    return fits, model
+
+
+def _tie_case(name):
+    tent_draw = simulate_example1(3000, 0.4, seed=5)
+    x, y = tent_draw.x, tent_draw.y
+    clayton = simulate_copula(ClaytonCopula(2.0), 300, seed=24)
+    if name == "y on 3 levels":
+        return Sample(x=x, y=np.round(y * 2) / 2), [0.4]
+    if name == "y on 5 levels":
+        return Sample(x=x, y=np.round(y * 4) / 4), [0.4]
+    if name == "y on 5 levels, detected":
+        return Sample(x=x, y=np.round(y * 4) / 4), None
+    if name == "x ties at a break-point":
+        return Sample(x=np.round(x, 2), y=y), [0.4]
+    if name == "signed zeros":
+        rng = np.random.default_rng(6)
+        xz = np.round(rng.uniform(-1.0, 1.0, 400), 1)
+        yz = np.round(xz * xz - 0.25 + rng.normal(0.0, 0.1, 400), 1)
+        for col in (xz, yz):  # each zero gets a random sign
+            zero = col == 0.0
+            col[zero] = np.where(rng.uniform(size=zero.sum()) < 0.5, -0.0, 0.0)
+        return Sample(x=xz, y=yz), [0.0]
+    if name in ("MIN_SEGMENT_POINTS points", "one point short"):
+        k = MIN_SEGMENT_POINTS - (name == "one point short")
+        return Sample(x=clayton.u, y=clayton.v), [float(np.sort(clayton.u)[k - 1])]
+    if name == "explicit candidates":
+        return Sample(x=clayton.u, y=clayton.v), [0.7, 0.3]
+    if name == "constant-x segment":
+        return Sample(x=np.floor(x * 3) + 1, y=y), None
+    raise KeyError(name)
+
+
+class TestFitFromGlobalOrders:
+    """``fit_piecewise`` ranks each segment from the two global sort orders;
+    on ties it must give what ranking each segment on its own gave."""
+
+    @pytest.mark.parametrize("name", [
+        "y on 3 levels", "y on 5 levels", "y on 5 levels, detected",
+        "x ties at a break-point", "signed zeros", "MIN_SEGMENT_POINTS points",
+        "one point short", "explicit candidates", "constant-x segment"])
+    def test_matches_per_segment_ranking(self, name):
+        s, candidates = _tie_case(name)
+        try:
+            ref, ref_model = _fit_per_segment(s, candidates)
+        except DataError as exc:
+            with pytest.raises(DataError) as new_exc:
+                fit_piecewise(s, candidates)
+            assert str(new_exc.value) == str(exc)
+            return
+        fit = fit_piecewise(s, candidates)
+        assert ([(f.family, f.theta, f.rho_hat, f.gof_distance, f.interval)
+                 for f in fit.segments]
+                == [(f.family, f.theta, f.rho_hat, f.gof_distance, f.interval)
+                    for f in ref])
+        assert (dumps_canonical(model_to_dict(fit.model))
+                == dumps_canonical(model_to_dict(ref_model)))
+
+    @pytest.mark.parametrize("name, message", [
+        ("constant-x segment", "segment (2, 3] has a constant x or y column; "
+                               "its Spearman rho is undefined"),
+        ("one point short", f"segment has {MIN_SEGMENT_POINTS - 1} points; "
+                            f"need >= {MIN_SEGMENT_POINTS}")])
+    def test_segment_errors_keep_their_text(self, name, message):
+        s, candidates = _tie_case(name)
+        with pytest.raises(DataError) as exc:
+            fit_piecewise(s, candidates)
+        assert str(exc.value) == message
+
+    def test_cases_reach_the_tie_paths(self):
+        # each case holds the ties it is named for, and all but the error
+        # cases fit
+        for name in ("y on 3 levels", "y on 5 levels", "y on 5 levels, detected"):
+            s, _ = _tie_case(name)
+            assert np.unique(s.y).size == (3 if "3" in name else 5)
+        s, bps = _tie_case("x ties at a break-point")
+        assert np.sum(s.x == bps[0]) > 1
+        s, _ = _tie_case("signed zeros")
+        for col in (s.x, s.y):
+            zeros = col[col == 0.0]
+            assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        s, bps = _tie_case("MIN_SEGMENT_POINTS points")
+        assert fit_piecewise(s, bps).segments[0].interval[1] == bps[0]
+        assert np.sum(s.x <= bps[0]) == MIN_SEGMENT_POINTS
+
+    def test_analyze_rho_is_sample_spearman(self):
+        # the ranking's own midranks give the rho of its pseudo-observations
+        for name in ("y on 3 levels", "signed zeros", "constant-x segment"):
+            ps = pseudo_observations(_tie_case(name)[0])
+            assert rank_correlation(*ps.ranks) == sample_spearman(ps.u, ps.v)
 
 
 class TestSimulateCopula:

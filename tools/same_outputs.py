@@ -37,6 +37,13 @@ mark, ragged rows, non-finite and over-long cells, stray bytes), so that a
 change to the CSV reader, either its numpy parse or its row reader, is checked
 file by file against the base tree.
 
+Tied and discrete data run last, where fitting ranks each segment from the
+two global sort orders: the tent (theta 0.4, n 3000) with y on 5 levels, with
+x on 3 levels (a segment of constant x, so ``fit`` exits 2) and with x on 100
+levels.  Each runs ``gluecop analyze``, ``gluecop fit`` and ``gluecop fit
+--breakpoints`` at a tie group of x, and the model files both fits write (or
+their absence) are compared too.
+
 Every difference is listed; the exit code is 1 on any difference, else 0.
 Both trees run at once, so two CPUs halve the wall time.
 """
@@ -106,6 +113,13 @@ CSV_EDGE_FILES = {
     "cell over field limit": b"x,y\n0.1,0.2\n0.3,0." + b"1" * 140_000 + b"\n",
     "non-utf8 byte": b"x,y\n0.1,0.2\n0.3,0.\xff4\n",
     "non-utf8 header": b"x\xff,y\n1,2\n3,4\n",
+}
+
+# tied inputs and a ``fit --breakpoints`` value at a tie group of each x
+TIE_BREAKPOINTS = {
+    "tent y on 5 levels": "0.4",
+    "tent x on 3 levels": "2",
+    "tent x on 100 levels": "0.4",
 }
 
 FIXED_RUNS = {
@@ -188,6 +202,38 @@ def _fixed_curves() -> dict[str, bytes]:
     return {item: np.asarray(mu).tobytes() for item, mu in curves.items()}
 
 
+def _tie_cases() -> dict[str, bytes]:
+    import numpy as np
+
+    from bench.workloads import csv_text
+    from gluecop import Sample, simulate_example1
+
+    tent = simulate_example1(3000, 0.4, seed=5)
+    samples = {
+        "tent y on 5 levels": Sample(x=tent.x, y=np.round(tent.y * 4) / 4),
+        "tent x on 3 levels": Sample(x=np.floor(tent.x * 3) + 1, y=tent.y),
+        "tent x on 100 levels": Sample(x=np.round(tent.x, 2), y=tent.y),
+    }
+    rec = {}
+    for name, sample in samples.items():
+        Path("tie.csv").write_text(csv_text(sample))
+        runs = {
+            "analyze": ["analyze", "tie.csv"],
+            "fit": ["fit", "tie.csv", "--out-model", "tie_model.json"],
+            "fit --breakpoints": ["fit", "tie.csv", "--breakpoints",
+                                  TIE_BREAKPOINTS[name], "--out-model",
+                                  "tie_bp_model.json"],
+        }
+        for model in ("tie_model.json", "tie_bp_model.json"):
+            Path(model).unlink(missing_ok=True)
+        for run, argv in runs.items():
+            rec[f"gluecop {run} {name}"] = _cli(argv)
+        for model in ("tie_model.json", "tie_bp_model.json"):
+            path = Path(model)
+            rec[f"{model} {name}"] = path.read_bytes() if path.exists() else b"not written"
+    return rec
+
+
 def collect() -> None:
     """Child side: run every case with the ``gluecop`` on sys.path and
     pickle ``{(workload, seed, item): bytes}`` to stdout."""
@@ -211,6 +257,8 @@ def collect() -> None:
             for command in ("analyze", "measures"):
                 records[("csv edge files", 0, f"gluecop {command} {name}")] = (
                     _cli([command, "edge.csv"]))
+        for item, value in _tie_cases().items():
+            records[("tie cases", 0, item)] = value
     sys.stdout.buffer.write(pickle.dumps(records))
 
 
