@@ -91,12 +91,11 @@ class Copula:
     def cdf_grid(self, us, vs):
         """C evaluated on the tensor grid us × vs, shape (len(us), len(vs)).
 
-        The axes are validated once, and ``_cdf`` sees broadcast views of
-        them rather than two materialised len(us) × len(vs) copies."""
+        The axes are validated once; ``_cdf_grid`` does the evaluation."""
         us = np.asarray(us, dtype=float).ravel()
         vs = np.asarray(vs, dtype=float).ravel()
         _validate_unit(us, vs)
-        return self._cdf(*np.broadcast_arrays(us[:, None], vs[None, :]))
+        return self._cdf_grid(us, vs)
 
     @property
     def pieces(self) -> tuple:
@@ -117,6 +116,12 @@ class Copula:
 
     def _du(self, u, v):
         return _finite_difference_du(self._cdf, u, v)
+
+    def _cdf_grid(self, us, vs):
+        """``cdf_grid`` on 1-d float axes in [0, 1], unchecked: for grids the
+        library builds itself.  ``_cdf`` sees broadcast views of the axes
+        rather than two materialised len(us) × len(vs) copies."""
+        return self._cdf(*np.broadcast_arrays(us[:, None], vs[None, :]))
 
     def __repr__(self):
         theta = f" theta={self.theta!r}" if hasattr(self, "theta") else ""
@@ -392,7 +397,7 @@ def check_copula_axioms(c: Copula, n: int = 101) -> AxiomReport:
     if n < 2:
         raise DomainError("grid size must be >= 2")
     t = np.linspace(0.0, 1.0, n)
-    M = c.cdf_grid(t, t)
+    M = c._cdf_grid(t, t)
 
     grounded = max(float(np.max(np.abs(M[0, :]))), float(np.max(np.abs(M[:, 0]))))
     margins = max(float(np.max(np.abs(M[-1, :] - t))), float(np.max(np.abs(M[:, -1] - t))))

@@ -8,6 +8,8 @@ smooth copulas, composite midpoint for copulas with kinks or singular parts
 makes the integrand non-smooth anyway).  The nodes and weights of each rule
 are built once per rule and size and shared, read-only, by every call, so a
 rho inversion that evaluates the same rule many times pays for it once.
+The nodes are checked to lie in [0, 1] once, when their rule is built, and
+no evaluation on them checks them again.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .copulas import Copula
+from .copulas import Copula, _validate_unit
 from .errors import DomainError
 
 GAUSS_NODES_DEFAULT = 64      # per axis, smooth integrands
@@ -64,12 +66,14 @@ def _band_class(values: np.ndarray, tol: float, classes):
 def _rule(smooth: bool, n: int):
     """Read-only (nodes, weights) on [0, 1]: n-point Gauss–Legendre when
     ``smooth``, else the n-point composite midpoint rule.  Built once per
-    rule and size; every caller shares the same arrays."""
+    rule and size, with the nodes checked then; every caller shares the
+    same arrays."""
     if smooth:
         x, w = np.polynomial.legendre.leggauss(n)
         t, w = 0.5 * (x + 1.0), 0.5 * w
     else:
         t, w = (np.arange(n) + 0.5) / n, np.full(n, 1.0 / n)
+    _validate_unit(t)
     t.flags.writeable = False
     w.flags.writeable = False
     return t, w
@@ -86,14 +90,14 @@ def _quadrature_nodes(c: Copula, quad_n: int | None):
 def spearman_rho(c: Copula, quad_n: int | None = None) -> float:
     """Spearman's concordance measure 12 ∬ C du dv − 3, clamped to [-1, 1]."""
     t, w = _quadrature_nodes(c, quad_n)
-    integral = float(w @ c.cdf_grid(t, t) @ w)
+    integral = float(w @ c._cdf_grid(t, t) @ w)
     return float(np.clip(12.0 * integral - 3.0, -1.0, 1.0))
 
 
 def schweizer_wolff_sigma(c: Copula, quad_n: int | None = None) -> float:
     """Schweizer–Wolff dependence measure 12 ∬ |C − uv| du dv, in [0, 1]."""
     t, w = _quadrature_nodes(c, quad_n)
-    diff = np.abs(c.cdf_grid(t, t) - np.outer(t, t))
+    diff = np.abs(c._cdf_grid(t, t) - np.outer(t, t))
     return float(np.clip(12.0 * float(w @ diff @ w), 0.0, 1.0))
 
 
@@ -103,7 +107,7 @@ def classify_quadrant(c: Copula, grid_n: int = 64, tol: float | None = None) -> 
         raise DomainError("grid_n must be >= 8")
     tol = _tolerance(c, tol)
     t = np.arange(1, grid_n + 1) / (grid_n + 1)
-    return _band_class(c.cdf_grid(t, t) - np.outer(t, t), tol, QuadrantClass)
+    return _band_class(c._cdf_grid(t, t) - np.outer(t, t), tol, QuadrantClass)
 
 
 def classify_regression_dependence(c: Copula, grid_n: int = 64,

@@ -8,7 +8,8 @@ Brent-Dekker root finder bracketed by the family's search range, and the
 winning family minimizes an L2 grid distance between the empirical and the
 fitted copula.  The Fréchet bounds and the product copula enter as
 parameterless candidates so that exactly monotone or independent segments
-resolve cleanly.
+resolve cleanly; a bound enters only where the sample rho does not have the
+other sign.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .changepoint import GRID_N_DEFAULT, CrossingReport, diagonal_crossings
-from .copulas import (Copula, _finite_difference_du, _validate_unit,
-                      conditional_quantile, make_copula)
+from .copulas import (Copula, _finite_difference_du, conditional_quantile,
+                      make_copula)
 from .dependence import DependenceReport, dependence_report, spearman_rho
 from .errors import DataError, ParameterError
 from .marginals import EmpiricalMarginal
@@ -44,6 +45,10 @@ _FIT_RANGES = {
     "frank": {"+": (1e-6, 30.0), "-": (-30.0, -1e-6)},
     "plackett": {"+": (1.0 + 1e-6, 1e4), "-": (1e-4, 1.0 - 1e-6)},
 }
+
+#: the rho of each Fréchet bound: a bound is a candidate only for a segment
+#: whose sample rho does not have the other sign
+_BOUND_RHO = {"frechet-upper": 1.0, "frechet-lower": -1.0}
 
 DEFAULT_FIT_FAMILIES = ("product", "frechet-upper", "frechet-lower",
                         "clayton", "frank", "gumbel", "fgm", "plackett")
@@ -171,10 +176,7 @@ class EmpiricalCopula(Copula):
             out[sl] = grid[iu, iv]
         return out.reshape(shape)
 
-    def cdf_grid(self, us, vs):
-        us = np.asarray(us, dtype=float).ravel()
-        vs = np.asarray(vs, dtype=float).ravel()
-        _validate_unit(us, vs)
+    def _cdf_grid(self, us, vs):
         grid, iu, iv = self._on_distinct(us, vs)
         return grid[np.ix_(iu, iv)]
 
@@ -367,16 +369,18 @@ def _fit_ranked(ps: PseudoSample, families, interval) -> FitResult:
     # goodness of fit: mean squared difference between the empirical and
     # the fitted copula on one grid, built once for every candidate
     t = np.arange(1, GOF_GRID_N + 1) / (GOF_GRID_N + 1)
-    emp = EmpiricalCopula(ps).cdf_grid(t, t)
+    emp = EmpiricalCopula(ps)._cdf_grid(t, t)
     best: FitResult | None = None
     for family in families:
+        if _BOUND_RHO.get(family, 0.0) * rho_hat < 0:
+            continue
         theta = None
         if family in _FIT_RANGES:
             theta = _invert_rho(family, rho_hat)
             if theta is None:
                 continue
         c = make_copula(family, theta)
-        gof = float(np.mean((emp - c.cdf_grid(t, t)) ** 2))
+        gof = float(np.mean((emp - c._cdf_grid(t, t)) ** 2))
         if best is None or gof < best.gof_distance:
             best = FitResult(family=family, theta=theta, rho_hat=rho_hat,
                              gof_distance=gof, interval=interval, copula=c)
@@ -421,8 +425,8 @@ def fit_piecewise(s: Sample, candidates=None,
     assemble a piecewise regression model with empirical marginals.  A
     family outside ``DEFAULT_FIT_FAMILIES`` is a ``ParameterError``, raised
     before the data is ranked.  Each column is sorted once: detection, the
-    within-segment ranks and every goodness-of-fit count come from those
-    two orders."""
+    within-segment ranks, every goodness-of-fit count and the empirical
+    marginals' knots come from those two orders."""
     _check_families(families)
     _warn_if_small(s.n, "piecewise fitting")
     ps = pseudo_observations(s)
@@ -439,9 +443,12 @@ def fit_piecewise(s: Sample, candidates=None,
         if b0 == b1:
             raise DataError(f"break-point {b1:g} is given twice")
 
+    ox, oy = ps.orders
+    mx = EmpiricalMarginal._sorted_by(s.x, ox)
+    my = EmpiricalMarginal._sorted_by(s.y, oy)
     edges = [-np.inf] + bps + [np.inf]
     # the segment (lo, hi] is places k_lo = #(x <= lo) to k_hi - 1 of the x order
-    k = [0, *np.searchsorted(s.x[ps.orders[0]], bps, side="right"), s.n]
+    k = [0, *np.searchsorted(mx.knots_x, bps, side="right"), s.n]
     fits: list[FitResult] = []
     for lo, hi, k_lo, k_hi in zip(edges, edges[1:], k, k[1:]):
         interval = (max(lo, x_lo), min(hi, x_hi))
@@ -450,8 +457,8 @@ def fit_piecewise(s: Sample, candidates=None,
     model = PiecewiseRegressionModel(
         break_points=tuple(bps),
         segment_copulas=tuple(f.copula for f in fits),
-        marginal_x=EmpiricalMarginal(s.x),
-        marginal_y=EmpiricalMarginal(s.y),
+        marginal_x=mx,
+        marginal_y=my,
     )
     return PiecewiseFit(model=model, segments=fits, break_points=bps)
 

@@ -69,6 +69,15 @@ class UniformMarginal(Marginal):
         return f"UniformMarginal({self.a}, {self.b})"
 
 
+def _finite_values(values) -> np.ndarray:
+    """``values`` as a flat float array of >= 2 finite values, else a
+    ``DataError``."""
+    v = np.asarray(values, dtype=float).ravel()
+    if v.size < 2 or not np.all(np.isfinite(v)):
+        raise DataError("empirical marginal needs >= 2 finite values")
+    return v
+
+
 class EmpiricalMarginal(Marginal):
     """Piecewise-linear CDF/quantile interpolating the order statistics.
 
@@ -78,13 +87,31 @@ class EmpiricalMarginal(Marginal):
     """
 
     def __init__(self, values):
-        v = np.asarray(values, dtype=float).ravel()
-        if v.size < 2 or not np.all(np.isfinite(v)):
-            raise DataError("empirical marginal needs >= 2 finite values")
-        self.knots_x = np.sort(v)
-        n = v.size
+        self._set_knots(np.sort(_finite_values(values)))
+
+    @classmethod
+    def _sorted_by(cls, values, order):
+        """``EmpiricalMarginal(values)`` from ``order``, a permutation that
+        sorts ``values`` (such as their argsort), without a second sort.
+        Only -0.0 and 0.0 compare equal with different bits, and a sort and
+        an argsort can place them differently inside their tie group, so
+        values that hold both are sorted as ``__init__`` sorts them."""
+        v = _finite_values(values)
+        knots = v[order]
+        zeros = knots[np.searchsorted(knots, 0.0, "left"):
+                      np.searchsorted(knots, 0.0, "right")]
+        negative = np.signbit(zeros)
+        if negative.any() and not negative.all():
+            knots = np.sort(v)
+        m = cls.__new__(cls)
+        m._set_knots(knots)
+        return m
+
+    def _set_knots(self, knots_x):
+        self.knots_x = knots_x
+        n = knots_x.size
         self.knots_p = np.arange(1, n + 1) / (n + 1)
-        self.support = (float(self.knots_x[0]), float(self.knots_x[-1]))
+        self.support = (float(knots_x[0]), float(knots_x[-1]))
 
     def _cdf(self, x):
         return np.interp(x, self.knots_x, self.knots_p,

@@ -4,6 +4,8 @@ import pytest
 from gluecop import (
     ClaytonCopula,
     DomainError,
+    EmpiricalCopula,
+    Example4Model,
     FGMCopula,
     FrankCopula,
     FrechetLowerCopula,
@@ -13,14 +15,23 @@ from gluecop import (
     PlackettCopula,
     QuadrantClass,
     RegressionClass,
+    check_copula_axioms,
     classify_quadrant,
     classify_regression_dependence,
     dependence_report,
+    fit_segment,
+    glue,
     make_copula,
+    pseudo_observations,
     schweizer_wolff_sigma,
+    simulate_copula,
+    simulate_example1,
     spearman_rho,
 )
+from gluecop import copulas, dependence
+from gluecop.copulas import FAMILY_CONSTRUCTORS, PARAMETRIC_FAMILIES
 from gluecop.dependence import _quadrature_nodes, _rule
+from gluecop.empirical import _FIT_RANGES, _invert_rho
 
 PI = IndependenceCopula()
 M = FrechetUpperCopula()
@@ -164,6 +175,78 @@ class TestQuadratureCache:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.5
+
+
+#: one interior theta per parametric family, next to the fitting range ends
+INTERIOR_THETA = {"clayton": 2.0, "frank": -6.0, "gumbel": 2.5, "fgm": -0.4,
+                  "plackett": 4.0, "example1": 0.4}
+
+
+def _quadrature_copulas():
+    """Every family at both ends of each fitting range and one interior
+    theta, a glued copula, the parabola's copula and an empirical copula."""
+    out = []
+    for family in FAMILY_CONSTRUCTORS:
+        if family not in PARAMETRIC_FAMILIES:
+            out.append(make_copula(family))
+            continue
+        ends = [th for bracket in _FIT_RANGES.get(family, {}).values()
+                for th in bracket]
+        out += [make_copula(family, th) for th in ends + [INTERIOR_THETA[family]]]
+    out.append(glue([ClaytonCopula(3.0), FrankCopula(-8.0), GumbelCopula(3.0)],
+                    [0.3, 0.65]))
+    out.append(Example4Model().copula())
+    out.append(EmpiricalCopula(pseudo_observations(simulate_example1(500, 0.4, seed=3))))
+    return out
+
+
+class TestQuadratureGrid:
+    @pytest.mark.parametrize("c", _quadrature_copulas(), ids=repr)
+    def test_equals_checked_cdf_grid_bit_for_bit(self, c):
+        # the unchecked grid must hand _cdf the same arrays as cdf_grid: a
+        # last-bit change in rho moves the fitted theta through the root finder
+        t, w = _quadrature_nodes(c, None)
+        rho = float(np.clip(12.0 * float(w @ c.cdf_grid(t, t) @ w) - 3.0, -1.0, 1.0))
+        diff = np.abs(c.cdf_grid(t, t) - np.outer(t, t))
+        sigma = float(np.clip(12.0 * float(w @ diff @ w), 0.0, 1.0))
+        assert spearman_rho(c) == rho
+        assert schweizer_wolff_sigma(c) == sigma
+
+
+class TestGridsCheckedOnce:
+    @pytest.fixture()
+    def unit_checks(self, monkeypatch):
+        """The arguments of every ``_validate_unit`` call, in the modules
+        that call it."""
+        calls = []
+        check = copulas._validate_unit
+
+        def counting(*arrays):
+            calls.append(arrays)
+            check(*arrays)
+
+        for module in (copulas, dependence):
+            monkeypatch.setattr(module, "_validate_unit", counting)
+        return calls
+
+    def test_rule_nodes_checked_when_built(self, unit_checks):
+        _rule.cache_clear()
+        for theta in (2.0, 3.0):
+            spearman_rho(ClaytonCopula(theta))
+            schweizer_wolff_sigma(ClaytonCopula(theta))
+        assert len(unit_checks) == 1
+        assert unit_checks[0][0] is _quadrature_nodes(ClaytonCopula(2.0), None)[0]
+
+    def test_library_grids_are_not_checked(self, unit_checks):
+        ps = simulate_copula(FrankCopula(-4.0), 300, seed=32)
+        _invert_rho("gumbel", 0.5)  # builds the rule before counting
+        unit_checks.clear()
+        assert _invert_rho("gumbel", 0.5) is not None
+        fit_segment(ps.u, ps.v)
+        schweizer_wolff_sigma(FrankCopula(-3.0))
+        classify_quadrant(ClaytonCopula(2.0))
+        check_copula_axioms(PlackettCopula(5.0), 33)
+        assert unit_checks == []
 
 
 class TestReport:

@@ -371,6 +371,15 @@ class TestFitSegment:
         with pytest.raises(DataError):
             fit_segment(np.linspace(0.1, 0.9, 10), np.linspace(0.1, 0.9, 10))
 
+    def test_frechet_bound_of_the_other_sign_is_no_candidate(self):
+        pos = simulate_copula(ClaytonCopula(3.0), 500, seed=30)
+        neg = simulate_copula(FrankCopula(-5.0), 500, seed=31)
+        for ps, other, own in ((pos, "frechet-lower", "frechet-upper"),
+                               (neg, "frechet-upper", "frechet-lower")):
+            with pytest.raises(DataError, match="no candidate family attains"):
+                fit_segment(ps.u, ps.v, families=(other,))
+            assert fit_segment(ps.u, ps.v, families=(other, own)).family == own
+
     def test_unknown_family(self):
         # checked once at entry, before any ranking: a ParameterError that
         # names every unknown family, for the segment and the piecewise fit
@@ -433,14 +442,23 @@ class TestFitPiecewise:
             sorted_sizes.append(np.size(a))
             return argsort(a, *args, **kwargs)
 
+        sort, sorted_values = np.sort, []
+
+        def counting_sort(a, *args, **kwargs):
+            sorted_values.append(np.size(a))
+            return sort(a, *args, **kwargs)
+
         monkeypatch.setattr(empirical, "_sort_ranks", counting_rank)
         monkeypatch.setattr(np, "argsort", counting_argsort)
+        monkeypatch.setattr(np, "sort", counting_sort)
         auto = fit_piecewise(s)
-        # one full-column sort per column: detection, the segment ranks and
-        # every goodness-of-fit count come from those two orders
+        # one full-column sort per column: detection, the segment ranks,
+        # every goodness-of-fit count and the marginals' knots come from
+        # those two orders; the one other sort is the diagonal's max(u, v)
         assert len(ranked) == 2
         assert ranked[0] is s.x and ranked[1] is s.y
         assert sorted_sizes == [s.n, s.n]
+        assert sorted_values.count(s.n) == 1
         assert len(auto.break_points) == 1
         explicit = fit_piecewise(
             s, candidates=crossing_breakpoints(s.x, empirical_crossing_report(s)))
@@ -455,6 +473,17 @@ class TestFitPiecewise:
         assert fit.break_points == [0.5]
         assert len(fit.segments) == 2
         assert fit.segments[0].interval[1] <= 0.5 + 1e-12
+
+    def test_frechet_bound_only_with_the_sign_of_the_data(self):
+        # the forced break at 0.7 is no gluing point, so v is not uniform on
+        # (0.7, 1]; the L2 distance there preferred W at rho_hat = +0.22
+        ps = simulate_copula(ClaytonCopula(2.0), 300, seed=24)
+        fit = fit_piecewise(Sample(x=ps.u, y=ps.v), candidates=[0.3, 0.7])
+        last = fit.segments[-1]
+        assert last.rho_hat > 0.2
+        assert last.family == "product"
+        for f in fit.segments:
+            assert spearman_rho(f.copula) * f.rho_hat >= 0
 
     def test_segment_too_small_raises(self):
         ps = simulate_copula(ClaytonCopula(2.0), 100, seed=25)
@@ -537,6 +566,9 @@ class TestFitFromGlobalOrders:
                     for f in ref])
         assert (dumps_canonical(model_to_dict(fit.model))
                 == dumps_canonical(model_to_dict(ref_model)))
+        for m, ref_m in ((fit.model.marginal_x, ref_model.marginal_x),
+                         (fit.model.marginal_y, ref_model.marginal_y)):
+            assert m.knots_x.tobytes() == ref_m.knots_x.tobytes()
 
     @pytest.mark.parametrize("name, message", [
         ("constant-x segment", "segment (2, 3] has a constant x or y column; "

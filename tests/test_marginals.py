@@ -42,3 +42,46 @@ class TestEmpirical:
     def test_needs_two_points(self):
         with pytest.raises(DataError):
             EmpiricalMarginal([1.0])
+
+
+def _column(kind: str) -> np.ndarray:
+    rng = np.random.default_rng(4)
+    if kind == "continuous":
+        return rng.normal(size=1000)
+    v = np.round(rng.normal(size=1000), 1) + 0.0  # ties, zeros all +0.0
+    zero = v == 0.0
+    if kind == "signed zeros":
+        v[zero] = np.where(rng.uniform(size=zero.sum()) < 0.5, -0.0, 0.0)
+    elif kind == "negative zeros":
+        v[zero] = -0.0
+    return v
+
+
+class TestSortedBy:
+    """``EmpiricalMarginal._sorted_by`` takes the knots from a sorting
+    permutation; they must be those of ``EmpiricalMarginal``, bit for bit."""
+
+    @pytest.mark.parametrize("kind, sorts", [("continuous", 0), ("ties", 0),
+                                             ("negative zeros", 0),
+                                             ("signed zeros", 1)])
+    def test_knots_equal_the_sorting_constructor(self, kind, sorts, monkeypatch):
+        v = _column(kind)
+        ref = EmpiricalMarginal(v)
+        sort, sorted_sizes = np.sort, []
+
+        def counting(a, *args, **kwargs):
+            sorted_sizes.append(np.size(a))
+            return sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting)
+        m = EmpiricalMarginal._sorted_by(v, np.argsort(v))
+        # only values holding both -0.0 and 0.0 are sorted again
+        assert sorted_sizes == [v.size] * sorts
+        assert m.knots_x.tobytes() == ref.knots_x.tobytes()
+        assert m.knots_p.tobytes() == ref.knots_p.tobytes()
+        assert repr(m.support) == repr(ref.support)
+
+    @pytest.mark.parametrize("values", [[1.0], [0.5, np.nan], [np.inf, 1.0]])
+    def test_keeps_the_checks(self, values):
+        with pytest.raises(DataError):
+            EmpiricalMarginal._sorted_by(values, np.argsort(values))

@@ -25,6 +25,13 @@ last slab empty (x in [0, 0.25] plus both gluing points).  So is that glued
 copula's conditional quantile at p in {0, 0.25, 0.5, 1} on a u grid that
 holds 0, both gluing points and 1, which no seeded case draws exactly.
 
+Each parametric fitting family is also fitted alone by ``fit_segment`` to a
+fixed Clayton(0.4) sample (positive sample rho) and a fixed Frank(-1.5) sample
+(negative), and the ``repr`` of its theta, rho_hat and goodness of fit (or
+the error text, where the family cannot attain the rho) is compared.  A
+model document holds only the winning family's theta, so this is where a
+last-bit change in another family's rho inversion shows.
+
 After the cases, a fixed set of usage errors (a bad ``--families``,
 ``--theta``, ``--num``, ``--x-min`` or ``--breakpoints``) runs on the last
 case's files, and their stdout, stderr and exit code are compared too.  So
@@ -202,6 +209,30 @@ def _fixed_curves() -> dict[str, bytes]:
     return {item: np.asarray(mu).tobytes() for item, mu in curves.items()}
 
 
+def _family_fits() -> dict[str, bytes]:
+    """``fit_segment`` restricted to each parametric fitting family, on one
+    sample with positive and one with negative sample rho: the ``repr`` of
+    theta, rho_hat and the goodness of fit, or the error text."""
+    from gluecop import ClaytonCopula, DataError, FrankCopula, fit_segment, simulate_copula
+    from gluecop.copulas import PARAMETRIC_FAMILIES
+    from gluecop.empirical import DEFAULT_FIT_FAMILIES
+
+    samples = {"positive rho": simulate_copula(ClaytonCopula(0.4), 2000, seed=8),
+               "negative rho": simulate_copula(FrankCopula(-1.5), 2000, seed=9)}
+    rec = {}
+    for name, ps in samples.items():
+        for family in DEFAULT_FIT_FAMILIES:
+            if family not in PARAMETRIC_FAMILIES:
+                continue
+            try:
+                fit = fit_segment(ps.u, ps.v, families=(family,))
+                text = repr((fit.theta, fit.rho_hat, fit.gof_distance))
+            except DataError as exc:
+                text = f"DataError: {exc}"
+            rec[f"{family} {name}"] = text.encode()
+    return rec
+
+
 def _tie_cases() -> dict[str, bytes]:
     import numpy as np
 
@@ -257,6 +288,8 @@ def collect() -> None:
             for command in ("analyze", "measures"):
                 records[("csv edge files", 0, f"gluecop {command} {name}")] = (
                     _cli([command, "edge.csv"]))
+        for item, value in _family_fits().items():
+            records[("family fits", 0, item)] = value
         for item, value in _tie_cases().items():
             records[("tie cases", 0, item)] = value
     sys.stdout.buffer.write(pickle.dumps(records))
