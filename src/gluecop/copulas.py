@@ -68,6 +68,12 @@ class Copula:
         quadrature rule used by the dependence measures.
     numerical : True when the evaluator itself is built on quadrature or data,
         which loosens default classification tolerances.
+
+    The hooks ``_cdf`` and ``_du`` take any two broadcastable arrays and
+    return their broadcast shape.  Grids the library builds pass a
+    (n, 1) column and a (1, m) row, so a family computes its per-argument
+    terms (powers, logs, exponentials) on each axis before it combines the
+    two.
     """
 
     name = "copula"
@@ -119,9 +125,10 @@ class Copula:
 
     def _cdf_grid(self, us, vs):
         """``cdf_grid`` on 1-d float axes in [0, 1], unchecked: for grids the
-        library builds itself.  ``_cdf`` sees broadcast views of the axes
-        rather than two materialised len(us) × len(vs) copies."""
-        return self._cdf(*np.broadcast_arrays(us[:, None], vs[None, :]))
+        library builds itself.  ``_cdf`` sees the axes as a (len(us), 1)
+        column and a (1, len(vs)) row, so each family's per-argument terms
+        run once per node and only their combination runs on the grid."""
+        return self._cdf(us[:, None], vs[None, :])
 
     def __repr__(self):
         theta = f" theta={self.theta!r}" if hasattr(self, "theta") else ""
@@ -332,7 +339,8 @@ class PlackettCopula(Copula):
             c = (s - d) / (2.0 * eta)
         # at large theta the rounding of s - d can leave the Frechet bounds
         # next to the edges; clipping into them keeps the margins exact
-        return np.clip(c, np.maximum(u + v - 1.0, 0.0), np.minimum(u, v))
+        return np.minimum(np.maximum(c, np.maximum(u + v - 1.0, 0.0)),
+                          np.minimum(u, v))
 
     def _du(self, u, v):
         th = self.theta
@@ -407,9 +415,8 @@ def check_copula_axioms(c: Copula, n: int = 101) -> AxiomReport:
     i, j = np.unravel_index(np.argmin(d2), d2.shape)
     worst_loc = (float(t[i + 1]), float(t[j + 1]))
 
-    U, V = np.meshgrid(t, t, indexing="ij")
-    low = np.maximum(U + V - 1.0, 0.0)
-    high = np.minimum(U, V)
+    low = np.maximum(t[:, None] + t[None, :] - 1.0, 0.0)
+    high = np.minimum(t[:, None], t[None, :])
     frechet = max(0.0, float(np.max(low - M)), float(np.max(M - high)))
 
     return AxiomReport(grid_n=n, grounded=grounded, margins=margins,

@@ -90,15 +90,17 @@ def _quadrature_nodes(c: Copula, quad_n: int | None):
 def spearman_rho(c: Copula, quad_n: int | None = None) -> float:
     """Spearman's concordance measure 12 ∬ C du dv − 3, clamped to [-1, 1]."""
     t, w = _quadrature_nodes(c, quad_n)
-    integral = float(w @ c._cdf_grid(t, t) @ w)
-    return float(np.clip(12.0 * integral - 3.0, -1.0, 1.0))
+    rho = 12.0 * float(w @ c._cdf_grid(t, t) @ w) - 3.0
+    # comparisons cost less than np.clip on a float; a NaN rho stays NaN
+    return 1.0 if rho > 1.0 else -1.0 if rho < -1.0 else rho
 
 
 def schweizer_wolff_sigma(c: Copula, quad_n: int | None = None) -> float:
     """Schweizer–Wolff dependence measure 12 ∬ |C − uv| du dv, in [0, 1]."""
     t, w = _quadrature_nodes(c, quad_n)
     diff = np.abs(c._cdf_grid(t, t) - np.outer(t, t))
-    return float(np.clip(12.0 * float(w @ diff @ w), 0.0, 1.0))
+    sigma = 12.0 * float(w @ diff @ w)
+    return 1.0 if sigma > 1.0 else 0.0 if sigma < 0.0 else sigma
 
 
 def classify_quadrant(c: Copula, grid_n: int = 64, tol: float | None = None) -> QuadrantClass:
@@ -122,9 +124,10 @@ def classify_regression_dependence(c: Copula, grid_n: int = 64,
         raise DomainError("grid_n must be >= 8")
     tol = _tolerance(c, tol)
     t = np.arange(1, grid_n + 1) / (grid_n + 1)
-    U, V = np.meshgrid(t, t, indexing="ij")
+    # du's clamp, without du's check of an axis the library built
+    du = np.clip(c._du(t[:, None], t[None, :]), 0.0, 1.0)
     # PRD: the steps of ∂C/∂u between adjacent u are all <= tol
-    return _band_class(-np.diff(c.du(U, V), axis=0), tol, RegressionClass)
+    return _band_class(-np.diff(du, axis=0), tol, RegressionClass)
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,19 @@ class TestCdfGrid:
                 U, V = np.meshgrid(us, vs, indexing="ij")
                 np.testing.assert_array_equal(c.cdf_grid(us, vs), c.cdf(U, V))
 
+    @pytest.mark.parametrize("c", GRID_FAMILIES, ids=lambda c: repr(c))
+    @pytest.mark.parametrize("n,m", [(7, 5), (1, 64), (64, 1), (0, 64), (64, 0)])
+    def test_axes_of_any_length(self, c, n, m):
+        # _cdf sees a (n, 1) column and a (1, m) row; the edges 0 and 1 are
+        # where the large-theta fallbacks and the grounded branches act
+        rng = np.random.default_rng(10 * n + m)
+        us, vs = (np.sort(np.r_[0.0, 1.0, rng.uniform(size=k - 2)]) if k >= 2
+                  else rng.uniform(size=k) for k in (n, m))
+        grid = c.cdf_grid(us, vs)
+        assert grid.shape == (n, m)
+        U, V = np.meshgrid(us, vs, indexing="ij")
+        assert grid.tobytes() == c.cdf(U, V).tobytes()
+
     @pytest.mark.parametrize("c", [PI, GLUED, decompose(GLUED, 0.3)[1]],
                              ids=lambda c: repr(c))
     @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.2])

@@ -213,6 +213,54 @@ class TestQuadratureGrid:
         assert schweizer_wolff_sigma(c) == sigma
 
 
+class TestRegressionGrid:
+    @pytest.mark.parametrize("c", _quadrature_copulas(), ids=repr)
+    def test_du_axes_equal_public_du_on_meshgrid(self, c, monkeypatch):
+        steps = []
+        monkeypatch.setattr(dependence, "_band_class",
+                            lambda values, tol, classes: steps.append(values))
+        classify_regression_dependence(c)
+        t = np.arange(1, 65) / 65
+        U, V = np.meshgrid(t, t, indexing="ij")
+        assert steps[0].tobytes() == (-np.diff(c.du(U, V), axis=0)).tobytes()
+
+
+class _ConstantGrid(copulas.Copula):
+    """Not a copula: every library grid is filled with ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def _cdf_grid(self, us, vs):
+        return np.full((us.size, vs.size), self.value)
+
+
+class TestScalarClamps:
+    @pytest.mark.parametrize("value,rho", [(1.0, 1.0), (0.0, -1.0)])
+    def test_rho_clamped_to_its_range(self, value, rho):
+        out = spearman_rho(_ConstantGrid(value))
+        assert type(out) is float and out == rho
+
+    def test_rho_inside_its_range_unchanged(self):
+        t, w = _quadrature_nodes(_ConstantGrid(0.3), None)
+        out = spearman_rho(_ConstantGrid(0.3))
+        assert type(out) is float
+        assert out == 12.0 * float(w @ np.full((64, 64), 0.3) @ w) - 3.0
+
+    def test_sigma_clamped_to_its_range(self):
+        out = schweizer_wolff_sigma(_ConstantGrid(1.0))
+        assert type(out) is float and out == 1.0
+
+    def test_sigma_zero_for_the_product_grid(self):
+        out = schweizer_wolff_sigma(PI)
+        assert type(out) is float and out == 0.0
+
+    @pytest.mark.parametrize("measure", [spearman_rho, schweizer_wolff_sigma])
+    def test_nan_stays_nan(self, measure):
+        out = measure(_ConstantGrid(np.nan))
+        assert type(out) is float and np.isnan(out)
+
+
 class TestGridsCheckedOnce:
     @pytest.fixture()
     def unit_checks(self, monkeypatch):
@@ -245,6 +293,7 @@ class TestGridsCheckedOnce:
         fit_segment(ps.u, ps.v)
         schweizer_wolff_sigma(FrankCopula(-3.0))
         classify_quadrant(ClaytonCopula(2.0))
+        dependence_report(ClaytonCopula(2.0))
         check_copula_axioms(PlackettCopula(5.0), 33)
         assert unit_checks == []
 

@@ -36,8 +36,11 @@ After the cases, a fixed set of usage errors (a bad ``--families``,
 ``--theta``, ``--num``, ``--x-min`` or ``--breakpoints``) runs on the last
 case's files, and their stdout, stderr and exit code are compared too.  So
 are those of a few commands that read no file: ``gluecop simulate`` of both
-reference models, and ``gluecop measures --family`` for Clayton, Gumbel and
-Frank at the ends of the parameter ranges that fitting searches.  Last,
+reference models, and ``gluecop measures --family`` for every family: Clayton,
+Gumbel, Frank, Plackett and FGM at the ends of the parameter ranges that
+fitting searches, the product copula, both Fréchet bounds and the tent
+copula (``example1``, a glued one), so that each family's cdf and du grids
+are compared.  Last,
 ``gluecop analyze`` and ``gluecop measures`` run on each small CSV file of
 ``CSV_EDGE_FILES`` (quotes, comments, blank lines, line ends, a byte-order
 mark, ragged rows, non-finite and over-long cells, stray bytes), so that a
@@ -136,6 +139,15 @@ FIXED_RUNS = {
     "measures clayton 50": ["measures", "--family", "clayton", "--theta", "50"],
     "measures gumbel 50": ["measures", "--family", "gumbel", "--theta", "50"],
     "measures frank -30": ["measures", "--family", "frank", "--theta", "-30"],
+    "measures plackett 1e4": ["measures", "--family", "plackett", "--theta", "1e4"],
+    "measures plackett 1e-4": ["measures", "--family", "plackett", "--theta",
+                               "1e-4"],
+    "measures fgm 1": ["measures", "--family", "fgm", "--theta", "1"],
+    "measures fgm -1": ["measures", "--family", "fgm", "--theta", "-1"],
+    "measures product": ["measures", "--family", "product"],
+    "measures frechet-upper": ["measures", "--family", "frechet-upper"],
+    "measures frechet-lower": ["measures", "--family", "frechet-lower"],
+    "measures example1 0.4": ["measures", "--family", "example1", "--theta", "0.4"],
 }
 
 
