@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, out_of_range
 
 FD_STEP = 1e-5          # finite-difference step for the u-derivative
 BISECT_STEPS = 34       # conditional-quantile halvings of [0, 1]: 2**-34 < 1e-10
@@ -31,7 +31,7 @@ BISECT_STEPS = 34       # conditional-quantile halvings of [0, 1]: 2**-34 < 1e-1
 
 def _validate_unit(*arrays):
     for a in arrays:
-        if np.any(np.isnan(a)) or np.any((a < 0.0) | (a > 1.0)):
+        if out_of_range(a, 0.0, 1.0):
             raise DomainError("copula arguments must lie in [0, 1] and be non-NaN")
 
 

@@ -241,9 +241,11 @@ def crossing_breakpoints(x, report: CrossingReport) -> list[float]:
     crossing, in crossing order.  Crossings that map to the same x (several
     diagonal crossings inside one tie group of a discrete x) give one
     candidate, and a candidate equal to max(x) is dropped, since either
-    would leave an empty segment."""
+    would leave an empty segment.  Raw and sorted x give the same bits: a
+    quantile inside a tie group of -0.0 and 0.0 takes its sign from where
+    a partition puts them, so ``+ 0.0`` writes a break-point at zero as 0.0."""
     top = float(np.max(x))
-    return [b for b in dict.fromkeys(float(np.quantile(x, c.t))
+    return [b for b in dict.fromkeys(float(np.quantile(x, c.t)) + 0.0
                                      for c in report.crossings) if b != top]
 
 
@@ -426,12 +428,16 @@ def fit_piecewise(s: Sample, candidates=None,
     family outside ``DEFAULT_FIT_FAMILIES`` is a ``ParameterError``, raised
     before the data is ranked.  Each column is sorted once: detection, the
     within-segment ranks, every goodness-of-fit count and the empirical
-    marginals' knots come from those two orders."""
+    marginals' knots come from those two orders, and detected break-points
+    are quantiles of the sorted x."""
     _check_families(families)
     _warn_if_small(s.n, "piecewise fitting")
     ps = pseudo_observations(s)
+    ox, oy = ps.orders
+    mx = EmpiricalMarginal._sorted_by(s.x, ox)
+    my = EmpiricalMarginal._sorted_by(s.y, oy)
     if candidates is None:
-        candidates = crossing_breakpoints(s.x, crossing_report(ps))
+        candidates = crossing_breakpoints(mx.knots_x, crossing_report(ps))
     bps = sorted(float(b) for b in candidates)
     x_lo, x_hi = float(s.x.min()), float(s.x.max())
     for b in bps:
@@ -443,9 +449,6 @@ def fit_piecewise(s: Sample, candidates=None,
         if b0 == b1:
             raise DataError(f"break-point {b1:g} is given twice")
 
-    ox, oy = ps.orders
-    mx = EmpiricalMarginal._sorted_by(s.x, ox)
-    my = EmpiricalMarginal._sorted_by(s.y, oy)
     edges = [-np.inf] + bps + [np.inf]
     # the segment (lo, hi] is places k_lo = #(x <= lo) to k_hi - 1 of the x order
     k = [0, *np.searchsorted(mx.knots_x, bps, side="right"), s.n]

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and the one guard that
-turns a request for an impossibly large array into a ``MemoryError``."""
+"""Exception hierarchy shared across the package, the one guard that turns
+a request for an impossibly large array into a ``MemoryError``, and the one
+range test behind the copula and marginal argument checks."""
 
 #: the most values one array may be asked for: 2**50 float64 values are
 #: 8 PiB, beyond any machine's memory, and far larger counts make numpy
@@ -33,3 +34,14 @@ def check_array_size(name: str, n: int) -> None:
     if n > MAX_ARRAY_SIZE:
         raise MemoryError(f"{name} = {n} is more than the {MAX_ARRAY_SIZE} "
                           "values an array may hold")
+
+
+def out_of_range(a, lo: float, hi: float) -> bool:
+    """True when the array ``a`` holds a value outside [lo, hi] or a NaN.
+
+    A NaN is rejected with the values out of range: it compares false with
+    everything, so it would pass through a bisection or an interpolation
+    and come out as a number that means nothing.  Two reductions do the
+    whole test, since ``min`` and ``max`` propagate a NaN and a NaN fails
+    both comparisons; an empty array holds nothing out of range."""
+    return bool(a.size) and not (a.min() >= lo and a.max() <= hi)

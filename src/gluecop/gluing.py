@@ -103,11 +103,12 @@ class _Slab(Copula):
     C*(u*, v) = (C(lo + (hi - lo)*u*, v) - lo*v) / (hi - lo)."""
 
     name = "decomposed"
-    smooth = False
 
     def __init__(self, parent: Copula, lo: float, hi: float):
         self.parent = parent
         self.lo, self.hi = lo, hi
+        # the rescaling is affine, so a slab has its parent's kinks and no others
+        self.smooth = parent.smooth
         self.numerical = parent.numerical
 
     def _cdf(self, u, v):

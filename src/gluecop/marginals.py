@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, out_of_range
 
 
 class Marginal:
@@ -29,14 +29,14 @@ class Marginal:
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
-        if np.any((p < 0) | (p > 1) | np.isnan(p)):
+        if out_of_range(p, 0.0, 1.0):
             raise DomainError("quantile argument must lie in [0, 1]")
         out = self._quantile(p)
         return float(out) if p.ndim == 0 else out
 
     def contains(self, x) -> bool:
         lo, hi = self.support
-        return bool(np.all((np.asarray(x, dtype=float) >= lo) & (np.asarray(x, dtype=float) <= hi)))
+        return not out_of_range(np.asarray(x, dtype=float), lo, hi)
 
     def require_in_support(self, x):
         if not self.contains(x):

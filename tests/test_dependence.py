@@ -18,6 +18,7 @@ from gluecop import (
     check_copula_axioms,
     classify_quadrant,
     classify_regression_dependence,
+    decompose,
     dependence_report,
     fit_segment,
     glue,
@@ -165,6 +166,23 @@ class TestQuadratureCache:
             spearman_rho(FrankCopula(theta), 24)
         assert calls == [24]
         assert spearman_rho(ClaytonCopula(2.0), 24) == first
+
+    def test_slab_takes_its_parents_rule(self):
+        smooth = decompose(FrankCopula(5.0), 0.4)[1]
+        kinked = decompose(glue([ClaytonCopula(3.0), FrankCopula(-8.0)], [0.5]), 0.3)[1]
+        assert _quadrature_nodes(smooth, None) is _rule(True, 64)
+        assert _quadrature_nodes(kinked, None) is _rule(False, 512)
+
+        def integral(rule):  # of C, unclamped: this piece is not a copula
+            t, w = rule
+            return float(w @ smooth._cdf_grid(t, t) @ w)
+
+        # the midpoint error is O(1/n^2), so Richardson's step on 512 and
+        # 1024 nodes is the reference: 64 Gauss nodes are far nearer it
+        coarse, fine = integral(_rule(False, 512)), integral(_rule(False, 1024))
+        reference = (4.0 * fine - coarse) / 3.0
+        assert abs(integral(_quadrature_nodes(smooth, None)) - reference) < 1e-10
+        assert abs(coarse - reference) > 1e-7
 
     @pytest.mark.parametrize("c", [ClaytonCopula(2.0), M],
                              ids=lambda c: repr(c))

@@ -262,6 +262,28 @@ class TestBreakpointDetection:
                                            Crossing(0.9, "up"), Crossing(0.95, "down")])
         assert crossing_breakpoints(x, report) == [0.0, 1.0]
 
+    @pytest.mark.parametrize("x", [
+        np.repeat([3.0, 1.0, 2.0, 1.5, 1.0], [5, 7, 3, 1, 9]),
+        np.tile([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0, -0.0], 5),
+        np.r_[np.full(9, -0.0), np.zeros(4), np.linspace(-1.0, 1.0, 11)],
+    ], ids=["ties", "signed zeros", "zero run"])
+    def test_raw_and_sorted_x_give_the_same_bits(self, x):
+        # fit_piecewise passes the sorted knots, analyze the raw column
+        reports = [CrossingReport(crossings=[Crossing(t, "up")])
+                   for t in np.linspace(0.005, 0.995, 199)]
+
+        def bits(xs):
+            return b"|".join(np.array(crossing_breakpoints(xs, r)).tobytes()
+                             for r in reports)
+
+        rng = np.random.default_rng(4)
+        expected = bits(x)
+        for xs in [np.sort(x), EmpiricalMarginal(x).knots_x, -np.sort(-x)[::-1],
+                   *(rng.permutation(x) for _ in range(20))]:
+            assert bits(xs) == expected
+        assert not any(b == 0.0 and np.signbit(b)
+                       for r in reports for b in crossing_breakpoints(x, r))
+
 
 _INVERSION_CASES = [
     ("clayton", 0.5), ("clayton", 2.0), ("clayton", 8.0),

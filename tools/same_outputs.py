@@ -24,6 +24,8 @@ copula, as a glued model and as a piecewise one, on a grid that leaves its
 last slab empty (x in [0, 0.25] plus both gluing points).  So is that glued
 copula's conditional quantile at p in {0, 0.25, 0.5, 1} on a u grid that
 holds 0, both gluing points and 1, which no seeded case draws exactly.
+So is the v that ``simulate_copula`` draws from that glued copula (2000
+draws, seed 5), whose array bisection checks its arguments at every step.
 
 Each parametric fitting family is also fitted alone by ``fit_segment`` to a
 fixed Clayton(0.4) sample (positive sample rho) and a fixed Frank(-1.5) sample
@@ -46,6 +48,11 @@ are compared.  Last,
 mark, ragged rows, non-finite and over-long cells, stray bytes), so that a
 change to the CSV reader, either its numpy parse or its row reader, is checked
 file by file against the base tree.
+
+A fixed set of library calls at the edges of the copula and marginal
+argument checks (``_bad_calls``: NaN, infinities, -5e-324, 1 + 2**-52 and
+-0.0, on 0-d, 2-D, strided and empty arrays) compares the exception type and
+message each raises, or the bytes it returns.
 
 Tied and discrete data run last, where fitting ranks each segment from the
 two global sort orders: the tent (theta 0.4, n 3000) with y on 5 levels, with
@@ -197,7 +204,8 @@ def _fixed_curves() -> dict[str, bytes]:
     from bench.workloads import GLUED_POINTS, glued_truth
     from gluecop import (EmpiricalMarginal, FrankCopula, PiecewiseRegressionModel,
                          RegressionModel, UniformMarginal, conditional_quantile,
-                         mean_regression, median_regression, piecewise_regression)
+                         mean_regression, median_regression, piecewise_regression,
+                         simulate_copula)
 
     unit = UniformMarginal()
     my = EmpiricalMarginal(np.random.default_rng(7).normal(0.2, 1.0, 2000))
@@ -217,8 +225,56 @@ def _fixed_curves() -> dict[str, bytes]:
         "glued three piecewise mean curve": piecewise_regression(
             pm, empty_slab, statistic="mean"),
         "glued three quantile curve": conditional_quantile(glued.copula, u, p),
+        "glued three simulated v curve": simulate_copula(glued.copula, 2000, 5).v,
     }
     return {item: np.asarray(mu).tobytes() for item, mu in curves.items()}
+
+
+def _bad_calls() -> dict[str, bytes]:
+    """Library calls at the edges of the copula and marginal argument checks:
+    the type and message of what each raises, or the bytes it returns."""
+    import numpy as np
+
+    from bench.workloads import glued_truth
+    from gluecop import ClaytonCopula, EmpiricalMarginal, Marginal, conditional_quantile
+
+    c, g = ClaytonCopula(2.0), glued_truth()
+    m = EmpiricalMarginal(np.linspace(-1.0, 2.0, 7))
+    grid = np.full((3, 4), 0.5)
+    grid[1, 2] = np.nan
+    calls = {
+        "cdf u nan": lambda: c.cdf(np.nan, 0.5),
+        "cdf v 1 + 2**-52": lambda: c.cdf(0.5, 1.0 + 2.0 ** -52),
+        "cdf u -0.0": lambda: c.cdf(-0.0, 1.0),
+        "du u -5e-324": lambda: c.du(-5e-324, 0.5),
+        "du glued v inf": lambda: g.du(0.5, np.inf),
+        "du glued 2-D nan": lambda: g.du(grid, 0.5),
+        "cdf_grid us nan last": lambda: c.cdf_grid(np.r_[0.0, 0.5, np.nan], [0.5]),
+        "cdf_grid vs -inf first": lambda: c.cdf_grid([0.5], [-np.inf, 0.5]),
+        "conditional_quantile p -inf": lambda: conditional_quantile(g, 0.5, -np.inf),
+        "conditional_quantile u strided": lambda: conditional_quantile(
+            c, np.linspace(-0.5, 1.0, 7)[1::2], 0.5),
+        "conditional_quantile empty": lambda: conditional_quantile(g, [], []),
+        "quantile 1.5": lambda: m.quantile(1.5),
+        "quantile nan middle": lambda: m.quantile([0.0, np.nan, 1.0]),
+        "quantile -0.0 and 1": lambda: m.quantile([-0.0, 1.0]),
+        "require_in_support above": lambda: m.require_in_support(2.5),
+        "require_in_support nan": lambda: m.require_in_support(np.array([0.0, np.nan])),
+        "require_in_support edges": lambda: m.require_in_support([-1.0, 2.0]),
+        "require_in_support infinite nan": lambda: Marginal().require_in_support(np.nan),
+        "require_in_support infinite inf": lambda: Marginal().require_in_support(np.inf),
+    }
+    rec = {}
+    for name, call in calls.items():
+        try:
+            value = call()
+        except Exception as exc:  # the type and text are what is compared
+            text = f"{type(exc).__name__}: {exc}"
+        else:
+            text = (f"returned {value.tobytes().hex()}"
+                    if isinstance(value, np.ndarray) else f"returned {value!r}")
+        rec[name] = text.encode()
+    return rec
 
 
 def _family_fits() -> dict[str, bytes]:
@@ -291,6 +347,8 @@ def collect() -> None:
                     records[(wl.name, seed, item)] = value
         for item, value in _fixed_curves().items():
             records[("fixed curves", 0, item)] = value
+        for item, value in _bad_calls().items():
+            records[("bad arguments", 0, item)] = value
         for name, argv in USAGE_ERRORS.items():
             records[("usage errors", 0, f"gluecop {name}")] = _cli(argv)
         for name, argv in FIXED_RUNS.items():
