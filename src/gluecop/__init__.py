@@ -21,7 +21,7 @@ from .model_io import (copula_from_dict, copula_to_dict, load_model,
 from .reference import (Example4Copula, Example4Model, Sample, simulate_example1,
                         simulate_example4, tent)
 from .regression import (PiecewiseRegressionModel, RegressionModel,
-                         mean_regression, median_psi, median_regression,
+                         mean_regression, median_regression,
                          piecewise_regression)
 
 __version__ = "0.1.0"

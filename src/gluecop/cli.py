@@ -278,7 +278,10 @@ def cmd_predict(args) -> int:
     if not x_max > x_min:
         raise DomainError("--x-max must exceed --x-min")
     check_array_size("--num", args.num)
-    xs = np.linspace(x_min, x_max, args.num)
+    if math.isfinite(x_max - x_min):
+        xs = np.linspace(x_min, x_max, args.num)
+    else:  # the span overflows; halving and doubling are exact
+        xs = 2.0 * np.linspace(x_min / 2.0, x_max / 2.0, args.num)
     inside = (xs >= lo) & (xs <= hi)
     if not np.all(inside):
         if args.strict:

@@ -6,8 +6,8 @@ are computed by deterministic tensor-product quadrature: Gauss–Legendre for
 smooth copulas, composite midpoint for copulas with kinks or singular parts
 (Gauss nodes straddling a kink degrade accuracy, and sigma's absolute value
 makes the integrand non-smooth anyway).  The nodes and weights of each rule
-are built once per rule and size and shared, read-only, by every call, so a
-rho inversion that evaluates the same rule many times pays for it once.
+are built once and shared, read-only, by every call, so a rho inversion
+that evaluates the same rule many times pays for it once.
 The nodes are checked to lie in [0, 1] once, when their rule is built, and
 no evaluation on them checks them again.
 """
@@ -23,8 +23,8 @@ import numpy as np
 from .copulas import Copula, _validate_unit
 from .errors import DomainError
 
-GAUSS_NODES_DEFAULT = 64      # per axis, smooth integrands
-MIDPOINT_NODES_DEFAULT = 512  # per axis, kinked integrands
+GAUSS_NODES = 64      # per axis, smooth integrands
+MIDPOINT_NODES = 512  # per axis, kinked integrands
 
 
 class QuadrantClass(str, Enum):
@@ -62,16 +62,17 @@ def _band_class(values: np.ndarray, tol: float, classes):
     return neither
 
 
-@lru_cache(maxsize=32)
-def _rule(smooth: bool, n: int):
-    """Read-only (nodes, weights) on [0, 1]: n-point Gauss–Legendre when
-    ``smooth``, else the n-point composite midpoint rule.  Built once per
-    rule and size, with the nodes checked then; every caller shares the
-    same arrays."""
+@lru_cache(maxsize=2)
+def _rule(smooth: bool):
+    """Read-only (nodes, weights) on [0, 1] for a copula's ``smooth``:
+    GAUSS_NODES-point Gauss–Legendre when smooth, else the MIDPOINT_NODES-
+    point composite midpoint rule.  Built once per rule, with the nodes
+    checked then; every caller shares the same arrays."""
     if smooth:
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = np.polynomial.legendre.leggauss(GAUSS_NODES)
         t, w = 0.5 * (x + 1.0), 0.5 * w
     else:
+        n = MIDPOINT_NODES
         t, w = (np.arange(n) + 0.5) / n, np.full(n, 1.0 / n)
     _validate_unit(t)
     t.flags.writeable = False
@@ -79,25 +80,21 @@ def _rule(smooth: bool, n: int):
     return t, w
 
 
-def _quadrature_nodes(c: Copula, quad_n: int | None):
-    """(nodes, weights) on [0, 1] matched to the copula's smoothness."""
-    if quad_n is not None and quad_n < 8:
-        raise DomainError("quadrature needs at least 8 nodes per axis")
-    default = GAUSS_NODES_DEFAULT if c.smooth else MIDPOINT_NODES_DEFAULT
-    return _rule(c.smooth, quad_n or default)
-
-
-def spearman_rho(c: Copula, quad_n: int | None = None) -> float:
-    """Spearman's concordance measure 12 ∬ C du dv − 3, clamped to [-1, 1]."""
-    t, w = _quadrature_nodes(c, quad_n)
+def spearman_rho(c: Copula) -> float:
+    """Spearman's concordance measure 12 ∬ C du dv − 3, clamped to [-1, 1]:
+    on a ``decompose`` piece that fails ``check_copula_axioms`` the clamped
+    value means nothing."""
+    t, w = _rule(c.smooth)
     rho = 12.0 * float(w @ c._cdf_grid(t, t) @ w) - 3.0
     # comparisons cost less than np.clip on a float; a NaN rho stays NaN
     return 1.0 if rho > 1.0 else -1.0 if rho < -1.0 else rho
 
 
-def schweizer_wolff_sigma(c: Copula, quad_n: int | None = None) -> float:
-    """Schweizer–Wolff dependence measure 12 ∬ |C − uv| du dv, in [0, 1]."""
-    t, w = _quadrature_nodes(c, quad_n)
+def schweizer_wolff_sigma(c: Copula) -> float:
+    """Schweizer–Wolff dependence measure 12 ∬ |C − uv| du dv, clamped to
+    [0, 1]: on a ``decompose`` piece that fails ``check_copula_axioms`` the
+    clamped value means nothing."""
+    t, w = _rule(c.smooth)
     diff = np.abs(c._cdf_grid(t, t) - np.outer(t, t))
     sigma = 12.0 * float(w @ diff @ w)
     return 1.0 if sigma > 1.0 else 0.0 if sigma < 0.0 else sigma
@@ -148,13 +145,13 @@ class DependenceReport:
         }
 
 
-def dependence_report(c: Copula, grid_n: int = 64, quad_n: int | None = None,
+def dependence_report(c: Copula, grid_n: int = 64,
                       tol: float | None = None) -> DependenceReport:
     """Compute rho, sigma and both dependence classifications in one pass."""
     tol = _tolerance(c, tol)
     return DependenceReport(
-        rho=spearman_rho(c, quad_n),
-        sigma=schweizer_wolff_sigma(c, quad_n),
+        rho=spearman_rho(c),
+        sigma=schweizer_wolff_sigma(c),
         quadrant_class=classify_quadrant(c, grid_n, tol),
         regression_class=classify_regression_dependence(c, grid_n, tol),
         grid_n=grid_n,

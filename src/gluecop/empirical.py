@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .changepoint import GRID_N_DEFAULT, CrossingReport, diagonal_crossings
-from .copulas import (Copula, _finite_difference_du, conditional_quantile,
-                      make_copula)
+from .copulas import (Copula, _finite_difference_du, _validate_unit,
+                      conditional_quantile, make_copula)
 from .dependence import DependenceReport, dependence_report, spearman_rho
 from .errors import DataError, ParameterError
 from .marginals import EmpiricalMarginal
@@ -90,11 +90,6 @@ def _ranks_in_order(s: np.ndarray, order: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _midranks(a: np.ndarray) -> np.ndarray:
-    """1-based ranks; each tie group gets the mean of its ranks."""
-    return _sort_ranks(a)[1]
-
-
 def pseudo_observations(s: Sample) -> PseudoSample:
     """Coordinatewise midranks scaled by 1/(n+1); a constant column carries
     no rank information and is a ``DataError``.  Each column is sorted once,
@@ -108,17 +103,12 @@ def pseudo_observations(s: Sample) -> PseudoSample:
                         orders=(ox, oy))
 
 
-def sample_spearman(u: np.ndarray, v: np.ndarray) -> float:
-    """Sample Spearman rho: the Pearson correlation of the midranks, by the
-    same column-stacked ``np.corrcoef`` call as SciPy, so the two agree bit
-    for bit (NaN for a constant column)."""
-    return rank_correlation(_midranks(u), _midranks(v))
-
-
 def rank_correlation(ru: np.ndarray, rv: np.ndarray) -> float:
-    """The Pearson correlation of two midrank vectors, ``sample_spearman``
-    without the ranking; the midranks of r/(n+1) are r, so a ranking's own
-    ranks give the sample Spearman rho of its pseudo-observations."""
+    """The Pearson correlation of two midrank vectors: the sample Spearman
+    rho, by the same column-stacked ``np.corrcoef`` call as SciPy, so the
+    two agree bit for bit (NaN for a constant column).  The midranks of
+    r/(n+1) are r, so a ranking's own ranks give the sample Spearman rho of
+    its pseudo-observations."""
     return float(np.corrcoef(np.column_stack((ru, rv)), rowvar=False)[1, 0])
 
 
@@ -180,14 +170,15 @@ class EmpiricalCopula(Copula):
         grid, iu, iv = self._on_distinct(us, vs)
         return grid[np.ix_(iu, iv)]
 
+    @functools.cached_property
+    def _sorted_max(self):
+        return np.sort(np.maximum(self.u, self.v))
+
     def diagonal(self, t):
         # delta(t) is the ECDF of max(u_i, v_i)
-        m = getattr(self, "_sorted_max", None)
-        if m is None:
-            m = np.sort(np.maximum(self.u, self.v))
-            self._sorted_max = m
         t = np.asarray(t, dtype=float)
-        out = np.searchsorted(m, t, side="right") / self.n
+        _validate_unit(t)
+        out = np.searchsorted(self._sorted_max, t, side="right") / self.n
         return float(out) if t.ndim == 0 else out
 
     def _du(self, u, v):

@@ -108,6 +108,8 @@ class EmpiricalMarginal(Marginal):
         return m
 
     def _set_knots(self, knots_x):
+        if knots_x[0] == knots_x[-1]:
+            raise DataError("empirical marginal needs >= 2 distinct values")
         self.knots_x = knots_x
         n = knots_x.size
         self.knots_p = np.arange(1, n + 1) / (n + 1)

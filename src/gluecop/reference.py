@@ -59,8 +59,14 @@ def seeded_rng(n: int, seed: int) -> np.random.Generator:
 # tent model
 # ---------------------------------------------------------------------------
 
+def _check_tent_theta(theta: float) -> None:
+    if not 0.0 < theta < 1.0:
+        raise ParameterError("theta must lie in (0, 1)")
+
+
 def tent(x, theta: float):
     """The tent regression curve x/theta rising then (1-x)/(1-theta) falling."""
+    _check_tent_theta(theta)
     x = np.asarray(x, dtype=float)
     out = np.where(x <= theta, x / theta, (1.0 - x) / (1.0 - theta))
     return float(out) if out.ndim == 0 else out
@@ -71,8 +77,7 @@ def simulate_example1(n: int, theta: float, seed: int) -> Sample:
 
     Uses numpy's seeded PCG64 generator; reproducible for a fixed seed.
     """
-    if not 0.0 < theta < 1.0:
-        raise ParameterError("theta must lie in (0, 1)")
+    _check_tent_theta(theta)
     rng = seeded_rng(n, seed)
     x = rng.uniform(size=n)
     return Sample(x=x, y=tent(x, theta))

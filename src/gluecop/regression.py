@@ -37,11 +37,6 @@ MEAN_NODES = 512    # midpoint-rule nodes on each side of 0 (clipped)
 MEAN_BLOCK = 32     # x values per du call of the mean
 
 
-def median_psi(c: Copula, u):
-    """Median of V given U=u on the copula scale."""
-    return conditional_quantile(c, u, 0.5)
-
-
 @dataclass(frozen=True)
 class RegressionModel:
     copula: Copula
@@ -52,7 +47,8 @@ class RegressionModel:
 def median_regression(m: RegressionModel, x):
     """Median regression curve mu(x); accepts scalars or arrays."""
     m.marginal_x.require_in_support(x)
-    return m.marginal_y.quantile(median_psi(m.copula, m.marginal_x.cdf(x)))
+    psi = conditional_quantile(m.copula, m.marginal_x.cdf(x), 0.5)
+    return m.marginal_y.quantile(psi)
 
 
 def _mean_grid(my: Marginal):
@@ -140,6 +136,7 @@ def piecewise_regression(pm: PiecewiseRegressionModel, x,
     x = np.asarray(x, dtype=float)
     psi = np.empty(x.size)
     for i, rows, us in pm.copula.slabs(pm.marginal_x.cdf(x.ravel())):
-        psi[rows] = [median_psi(pm.copula.pieces[i], u) for u in us]
+        piece = pm.copula.pieces[i]
+        psi[rows] = [conditional_quantile(piece, u, 0.5) for u in us]
     out = pm.marginal_y.quantile(psi)
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

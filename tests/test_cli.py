@@ -396,6 +396,50 @@ class TestPredictInputs:
         assert f"{flag} must be finite" in err
         assert "Traceback" not in err and "Warning" not in err
 
+    @pytest.mark.parametrize("statistic", ["median", "mean"])
+    def test_overflowing_support_span_gives_finite_grid(self, tmp_path, capsys,
+                                                        statistic):
+        # x on +-1.7e308: max(x) - min(x) overflows to inf
+        rng = np.random.default_rng(5)
+        x, y = 1.7e308 * rng.uniform(-1.0, 1.0, 400), rng.normal(size=400)
+        data, path = tmp_path / "huge.csv", tmp_path / "m.json"
+        np.savetxt(data, np.column_stack((x, y)), delimiter=",", header="x,y",
+                   comments="")
+        assert run(capsys, "fit", str(data), "--out-model", str(path))[0] == 0
+        code, out, err = run(capsys, "predict", str(path), "--num", "5",
+                             "--statistic", statistic)
+        assert code == 0 and err == ""
+        xs, mu = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1).T
+        assert xs[0] == x.min() and xs[-1] == x.max()
+        assert np.all(np.diff(xs) > 0) and np.all(np.isfinite(mu))
+
+    @pytest.mark.parametrize("statistic", ["median", "mean"])
+    def test_overflowing_grid_span_gives_finite_grid(self, tmp_path, capsys,
+                                                     statistic):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_model_doc()))
+        code, out, err = run(capsys, "predict", str(path), "--num", "5",
+                             "--x-min", "-1e308", "--x-max", "1e308",
+                             "--statistic", statistic)
+        assert code == 0
+        assert err == ("gluecop: warning: 4 grid points outside model support "
+                       "emitted as NaN\n")
+        xs, mu = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1).T
+        assert xs.tolist() == [-1e308, -5e307, 0.0, 5e307, 1e308]
+        assert np.isnan(mu).tolist() == [True, True, False, True, True]
+
+    @pytest.mark.parametrize("flags", [[], ["--x-min", "0.5", "--x-max", "0.6"]],
+                             ids=["default-range", "explicit-range"])
+    def test_equal_empirical_knots_are_data_error(self, tmp_path, capsys, flags):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_model_doc(
+            marginal_x={"type": "empirical", "knots": [0.5, 0.5]})))
+        code, out, err = run(capsys, "predict", str(path), *flags)
+        assert code == 2
+        assert out == ""
+        assert err == ("gluecop: data error: empirical marginal needs >= 2 "
+                       "distinct values\n")
+
     @pytest.mark.parametrize("text", [
         None,
         "[1, 2]",

@@ -31,7 +31,7 @@ from gluecop import (
 )
 from gluecop import copulas, dependence
 from gluecop.copulas import FAMILY_CONSTRUCTORS, PARAMETRIC_FAMILIES
-from gluecop.dependence import _quadrature_nodes, _rule
+from gluecop.dependence import _rule
 from gluecop.empirical import _FIT_RANGES, _invert_rho
 
 PI = IndependenceCopula()
@@ -145,12 +145,18 @@ class TestQuadratureConvergence:
                                    PlackettCopula(3.0)],
                              ids=lambda c: repr(c))
     def test_doubling_nodes_is_stable(self, c):
-        assert abs(spearman_rho(c, 64) - spearman_rho(c, 128)) < 1e-4
-        assert abs(schweizer_wolff_sigma(c, 64) - schweizer_wolff_sigma(c, 128)) < 1e-4
+        # the default rule of a smooth copula against 128 Gauss nodes
+        x, w = np.polynomial.legendre.leggauss(128)
+        t, w = 0.5 * (x + 1.0), 0.5 * w
+        grid = c.cdf_grid(t, t)
+        rho = 12.0 * float(w @ grid @ w) - 3.0
+        sigma = 12.0 * float(w @ np.abs(grid - np.outer(t, t)) @ w)
+        assert abs(spearman_rho(c) - rho) < 1e-4
+        assert abs(schweizer_wolff_sigma(c) - sigma) < 1e-4
 
 
 class TestQuadratureCache:
-    def test_nodes_built_once_per_size(self, monkeypatch):
+    def test_nodes_built_once_per_rule(self, monkeypatch):
         calls = []
         leggauss = np.polynomial.legendre.leggauss
 
@@ -160,18 +166,18 @@ class TestQuadratureCache:
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
         _rule.cache_clear()
-        first = spearman_rho(ClaytonCopula(2.0), 24)
+        first = spearman_rho(ClaytonCopula(2.0))
         for theta in np.linspace(0.5, 8.0, 30):
-            spearman_rho(ClaytonCopula(theta), 24)
-            spearman_rho(FrankCopula(theta), 24)
-        assert calls == [24]
-        assert spearman_rho(ClaytonCopula(2.0), 24) == first
+            spearman_rho(ClaytonCopula(theta))
+            spearman_rho(FrankCopula(theta))
+        assert calls == [64]
+        assert spearman_rho(ClaytonCopula(2.0)) == first
 
     def test_slab_takes_its_parents_rule(self):
         smooth = decompose(FrankCopula(5.0), 0.4)[1]
         kinked = decompose(glue([ClaytonCopula(3.0), FrankCopula(-8.0)], [0.5]), 0.3)[1]
-        assert _quadrature_nodes(smooth, None) is _rule(True, 64)
-        assert _quadrature_nodes(kinked, None) is _rule(False, 512)
+        assert _rule(smooth.smooth) is _rule(True)
+        assert _rule(kinked.smooth) is _rule(False)
 
         def integral(rule):  # of C, unclamped: this piece is not a copula
             t, w = rule
@@ -179,16 +185,18 @@ class TestQuadratureCache:
 
         # the midpoint error is O(1/n^2), so Richardson's step on 512 and
         # 1024 nodes is the reference: 64 Gauss nodes are far nearer it
-        coarse, fine = integral(_rule(False, 512)), integral(_rule(False, 1024))
+        n = 1024
+        midpoint = (np.arange(n) + 0.5) / n, np.full(n, 1.0 / n)
+        coarse, fine = integral(_rule(False)), integral(midpoint)
         reference = (4.0 * fine - coarse) / 3.0
-        assert abs(integral(_quadrature_nodes(smooth, None)) - reference) < 1e-10
+        assert abs(integral(_rule(True)) - reference) < 1e-10
         assert abs(coarse - reference) > 1e-7
 
     @pytest.mark.parametrize("c", [ClaytonCopula(2.0), M],
                              ids=lambda c: repr(c))
     def test_cached_nodes_are_read_only(self, c):
-        t, w = _quadrature_nodes(c, None)
-        assert _quadrature_nodes(c, None)[0] is t
+        t, w = _rule(c.smooth)
+        assert _rule(c.smooth)[0] is t
         for a in (t, w):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -223,7 +231,7 @@ class TestQuadratureGrid:
     def test_equals_checked_cdf_grid_bit_for_bit(self, c):
         # the unchecked grid must hand _cdf the same arrays as cdf_grid: a
         # last-bit change in rho moves the fitted theta through the root finder
-        t, w = _quadrature_nodes(c, None)
+        t, w = _rule(c.smooth)
         rho = float(np.clip(12.0 * float(w @ c.cdf_grid(t, t) @ w) - 3.0, -1.0, 1.0))
         diff = np.abs(c.cdf_grid(t, t) - np.outer(t, t))
         sigma = float(np.clip(12.0 * float(w @ diff @ w), 0.0, 1.0))
@@ -260,7 +268,7 @@ class TestScalarClamps:
         assert type(out) is float and out == rho
 
     def test_rho_inside_its_range_unchanged(self):
-        t, w = _quadrature_nodes(_ConstantGrid(0.3), None)
+        t, w = _rule(_ConstantGrid(0.3).smooth)
         out = spearman_rho(_ConstantGrid(0.3))
         assert type(out) is float
         assert out == 12.0 * float(w @ np.full((64, 64), 0.3) @ w) - 3.0
@@ -301,7 +309,7 @@ class TestGridsCheckedOnce:
             spearman_rho(ClaytonCopula(theta))
             schweizer_wolff_sigma(ClaytonCopula(theta))
         assert len(unit_checks) == 1
-        assert unit_checks[0][0] is _quadrature_nodes(ClaytonCopula(2.0), None)[0]
+        assert unit_checks[0][0] is _rule(True)[0]
 
     def test_library_grids_are_not_checked(self, unit_checks):
         ps = simulate_copula(FrankCopula(-4.0), 300, seed=32)

@@ -43,6 +43,17 @@ class TestEmpirical:
         with pytest.raises(DataError):
             EmpiricalMarginal([1.0])
 
+    @pytest.mark.parametrize("values", [[0.5, 0.5], [2.0, 2.0, 2.0], [-0.0, 0.0],
+                                        [0.0, -0.0, 0.0]])
+    def test_needs_two_distinct_values(self, values):
+        # a support of one point has no interior, and its cdf is a step
+        message = r"^empirical marginal needs >= 2 distinct values$"
+        with pytest.raises(DataError, match=message):
+            EmpiricalMarginal(values)
+        with pytest.raises(DataError, match=message):
+            EmpiricalMarginal._sorted_by(values, np.argsort(values))
+        assert EmpiricalMarginal(values + [3.0]).support == (min(values), 3.0)
+
 
 def _column(kind: str) -> np.ndarray:
     rng = np.random.default_rng(4)

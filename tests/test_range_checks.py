@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from gluecop import (ClaytonCopula, DomainError, EmpiricalMarginal, FrankCopula,
-                     GumbelCopula, Marginal, conditional_quantile, glue)
+from gluecop import (ClaytonCopula, DomainError, EmpiricalCopula,
+                     EmpiricalMarginal, FrankCopula, GumbelCopula, Marginal,
+                     conditional_quantile, glue, simulate_copula)
 from gluecop.errors import out_of_range
 
 
@@ -49,6 +50,7 @@ UNIT = arrays(0.0, 1.0)
 COPULA_MESSAGE = "copula arguments must lie in [0, 1] and be non-NaN"
 GLUED = glue([ClaytonCopula(3.0), FrankCopula(-8.0), GumbelCopula(3.0)],
              [0.3, 0.65])
+EMPIRICAL = EmpiricalCopula(simulate_copula(GLUED, 200, seed=4))
 
 # (name, call on one array argument, message on rejection)
 COPULA_CALLS = [
@@ -91,6 +93,12 @@ def test_copula_entry_points(c, name, call):
     for a in UNIT:
         expect_same_verdict(lambda a: call(c, a), a, five_pass(a, 0.0, 1.0),
                             COPULA_MESSAGE)
+
+
+@pytest.mark.parametrize("c", [ClaytonCopula(2.0), GLUED, EMPIRICAL], ids=repr)
+def test_diagonal(c):
+    for a in UNIT:
+        expect_same_verdict(c.diagonal, a, five_pass(a, 0.0, 1.0), COPULA_MESSAGE)
 
 
 def test_marginal_quantile():

@@ -88,6 +88,14 @@ class TestTentModel:
         with pytest.raises(ParameterError):
             simulate_example1(10, 1.0, seed=0)
 
+    @pytest.mark.parametrize("theta", [0.0, 1.0, -0.5, 1.5, np.nan, np.inf])
+    def test_curve_rejects_theta_outside_unit_interval(self, theta):
+        # theta = 0 or 1 would divide by zero, and NaN would give a NaN curve
+        with pytest.raises(ParameterError, match=r"^theta must lie in \(0, 1\)$"):
+            tent(0.5, theta)
+        with pytest.raises(ParameterError, match=r"^theta must lie in \(0, 1\)$"):
+            tent(np.linspace(0.0, 1.0, 5), theta)
+
 
 @pytest.fixture(scope="module")
 def model():

@@ -24,7 +24,6 @@ from gluecop import (
     glue,
     make_copula,
     mean_regression,
-    median_psi,
     median_regression,
     piecewise_regression,
     tent,
@@ -44,13 +43,13 @@ TWO_SIDED_Y = EmpiricalMarginal(np.random.default_rng(7).normal(0.2, 1.0, 500))
 class TestMedianPsi:
     def test_product(self):
         for u in (0.1, 0.5, 0.9):
-            assert median_psi(PI, u) == pytest.approx(0.5, abs=1e-9)
+            assert conditional_quantile(PI, u, 0.5) == pytest.approx(0.5, abs=1e-9)
 
     def test_frechet_upper(self):
-        assert median_psi(M, 0.3) == pytest.approx(0.3, abs=1e-9)
+        assert conditional_quantile(M, 0.3, 0.5) == pytest.approx(0.3, abs=1e-9)
 
     def test_frechet_lower(self):
-        assert median_psi(W, 0.3) == pytest.approx(0.7, abs=1e-9)
+        assert conditional_quantile(W, 0.3, 0.5) == pytest.approx(0.7, abs=1e-9)
 
 
 class TestMedianRegression:
@@ -248,7 +247,7 @@ class TestPiecewise:
         # u equal to a gluing point to the left slab, so both agree there
         left, right = ClaytonCopula(3), FrankCopula(-8)
         pm = PiecewiseRegressionModel((0.5,), (left, right), UNIT, UNIT)
-        assert piecewise_regression(pm, 0.5) == median_psi(left, 1.0)
+        assert piecewise_regression(pm, 0.5) == conditional_quantile(left, 1.0, 0.5)
         assert piecewise_regression(pm, 0.5) == pytest.approx(0.8409, abs=1e-4)
         glued = RegressionModel(glue([left, right], [0.5]), UNIT, UNIT)
         assert median_regression(glued, 0.5) == piecewise_regression(pm, 0.5)

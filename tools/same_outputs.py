@@ -54,6 +54,11 @@ argument checks (``_bad_calls``: NaN, infinities, -5e-324, 1 + 2**-52 and
 -0.0, on 0-d, 2-D, strided and empty arrays) compares the exception type and
 message each raises, or the bytes it returns.
 
+Two model documents at the edges of ``gluecop predict`` run with ``--num
+5`` (``EDGE_MODELS``): one whose empirical x knots span -1.7e308 to 1.7e308,
+so that the span of the default grid overflows, and one whose x knots are
+all equal.
+
 Tied and discrete data run last, where fitting ranks each segment from the
 two global sort orders: the tent (theta 0.4, n 3000) with y on 5 levels, with
 x on 3 levels (a segment of constant x, so ``fit`` exits 2) and with x on 100
@@ -69,6 +74,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import pickle
 import subprocess
@@ -130,6 +136,13 @@ CSV_EDGE_FILES = {
     "cell over field limit": b"x,y\n0.1,0.2\n0.3,0." + b"1" * 140_000 + b"\n",
     "non-utf8 byte": b"x,y\n0.1,0.2\n0.3,0.\xff4\n",
     "non-utf8 header": b"x\xff,y\n1,2\n3,4\n",
+}
+
+# the x marginal of a one-segment Frank(-8) model document: a support whose
+# span overflows, and a support of one point
+EDGE_MODELS = {
+    "huge x span": {"type": "empirical", "knots": [-1.7e308, 0.0, 1.7e308]},
+    "equal x knots": {"type": "empirical", "knots": [0.5, 0.5]},
 }
 
 # tied inputs and a ``fit --breakpoints`` value at a tie group of each x
@@ -358,6 +371,14 @@ def collect() -> None:
             for command in ("analyze", "measures"):
                 records[("csv edge files", 0, f"gluecop {command} {name}")] = (
                     _cli([command, "edge.csv"]))
+        for name, marginal_x in EDGE_MODELS.items():
+            Path("edge_model.json").write_text(json.dumps({
+                "schema_version": 1, "break_points": [],
+                "segment_copulas": [{"family": "frank", "theta": -8.0}],
+                "marginal_x": marginal_x,
+                "marginal_y": {"type": "uniform", "a": 0.0, "b": 1.0}}))
+            records[("edge models", 0, f"gluecop predict {name}")] = _cli(
+                ["predict", "edge_model.json", "--num", "5"])
         for item, value in _family_fits().items():
             records[("family fits", 0, item)] = value
         for item, value in _tie_cases().items():
