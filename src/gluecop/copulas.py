@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, out_of_range
+from .errors import DomainError, ParameterError, on_arrays, out_of_range
 
 FD_STEP = 1e-5          # finite-difference step for the u-derivative
 BISECT_STEPS = 34       # conditional-quantile halvings of [0, 1]: 2**-34 < 1e-10
@@ -36,15 +36,12 @@ def _validate_unit(*arrays):
 
 
 def _on_unit_square(f, u, v):
-    """f on the broadcast, validated arrays u and v; a float if both are
-    scalars."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    """f on the validated u and v, broadcast to one shape, by ``on_arrays``."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     _validate_unit(u, v)
-    out = f(*np.broadcast_arrays(u, v))
-    if u.ndim == 0 and v.ndim == 0:
-        return float(out)
-    return out
+    if u.shape != v.shape:
+        u, v = np.broadcast_arrays(u, v)
+    return on_arrays(f, u, v)
 
 
 def bisect_monotone(f, p, lo, hi, steps: int):
@@ -69,11 +66,13 @@ class Copula:
     numerical : True when the evaluator itself is built on quadrature or data,
         which loosens default classification tolerances.
 
-    The hooks ``_cdf`` and ``_du`` take any two broadcastable arrays and
-    return their broadcast shape.  Grids the library builds pass a
-    (n, 1) column and a (1, m) row, so a family computes its per-argument
-    terms (powers, logs, exponentials) on each axis before it combines the
-    two.
+    ``cdf``, ``du``, ``diagonal`` and ``conditional_quantile`` take scalars
+    or arrays: a scalar in gives a float out, with the bits the array call
+    gives at the same point.  The hooks ``_cdf`` and ``_du`` take any two
+    broadcastable arrays and return their broadcast shape.  Grids the
+    library builds pass a (n, 1) column and a (1, m) row, so a family
+    computes its per-argument terms (powers, logs, exponentials) on each
+    axis before it combines the two.
     """
 
     name = "copula"
@@ -87,8 +86,7 @@ class Copula:
 
     def du(self, u, v):
         """∂C/∂u, clamped to [0, 1]; the conditional CDF of V given U=u."""
-        return _on_unit_square(lambda u, v: np.clip(self._du(u, v), 0.0, 1.0),
-                               u, v)
+        return _on_unit_square(lambda u, v: self._du(u, v).clip(0.0, 1.0), u, v)
 
     def diagonal(self, t):
         """Diagonal section δ(t) = C(t, t)."""
@@ -110,9 +108,7 @@ class Copula:
 
     def slabs(self, u):
         """(index into ``pieces``, rows, u*) for each occupied slab of the array
-        u; a copula that is not glued is one slab, all rows at u* = u.  That u
-        is passed on as given: numpy can round a 0-d, a strided and a
-        contiguous array differently in the last bit."""
+        u; a copula that is not glued is one slab, all rows at u* = u."""
         yield 0, ..., u
 
     # -- implementation hooks ----------------------------------------------
@@ -137,7 +133,6 @@ class Copula:
 
 def _finite_difference_du(f, u, v, h: float = FD_STEP):
     """Central difference in u, one-sided at the boundaries."""
-    u = np.asarray(u, dtype=float)
     lo = np.maximum(u - h, 0.0)
     hi = np.minimum(u + h, 1.0)
     return (f(hi, v) - f(lo, v)) / (hi - lo)

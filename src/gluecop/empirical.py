@@ -24,7 +24,7 @@ from .changepoint import GRID_N_DEFAULT, CrossingReport, diagonal_crossings
 from .copulas import (Copula, _finite_difference_du, _validate_unit,
                       conditional_quantile, make_copula)
 from .dependence import DependenceReport, dependence_report, spearman_rho
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, on_arrays
 from .marginals import EmpiricalMarginal
 from .reference import Sample, seeded_rng
 from .regression import PiecewiseRegressionModel
@@ -176,10 +176,10 @@ class EmpiricalCopula(Copula):
 
     def diagonal(self, t):
         # delta(t) is the ECDF of max(u_i, v_i)
-        t = np.asarray(t, dtype=float)
-        _validate_unit(t)
-        out = np.searchsorted(self._sorted_max, t, side="right") / self.n
-        return float(out) if t.ndim == 0 else out
+        def ecdf(t):
+            _validate_unit(t)
+            return np.searchsorted(self._sorted_max, t, side="right") / self.n
+        return on_arrays(ecdf, t)
 
     def _du(self, u, v):
         # coarse central difference; the raw estimator is a step function

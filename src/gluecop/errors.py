@@ -1,6 +1,8 @@
 """Exception hierarchy shared across the package, the one guard that turns
-a request for an impossibly large array into a ``MemoryError``, and the one
-range test behind the copula and marginal argument checks."""
+a request for an impossibly large array into a ``MemoryError``, the one
+range test of the argument checks, and the one shape of every evaluation."""
+
+import numpy as np
 
 #: the most values one array may be asked for: 2**50 float64 values are
 #: 8 PiB, beyond any machine's memory, and far larger counts make numpy
@@ -45,3 +47,13 @@ def out_of_range(a, lo: float, hi: float) -> bool:
     whole test, since ``min`` and ``max`` propagate a NaN and a NaN fails
     both comparisons; an empty array holds nothing out of range."""
     return bool(a.size) and not (a.min() >= lo and a.max() <= hi)
+
+
+def on_arrays(f, *args):
+    """f on ``args`` as float arrays; on scalars alone, f on 1-element arrays
+    and its value as a float, so that a scalar gets the bits of the array
+    call (numpy can round a 0-d ``pow`` differently in the last bit)."""
+    arrays = [np.asarray(a, dtype=float) for a in args]
+    if any(a.ndim for a in arrays):
+        return f(*arrays)
+    return float(f(*(a.reshape(1) for a in arrays))[0])

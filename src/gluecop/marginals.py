@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, DomainError, out_of_range
+from .errors import DataError, DomainError, on_arrays, out_of_range
 
 
 class Marginal:
@@ -23,16 +23,13 @@ class Marginal:
     support: tuple[float, float] = (-np.inf, np.inf)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self._cdf(x)
-        return float(out) if np.isscalar(x) or x.ndim == 0 else out
+        return on_arrays(self._cdf, x)
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
         if out_of_range(p, 0.0, 1.0):
             raise DomainError("quantile argument must lie in [0, 1]")
-        out = self._quantile(p)
-        return float(out) if p.ndim == 0 else out
+        return on_arrays(self._quantile, p)
 
     def contains(self, x) -> bool:
         lo, hi = self.support
@@ -55,8 +52,10 @@ class UniformMarginal(Marginal):
     def __init__(self, a: float = 0.0, b: float = 1.0):
         if not (np.isfinite(a) and np.isfinite(b) and b > a):
             raise DataError("uniform marginal needs finite a < b")
-        self.a = float(a)
-        self.b = float(b)
+        self.a, self.b = float(a), float(b)
+        # a difference of Python floats overflows to inf without a warning
+        if not np.isfinite(self.b - self.a):
+            raise DataError("uniform marginal needs a finite span b - a")
         self.support = (self.a, self.b)
 
     def _cdf(self, x):

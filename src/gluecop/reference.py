@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copulas import Copula, bisect_monotone
-from .errors import DomainError, ParameterError, check_array_size
+from .errors import DomainError, ParameterError, check_array_size, on_arrays
 from .gluing import decompose
 from .marginals import Marginal, UniformMarginal
 
@@ -67,9 +67,8 @@ def _check_tent_theta(theta: float) -> None:
 def tent(x, theta: float):
     """The tent regression curve x/theta rising then (1-x)/(1-theta) falling."""
     _check_tent_theta(theta)
-    x = np.asarray(x, dtype=float)
-    out = np.where(x <= theta, x / theta, (1.0 - x) / (1.0 - theta))
-    return float(out) if out.ndim == 0 else out
+    return on_arrays(lambda x: np.where(x <= theta, x / theta,
+                                        (1.0 - x) / (1.0 - theta)), x)
 
 
 def simulate_example1(n: int, theta: float, seed: int) -> Sample:
@@ -105,12 +104,14 @@ class Example4Model:
     #: in units of k; 6.5 sigma keeps the clamped tail mass below 1e-10
     TAIL_SIGMAS = 6.5
     TABLE_SIZE = 2048
+    #: Gauss-Legendre nodes of the quadrature over the explanatory variable
+    QUAD_NODES = 256
 
-    def __init__(self, k: float = 0.1, quad_nodes: int = 256):
+    def __init__(self, k: float = 0.1):
         if not (np.isfinite(k) and k > 0):
             raise ParameterError("noise scale k must be positive")
         self.k = float(k)
-        xg, wg = np.polynomial.legendre.leggauss(quad_nodes)
+        xg, wg = np.polynomial.legendre.leggauss(self.QUAD_NODES)
         self._r = 0.5 * (xg + 1.0)       # nodes on [0, 1]
         self._w = 0.5 * wg
         lo = -self.TAIL_SIGMAS * self.k
@@ -121,11 +122,12 @@ class Example4Model:
     # -- response marginal --------------------------------------------------
 
     def marginal_y_cdf(self, y):
-        """F_Y(y) by quadrature over the uniform explanatory variable."""
-        y = np.asarray(y, dtype=float)
-        z = (y[..., None] - (self._r - 0.5) ** 2) / self.k
-        out = _ndtr(z) @ self._w
-        return float(out) if y.ndim == 0 else out
+        """F_Y(y) by quadrature over the uniform explanatory variable, summed
+        along each y's row so that its bits do not depend on the batch."""
+        def cdf(y):
+            z = (y[..., None] - (self._r - 0.5) ** 2) / self.k
+            return np.sum(_ndtr(z) * self._w, axis=-1)
+        return on_arrays(cdf, y)
 
     def marginal_y_quantile(self, p):
         """F_Y^{-1}(p): table lookup bracket, then bisection on the true F_Y.
@@ -133,15 +135,13 @@ class Example4Model:
         Probabilities beyond the table range clamp to its endpoints (the
         excluded tail mass is below 1e-10 by construction).
         """
-        p = np.asarray(p, dtype=float)
-        scalar = p.ndim == 0
-        pf = np.atleast_1d(p).astype(float)
-        pc = np.clip(pf, self._Fgrid[0], self._Fgrid[-1])
-        idx = np.clip(np.searchsorted(self._Fgrid, pc), 1, self.TABLE_SIZE - 1)
-        lo, hi = bisect_monotone(self.marginal_y_cdf, pc, self._ygrid[idx - 1],
-                                 self._ygrid[idx], 40)
-        out = 0.5 * (lo + hi)
-        return float(out[0]) if scalar else out.reshape(p.shape)
+        def quantile(p):
+            pc = np.clip(p, self._Fgrid[0], self._Fgrid[-1])
+            idx = np.clip(np.searchsorted(self._Fgrid, pc), 1, self.TABLE_SIZE - 1)
+            lo, hi = bisect_monotone(self.marginal_y_cdf, pc,
+                                     self._ygrid[idx - 1], self._ygrid[idx], 40)
+            return 0.5 * (lo + hi)
+        return on_arrays(quantile, p)
 
     def marginal_y(self) -> Marginal:
         return _Example4YMarginal(self)
@@ -191,38 +191,27 @@ class Example4Copula(Copula):
     def __init__(self, model: Example4Model):
         self.model = model
 
-    def _yv(self, v):
-        return self.model.marginal_y_quantile(v)
-
     def _cdf(self, u, v):
         m = self.model
-        out = np.zeros(np.broadcast(u, v).shape)
-        u, v = (a.ravel() for a in np.broadcast_arrays(u, v))
-        flat = out.reshape(-1)
+        u, v = np.broadcast_arrays(u, v)
+        out = np.zeros(u.shape)
         interior = (u > 0) & (v > 0)
-        if np.any(interior):
-            ui, vi = u[interior], v[interior]
-            yv = self._yv(vi)
-            # rescale the unit-interval nodes to [0, u] per point
-            r = 0.5 * ui[:, None] * (2.0 * m._r[None, :])
-            z = (yv[:, None] - (r - 0.5) ** 2) / m.k
-            flat[interior] = ui * (_ndtr(z) @ m._w)
+        ui, yv = u[interior], m.marginal_y_quantile(v[interior])
+        # rescale the unit-interval nodes to [0, u] per point
+        r = 0.5 * ui[:, None] * (2.0 * m._r[None, :])
+        z = (yv[:, None] - (r - 0.5) ** 2) / m.k
+        out[interior] = ui * np.sum(_ndtr(z) * m._w, axis=-1)
         # exact edges keep the uniform margins to machine precision
-        flat[np.asarray(v >= 1.0)] = u[np.asarray(v >= 1.0)]
-        flat[np.asarray(u >= 1.0) & (v < 1.0)] = v[np.asarray(u >= 1.0) & (v < 1.0)]
-        return out
+        return np.where(v >= 1.0, u, np.where(u >= 1.0, v, out))
 
     def _du(self, u, v):
         m = self.model
-        out = np.zeros(np.broadcast(u, v).shape)
-        u, v = (a.ravel() for a in np.broadcast_arrays(u, v))
-        flat = out.reshape(-1)
+        u, v = np.broadcast_arrays(u, v)
+        out = np.zeros(u.shape)
         pos = v > 0
-        if np.any(pos):
-            yv = self._yv(v[pos])
-            flat[pos] = _ndtr((yv - (u[pos] - 0.5) ** 2) / m.k)
-        flat[np.asarray(v >= 1.0)] = 1.0
-        return out
+        yv = m.marginal_y_quantile(v[pos])
+        out[pos] = _ndtr((yv - (u[pos] - 0.5) ** 2) / m.k)
+        return np.where(v >= 1.0, 1.0, out)
 
 
 def simulate_example4(n: int, k: float = 0.1, seed: int = 0) -> Sample:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .copulas import Copula, conditional_quantile
-from .errors import DomainError
+from .errors import DomainError, on_arrays
 from .gluing import GluedCopula, glue, misplaced_gluing_point
 from .marginals import Marginal
 
@@ -46,16 +46,14 @@ class RegressionModel:
 
 def median_regression(m: RegressionModel, x):
     """Median regression curve mu(x); accepts scalars or arrays."""
-    m.marginal_x.require_in_support(x)
-    psi = conditional_quantile(m.copula, m.marginal_x.cdf(x), 0.5)
+    psi = _slab_curve(m, x, lambda piece, us: conditional_quantile(piece, us, 0.5))
     return m.marginal_y.quantile(psi)
 
 
 def _mean_grid(my: Marginal):
     """Midpoint grid of the mean: a = 0 clipped into [Q_Y(eps), Q_Y(1-eps)]
     and, on each side of a, the step h and F_Y at the nodes (None if empty)."""
-    ylo = float(my.quantile(MEAN_EPS))
-    yhi = float(my.quantile(1.0 - MEAN_EPS))
+    ylo, yhi = my.quantile(MEAN_EPS), my.quantile(1.0 - MEAN_EPS)
     a = min(max(0.0, ylo), yhi)
     mid = np.arange(MEAN_NODES) + 0.5
 
@@ -68,18 +66,29 @@ def _mean_grid(my: Marginal):
     return a, side(a, yhi), side(ylo, a)
 
 
+def _slab_curve(m: RegressionModel | PiecewiseRegressionModel, x, on_slab):
+    """The curve that ``on_slab(piece, u*)`` gives on each slab of the model's
+    copula at u = F_X(x), through ``on_arrays``."""
+    m.marginal_x.require_in_support(x)
+
+    def curve(x):
+        out = np.empty(x.size)
+        for i, rows, us in m.copula.slabs(m.marginal_x.cdf(x.ravel())):
+            out[rows] = on_slab(m.copula.pieces[i], us)
+        return out.reshape(x.shape)
+    return on_arrays(curve, x)
+
+
 def mean_regression(m: RegressionModel | PiecewiseRegressionModel, x):
     """Mean regression curve; requires the conditional expectation to exist."""
-    m.marginal_x.require_in_support(x)
-    x = np.asarray(x, dtype=float)
     a, upper, lower = _mean_grid(m.marginal_y)
-    out = np.empty(x.size)
-    # E[Y | U=u] = a + int_a^hi (1 - F) dy - int_lo^a F dy, F = dC/du(u, F_Y);
-    # a row sum of a block is the same pairwise sum a lone x would get.  F is
-    # du without its argument checks (u* is in [0, 1]), so the piece sees the
-    # block and the nodes unbroadcast
-    for i, rows, us in m.copula.slabs(m.marginal_x.cdf(x.ravel())):
-        piece, mu = m.copula.pieces[i], np.full(us.shape, a)
+
+    def mean(piece, us):
+        # E[Y | U=u] = a + int_a^hi (1 - F) dy - int_lo^a F dy, F = dC/du(u, F_Y);
+        # a row sum of a block is the same pairwise sum a lone x would get.  F
+        # is du without its argument checks (u* is in [0, 1]), so the piece
+        # sees the block and the nodes unbroadcast
+        mu = np.full(us.shape, a)
         for j in range(0, us.size, MEAN_BLOCK):
             block = us[j:j + MEAN_BLOCK, None]
             if upper is not None:
@@ -90,8 +99,8 @@ def mean_regression(m: RegressionModel | PiecewiseRegressionModel, x):
                 h, v = lower
                 F = np.clip(piece._du(block, v), 0.0, 1.0)
                 mu[j:j + MEAN_BLOCK] -= h * np.sum(F, axis=1)
-        out[rows] = mu
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+        return mu
+    return _slab_curve(m, x, mean)
 
 
 @dataclass(frozen=True)
@@ -132,11 +141,6 @@ def piecewise_regression(pm: PiecewiseRegressionModel, x,
         raise DomainError(f"unknown statistic {statistic!r}")
     if statistic == "mean":
         return mean_regression(pm, x)
-    pm.marginal_x.require_in_support(x)
-    x = np.asarray(x, dtype=float)
-    psi = np.empty(x.size)
-    for i, rows, us in pm.copula.slabs(pm.marginal_x.cdf(x.ravel())):
-        piece = pm.copula.pieces[i]
-        psi[rows] = [conditional_quantile(piece, u, 0.5) for u in us]
-    out = pm.marginal_y.quantile(psi)
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+    psi = _slab_curve(pm, x, lambda piece, us: [conditional_quantile(piece, u, 0.5)
+                                                for u in us])
+    return pm.marginal_y.quantile(psi)

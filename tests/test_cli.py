@@ -440,6 +440,22 @@ class TestPredictInputs:
         assert err == ("gluecop: data error: empirical marginal needs >= 2 "
                        "distinct values\n")
 
+    @pytest.mark.parametrize("statistic", ["median", "mean"])
+    @pytest.mark.parametrize("side", ["marginal_x", "marginal_y"])
+    def test_overflowing_uniform_span_is_data_error(self, tmp_path, capsys,
+                                                   side, statistic):
+        # b - a overflows: the median exited 1 after two RuntimeWarnings, and
+        # the mean on such a y marginal exited 0 writing inf for every mu
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_model_doc(
+            break_points=[], segment_copulas=[{"family": "frank", "theta": -8.0}],
+            **{side: {"type": "uniform", "a": -1e308, "b": 1e308}})))
+        code, out, err = run(capsys, "predict", str(path), "--statistic", statistic)
+        assert code == 2
+        assert out == ""
+        assert err == ("gluecop: data error: uniform marginal needs a finite "
+                       "span b - a\n")
+
     @pytest.mark.parametrize("text", [
         None,
         "[1, 2]",

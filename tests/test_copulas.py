@@ -227,9 +227,9 @@ class TestConditional:
                            indexing="ij")
         assert np.array_equal(conditional_quantile(c, u, p),
                               bisection_quantile(c, u, p))
-        # a scalar u, alone or broadcast against p, is bisected as it is given;
-        # p = du(u, 1/2) puts flat stretches of du, where the last bit of du
-        # decides each step, into the bracket
+        # a scalar u, alone or broadcast against p, gives the array call's
+        # bits; p = du(u, 1/2) puts flat stretches of du, where the last bit
+        # of du decides each step, into the bracket
         for u0 in (0.01, 0.25, 0.5, 0.625, 0.99):
             p0 = c.du(u0, 0.5)
             assert conditional_quantile(c, u0, p0) == bisection_quantile(c, u0, p0)

@@ -24,6 +24,19 @@ class TestUniform:
         with pytest.raises(DomainError):
             UniformMarginal().quantile(1.5)
 
+    @pytest.mark.parametrize("a, b", [
+        (-1e308, 1e308), (-np.inf, 0.0), (np.float64(-1e308), np.float64(1e308)),
+        (-np.finfo(float).max, np.finfo(float).max)])
+    def test_rejects_overflowing_span(self, a, b):
+        # b - a = inf would turn every cdf and quantile into inf or NaN
+        with pytest.raises(DataError, match="^uniform marginal needs "):
+            UniformMarginal(a, b)
+
+    def test_largest_span_is_finite(self):
+        m = UniformMarginal(-8e307, 8e307)
+        assert m.cdf([-8e307, 0.0, 8e307]).tolist() == [0.0, 0.5, 1.0]
+        assert m.quantile([0.0, 0.5, 1.0]).tolist() == [-8e307, 0.0, 8e307]
+
 
 class TestEmpirical:
     def test_generalized_inverse_inequalities(self):

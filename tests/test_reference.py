@@ -111,10 +111,20 @@ class TestParabolaMarginal:
 
     def test_cdf_refinement_oracle(self, model):
         # quadrupling the quadrature nodes moves nothing past 1e-10
-        fine = Example4Model(k=0.1, quad_nodes=1024)
+        class Fine(Example4Model):
+            QUAD_NODES = 1024
+
+        fine = Fine(k=0.1)
         ys = np.linspace(-0.4, 0.7, 57)
         assert np.max(np.abs(model.marginal_y_cdf(ys)
                              - fine.marginal_y_cdf(ys))) < 1e-10
+
+    def test_cdf_is_the_matrix_vector_product_to_rounding(self, model):
+        # the quadrature sums each y's row, in another order than a mat-vec
+        ys = np.linspace(-0.6, 0.9, 500)
+        z = (ys[:, None] - (model._r - 0.5) ** 2) / model.k
+        assert (np.max(np.abs(model.marginal_y_cdf(ys) - ndtr(z) @ model._w))
+                <= 4 * np.finfo(float).eps)
 
     def test_cdf_midpoint_oracle(self, model):
         # independent midpoint-rule evaluation of the same integral

@@ -54,10 +54,16 @@ argument checks (``_bad_calls``: NaN, infinities, -5e-324, 1 + 2**-52 and
 -0.0, on 0-d, 2-D, strided and empty arrays) compares the exception type and
 message each raises, or the bytes it returns.
 
-Two model documents at the edges of ``gluecop predict`` run with ``--num
+Two library calls at one point compare the evaluation shapes:
+``conditional_quantile`` of Clayton(6.0540158930013295) at u = 0.01 and
+p = 1 - 6e-11, once with a scalar u and once with the 1-element array
+``[0.01]``, whose ``repr`` must agree.
+
+Three model documents at the edges of ``gluecop predict`` run with ``--num
 5`` (``EDGE_MODELS``): one whose empirical x knots span -1.7e308 to 1.7e308,
-so that the span of the default grid overflows, and one whose x knots are
-all equal.
+so that the span of the default grid overflows, one whose x knots are all
+equal, and one whose uniform x marginal spans -1e308 to 1e308, so that
+``b - a`` overflows.
 
 Tied and discrete data run last, where fitting ranks each segment from the
 two global sort orders: the tent (theta 0.4, n 3000) with y on 5 levels, with
@@ -139,10 +145,11 @@ CSV_EDGE_FILES = {
 }
 
 # the x marginal of a one-segment Frank(-8) model document: a support whose
-# span overflows, and a support of one point
+# span overflows, a support of one point, and a uniform whose b - a overflows
 EDGE_MODELS = {
     "huge x span": {"type": "empirical", "knots": [-1.7e308, 0.0, 1.7e308]},
     "equal x knots": {"type": "empirical", "knots": [0.5, 0.5]},
+    "huge uniform x span": {"type": "uniform", "a": -1e308, "b": 1e308},
 }
 
 # tied inputs and a ``fit --breakpoints`` value at a tie group of each x
@@ -290,6 +297,20 @@ def _bad_calls() -> dict[str, bytes]:
     return rec
 
 
+def _shape_calls() -> dict[str, bytes]:
+    """``conditional_quantile`` where a scalar u and the 1-element array
+    holding it once gave different bits: the ``repr`` of each result."""
+    from gluecop import ClaytonCopula, conditional_quantile
+
+    c, p = ClaytonCopula(6.0540158930013295), 1.0 - 6e-11  # du(0.01, 1/2)
+    return {
+        "conditional_quantile scalar u": repr(
+            conditional_quantile(c, 0.01, p)).encode(),
+        "conditional_quantile 1-element u": repr(
+            conditional_quantile(c, [0.01], p).tolist()).encode(),
+    }
+
+
 def _family_fits() -> dict[str, bytes]:
     """``fit_segment`` restricted to each parametric fitting family, on one
     sample with positive and one with negative sample rho: the ``repr`` of
@@ -362,6 +383,8 @@ def collect() -> None:
             records[("fixed curves", 0, item)] = value
         for item, value in _bad_calls().items():
             records[("bad arguments", 0, item)] = value
+        for item, value in _shape_calls().items():
+            records[("shape calls", 0, item)] = value
         for name, argv in USAGE_ERRORS.items():
             records[("usage errors", 0, f"gluecop {name}")] = _cli(argv)
         for name, argv in FIXED_RUNS.items():
