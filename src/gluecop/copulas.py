@@ -186,9 +186,9 @@ _M, _W = FrechetUpperCopula(), FrechetLowerCopula()
 
 def _bound_where_lost(value, held, bound, u, v):
     """``value`` where ``held``, else ``bound(u, v)``: the ``_cdf`` or ``_du``
-    of the Fréchet bound a family tends to as |theta| grows, for points where
-    its closed form over- or underflowed.  There the family's cdf is within
-    log(2)/|theta| of the bound."""
+    of the Fréchet bound a family tends to at extreme theta, for points where
+    its closed form was lost.  There the family's cdf is within log(2)/|theta|
+    (Plackett's: 1/(2 + 2 sqrt(t)), t = max(theta, 1/theta)) of the bound."""
     if held.all():
         return value
     return np.where(held, value, bound(u, v))
@@ -323,8 +323,8 @@ class PlackettCopula(Copula):
         if not (np.isfinite(theta) and theta > 0.0 and theta != 1.0):
             raise ParameterError("Plackett requires theta > 0, theta != 1")
         self.theta = float(theta)
+        self._bound = _M if theta > 1 else _W
 
-    # extreme theta can cancel d to NaN, which callers report without a warning
     def _cdf(self, u, v):
         th = self.theta
         eta = th - 1.0
@@ -332,6 +332,7 @@ class PlackettCopula(Copula):
             s = 1.0 + eta * (u + v)
             d = np.sqrt(s * s - 4.0 * th * eta * u * v)
             c = (s - d) / (2.0 * eta)
+        c = _bound_where_lost(c, np.isfinite(c), self._bound._cdf, u, v)
         # at large theta the rounding of s - d can leave the Frechet bounds
         # next to the edges; clipping into them keeps the margins exact
         return np.minimum(np.maximum(c, np.maximum(u + v - 1.0, 0.0)),
@@ -343,7 +344,8 @@ class PlackettCopula(Copula):
         with np.errstate(all="ignore"):
             s = 1.0 + eta * (u + v)
             d = np.sqrt(s * s - 4.0 * th * eta * u * v)
-            return 0.5 * (1.0 - (s - 2.0 * th * v) / d)
+            out = 0.5 * (1.0 - (s - 2.0 * th * v) / d)
+        return _bound_where_lost(out, np.isfinite(out), self._bound._du, u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ class UniformMarginal(Marginal):
         self.support = (self.a, self.b)
 
     def _cdf(self, x):
-        return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
+        return (np.clip(x, self.a, self.b) - self.a) / (self.b - self.a)
 
     def _quantile(self, p):
         return self.a + p * (self.b - self.a)

@@ -17,19 +17,19 @@ Both curves therefore take each x to its slab once on ``Copula.slabs``
 (a copula that is not glued is a single slab) and work on the piece there:
 the mean integrates it MEAN_BLOCK rows per du call, so that memory stays
 bounded, and the median inverts it, as ``conditional_quantile`` does.  A
-piecewise model holds the glued copula of its segments, and both curves
-are read off it.
+piecewise model is a ``RegressionModel`` whose copula is the glue of its
+segments, so both curves serve it as they serve any other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .copulas import Copula, conditional_quantile
 from .errors import DomainError, on_arrays
-from .gluing import GluedCopula, glue, misplaced_gluing_point
+from .gluing import glue, misplaced_gluing_point
 from .marginals import Marginal
 
 MEAN_EPS = 1e-6     # tail mass cut from each end of the response marginal
@@ -66,7 +66,7 @@ def _mean_grid(my: Marginal):
     return a, side(a, yhi), side(ylo, a)
 
 
-def _slab_curve(m: RegressionModel | PiecewiseRegressionModel, x, on_slab):
+def _slab_curve(m: RegressionModel, x, on_slab):
     """The curve that ``on_slab(piece, u*)`` gives on each slab of the model's
     copula at u = F_X(x), through ``on_arrays``."""
     m.marginal_x.require_in_support(x)
@@ -79,7 +79,7 @@ def _slab_curve(m: RegressionModel | PiecewiseRegressionModel, x, on_slab):
     return on_arrays(curve, x)
 
 
-def mean_regression(m: RegressionModel | PiecewiseRegressionModel, x):
+def mean_regression(m: RegressionModel, x):
     """Mean regression curve; requires the conditional expectation to exist."""
     a, upper, lower = _mean_grid(m.marginal_y)
 
@@ -103,35 +103,31 @@ def mean_regression(m: RegressionModel | PiecewiseRegressionModel, x):
     return _slab_curve(m, x, mean)
 
 
-@dataclass(frozen=True)
-class PiecewiseRegressionModel:
-    """Break-points in x-space plus one copula per segment.
-
-    Segment i covers (b_{i-1}, b_i] (left-closed at the first segment).  The
-    model's copula is the segment copulas glued at theta_i = F_X(b_i), and
-    ``GluedCopula`` checks the piece count and the gluing points; a misplaced
-    gluing point is reported as its break-point first.
-    """
+@dataclass(frozen=True, init=False)
+class PiecewiseRegressionModel(RegressionModel):
+    """A ``RegressionModel`` whose copula glues one copula per segment at
+    theta_i = F_X(b_i); segment i covers (b_{i-1}, b_i] (left-closed at the
+    first).  ``GluedCopula`` checks the piece count and the gluing points; a
+    misplaced gluing point is reported as its break-point first."""
 
     break_points: tuple
-    segment_copulas: tuple
-    marginal_x: Marginal
-    marginal_y: Marginal
-    gluing_points: tuple = field(init=False)
-    copula: GluedCopula = field(init=False, repr=False, compare=False)
+    gluing_points: tuple
 
-    def __post_init__(self):
-        bps = tuple(float(b) for b in self.break_points)
-        thetas = tuple(float(self.marginal_x.cdf(b)) for b in bps)
+    def __init__(self, break_points, segment_copulas, marginal_x, marginal_y):
+        bps = tuple(float(b) for b in break_points)
+        thetas = tuple(float(marginal_x.cdf(b)) for b in bps)
         bad = misplaced_gluing_point(thetas)
         if bad is not None:
             raise DomainError(f"break-point {bps[bad]!r} has gluing point "
                               f"F_X(b) = {thetas[bad]!r}; gluing points must be "
                               "strictly increasing in (0, 1)")
-        object.__setattr__(self, "copula", glue(self.segment_copulas, thetas))
+        super().__init__(glue(segment_copulas, thetas), marginal_x, marginal_y)
         object.__setattr__(self, "break_points", bps)
-        object.__setattr__(self, "segment_copulas", tuple(self.segment_copulas))
         object.__setattr__(self, "gluing_points", thetas)
+
+    @property
+    def segment_copulas(self) -> tuple:
+        return self.copula.pieces
 
 
 def piecewise_regression(pm: PiecewiseRegressionModel, x,

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gluecop import (ClaytonCopula, FrankCopula, GumbelCopula, glue,
-                     simulate_copula, simulate_example1, simulate_example4)
+from gluecop import (ClaytonCopula, FrankCopula, GumbelCopula, dependence,
+                     glue, simulate_copula, simulate_example1, simulate_example4)
 from gluecop.cli import _read_xy_numpy, _read_xy_rows, main, read_xy_csv
 from gluecop.empirical import sample_dependence_report
 from gluecop.errors import DataError
@@ -564,11 +564,13 @@ class TestTypedErrorPath:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     def test_non_finite_report_is_numerical_error(self, tmp_path, capsys,
-                                                  to_file):
+                                                  monkeypatch, to_file):
+        # no family's report holds a non-finite number, so one is planted
+        monkeypatch.setattr(dependence, "spearman_rho", lambda c: float("nan"))
         target = tmp_path / "r.json"
         extra = ["--out", str(target)] if to_file else []
-        code, out, err = run(capsys, "measures", "--family", "plackett",
-                             "--theta", "1e16", *extra)
+        code, out, err = run(capsys, "measures", "--family", "clayton",
+                             "--theta", "2", *extra)
         assert code == 3
         assert out == ""
         assert err == ("gluecop: numerical error: a non-finite number (NaN or "
@@ -631,12 +633,14 @@ class TestMeasures:
         assert doc["regression_class"] == "PRD"
         assert doc["sigma"] == pytest.approx(doc["rho"], abs=2e-3)
 
-    # the closed forms overflow at these theta; numpy warnings are errors here
+    # the closed forms overflow (Plackett's cancels) at these theta; numpy
+    # warnings are errors here
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("family, theta", [
         ("clayton", "200"), ("clayton", "2000"),
         ("gumbel", "200"), ("gumbel", "2000"),
         ("frank", "1000"), ("frank", "-1000"),
+        ("plackett", "1e16"), ("plackett", "1e300"),
     ])
     def test_large_theta_family_report(self, capsys, family, theta):
         code, out, err = run(capsys, "measures", "--family", family,

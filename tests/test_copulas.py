@@ -19,6 +19,8 @@ from gluecop import (
     decompose,
     glue,
     make_copula,
+    schweizer_wolff_sigma,
+    spearman_rho,
 )
 from gluecop.copulas import Copula, _finite_difference_du
 from oracles import bisection_quantile
@@ -180,6 +182,22 @@ class TestDu:
         t = np.linspace(0.0, 1.0, 101)
         U, V = np.meshgrid(t, t, indexing="ij")
         assert np.all(np.isfinite(c.du(U, V)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta", [1e16, 1e20, 1e300, 1e-17, 1e-300], ids=repr)
+    def test_extreme_plackett_falls_back_to_its_bound(self, theta):
+        # the closed form cancels to NaN on the diagonal; there C is within
+        # 1/(2 + 2 sqrt(t)), t = max(theta, 1/theta), of M or W
+        c, bound = PlackettCopula(theta), (M if theta > 1 else W)
+        t = np.linspace(0.0, 1.0, 33)
+        U, V = np.meshgrid(t, t, indexing="ij")
+        np.testing.assert_allclose(c.cdf_grid(t, t), bound.cdf_grid(t, t),
+                                   rtol=0, atol=1e-8)
+        assert np.all(np.isfinite(c.du(U, V)))
+        assert (conditional_quantile(c, 0.3, 0.5)
+                == conditional_quantile(bound, 0.3, 0.5))
+        assert spearman_rho(c) == (1.0 if theta > 1 else -1.0)
+        assert schweizer_wolff_sigma(c) == 1.0
 
     @pytest.mark.parametrize("c", ALL_CLOSED_FORM, ids=lambda c: repr(c))
     def test_du_nondecreasing_in_v(self, c):

@@ -14,7 +14,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    # the child fails on a numpy floating-point warning, as pytest does here
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           "PYTHONWARNINGS": "error::RuntimeWarning"}
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr

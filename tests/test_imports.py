@@ -14,7 +14,9 @@ def _scipy_loaded_after(code: str) -> bool:
     """Run ``code`` in a fresh interpreter; report whether any scipy module
     got loaded."""
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    # the child fails on a numpy floating-point warning, as pytest does here
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           "PYTHONWARNINGS": "error::RuntimeWarning"}
     code += "\nprint(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", "import sys\n" + code],
                           capture_output=True, text=True, env=env, timeout=120)

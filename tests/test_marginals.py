@@ -37,6 +37,13 @@ class TestUniform:
         assert m.cdf([-8e307, 0.0, 8e307]).tolist() == [0.0, 0.5, 1.0]
         assert m.quantile([0.0, 0.5, 1.0]).tolist() == [-8e307, 0.0, 8e307]
 
+    def test_cdf_far_outside_a_wide_support(self):
+        # x is clipped into [a, b] before x - a is taken, which could overflow
+        m = UniformMarginal(-8e307, 8e307)
+        big = np.finfo(float).max
+        assert m.cdf([-big, -1.7e308, 1.7e308, big]).tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert m.cdf(1.7e308) == 1.0
+
 
 class TestEmpirical:
     def test_generalized_inverse_inequalities(self):

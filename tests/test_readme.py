@@ -21,7 +21,9 @@ def test_readme_has_python_blocks():
 @pytest.mark.parametrize("code", BLOCKS, ids=lambda c: c.splitlines()[0][:40])
 def test_readme_block_runs(code, tmp_path):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    # the child fails on a numpy floating-point warning, as pytest does here
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           "PYTHONWARNINGS": "error::RuntimeWarning"}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr

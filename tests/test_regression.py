@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, fields
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,13 @@ from gluecop import (
     classify_regression_dependence,
     conditional_quantile,
     decompose,
+    fit_piecewise,
     glue,
     make_copula,
     mean_regression,
     median_regression,
     piecewise_regression,
+    simulate_example1,
     tent,
 )
 from gluecop.regression import MEAN_BLOCK, MEAN_NODES, _mean_grid
@@ -251,6 +255,37 @@ class TestPiecewise:
         assert piecewise_regression(pm, 0.5) == pytest.approx(0.8409, abs=1e-4)
         glued = RegressionModel(glue([left, right], [0.5]), UNIT, UNIT)
         assert median_regression(glued, 0.5) == piecewise_regression(pm, 0.5)
+
+    def test_is_a_frozen_regression_model(self):
+        pm = self.tent_model()
+        assert isinstance(pm, RegressionModel)
+        for name in ("break_points", "gluing_points", "copula"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(pm, name, (1.0,))
+        assert pm.break_points == (0.5,)
+
+    def test_fitted_model_is_a_regression_model(self):
+        fit = fit_piecewise(simulate_example1(2000, 0.5, seed=23))
+        assert isinstance(fit.model, RegressionModel)
+
+    def test_segment_copulas_are_the_glued_pieces(self):
+        # the glue holds the segments; the model keeps no second copy
+        pm = PiecewiseRegressionModel(
+            break_points=np.array([0.3, 0.65]), segment_copulas=GLUED3[0],
+            marginal_x=UNIT, marginal_y=TWO_SIDED_Y)
+        assert pm.segment_copulas is pm.copula.pieces
+        assert [f.name for f in fields(pm)] == [
+            "copula", "marginal_x", "marginal_y", "break_points", "gluing_points"]
+
+    def test_gluing_points_are_a_tuple_of_floats(self):
+        mx = EmpiricalMarginal(np.random.default_rng(5).normal(size=300))
+        pm = PiecewiseRegressionModel(np.array([-0.5, 0.5]), GLUED3[0], mx, UNIT)
+        for points in (pm.break_points, pm.gluing_points):
+            assert type(points) is tuple
+            assert all(type(t) is float for t in points)
+        # so that tuple arithmetic concatenates rather than adds
+        assert (0.0,) + pm.gluing_points + (1.0,) == (
+            0.0, *pm.copula.gluing_points.tolist(), 1.0)
 
     def test_parabola_decomposition_monotone_per_segment(self):
         model = Example4Model(k=0.1)

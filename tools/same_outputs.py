@@ -40,9 +40,10 @@ case's files, and their stdout, stderr and exit code are compared too.  So
 are those of a few commands that read no file: ``gluecop simulate`` of both
 reference models, and ``gluecop measures --family`` for every family: Clayton,
 Gumbel, Frank, Plackett and FGM at the ends of the parameter ranges that
-fitting searches, the product copula, both Fréchet bounds and the tent
-copula (``example1``, a glued one), so that each family's cdf and du grids
-are compared.  Last,
+fitting searches (Plackett also at 1e16 and 1e300, where its closed form
+cancels and falls back to M), the product copula, both Fréchet bounds and
+the tent copula (``example1``, a glued one), so that each family's cdf and
+du grids are compared.  Last,
 ``gluecop analyze`` and ``gluecop measures`` run on each small CSV file of
 ``CSV_EDGE_FILES`` (quotes, comments, blank lines, line ends, a byte-order
 mark, ragged rows, non-finite and over-long cells, stray bytes), so that a
@@ -169,6 +170,10 @@ FIXED_RUNS = {
     "measures plackett 1e4": ["measures", "--family", "plackett", "--theta", "1e4"],
     "measures plackett 1e-4": ["measures", "--family", "plackett", "--theta",
                                "1e-4"],
+    "measures plackett 1e16": ["measures", "--family", "plackett", "--theta",
+                               "1e16"],
+    "measures plackett 1e300": ["measures", "--family", "plackett", "--theta",
+                                "1e300"],
     "measures fgm 1": ["measures", "--family", "fgm", "--theta", "1"],
     "measures fgm -1": ["measures", "--family", "fgm", "--theta", "-1"],
     "measures product": ["measures", "--family", "product"],
