@@ -86,7 +86,7 @@ class Copula:
 
     def du(self, u, v):
         """∂C/∂u, clamped to [0, 1]; the conditional CDF of V given U=u."""
-        return _on_unit_square(lambda u, v: self._du(u, v).clip(0.0, 1.0), u, v)
+        return _on_unit_square(self._du_clamped, u, v)
 
     def diagonal(self, t):
         """Diagonal section δ(t) = C(t, t)."""
@@ -118,6 +118,11 @@ class Copula:
 
     def _du(self, u, v):
         return _finite_difference_du(self._cdf, u, v)
+
+    def _du_clamped(self, u, v):
+        """``du`` on float arrays in [0, 1], unchecked: for points the
+        library builds itself (bisection brackets, mean blocks, grids)."""
+        return self._du(u, v).clip(0.0, 1.0)
 
     def _cdf_grid(self, us, vs):
         """``cdf_grid`` on 1-d float axes in [0, 1], unchecked: for grids the
@@ -358,6 +363,11 @@ def conditional_quantile(c: Copula, u, p):
     Monotone in v by 2-increasingness; jump discontinuities of singular
     copulas resolve to the jump location.  Each slab of ``c.slabs`` bisects
     its piece's ``du`` at u* on its own rows: that is c's ``du`` there.
+
+    u and p are checked once, at entry.  No point built after that needs a
+    check: u* is an affine rescale of a checked u onto [0, 1], and every
+    midpoint of a bracket inside [0, 1] lies in it, so the bisection calls
+    ``_du_clamped``, the path ``du`` runs after its check, bit for bit.
     """
     def solve(u, p):
         out = np.empty(u.shape)
@@ -365,8 +375,8 @@ def conditional_quantile(c: Copula, u, p):
             piece, ps, lo = c.pieces[i], p[rows], np.zeros(us.shape)
             # du(u, 0) = 0 <= p always holds for p > 0; p = 0 resolves to v = 0
             # via the shrinking upper bracket since du(u, v) >= 0 everywhere.
-            at0 = piece.du(us, lo) >= ps
-            _, hi = bisect_monotone(lambda v: piece.du(us, v), ps, lo,
+            at0 = piece._du_clamped(us, lo) >= ps
+            _, hi = bisect_monotone(lambda v: piece._du_clamped(us, v), ps, lo,
                                     np.ones(us.shape), BISECT_STEPS)
             out[rows] = np.where(at0, 0.0, hi)
         return out

@@ -121,8 +121,8 @@ def classify_regression_dependence(c: Copula, grid_n: int = 64,
         raise DomainError("grid_n must be >= 8")
     tol = _tolerance(c, tol)
     t = np.arange(1, grid_n + 1) / (grid_n + 1)
-    # du's clamp, without du's check of an axis the library built
-    du = np.clip(c._du(t[:, None], t[None, :]), 0.0, 1.0)
+    # du without its check of an axis the library built
+    du = c._du_clamped(t[:, None], t[None, :])
     # PRD: the steps of ∂C/∂u between adjacent u are all <= tol
     return _band_class(-np.diff(du, axis=0), tol, RegressionClass)
 

@@ -93,11 +93,11 @@ def mean_regression(m: RegressionModel, x):
             block = us[j:j + MEAN_BLOCK, None]
             if upper is not None:
                 h, v = upper
-                F = np.clip(piece._du(block, v), 0.0, 1.0)
+                F = piece._du_clamped(block, v)
                 mu[j:j + MEAN_BLOCK] += h * np.sum(1.0 - F, axis=1)
             if lower is not None:
                 h, v = lower
-                F = np.clip(piece._du(block, v), 0.0, 1.0)
+                F = piece._du_clamped(block, v)
                 mu[j:j + MEAN_BLOCK] -= h * np.sum(F, axis=1)
         return mu
     return _slab_curve(m, x, mean)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gluecop import (
     ClaytonCopula,
     DomainError,
+    EmpiricalCopula,
     FGMCopula,
     FrankCopula,
     FrechetLowerCopula,
@@ -20,6 +21,7 @@ from gluecop import (
     glue,
     make_copula,
     schweizer_wolff_sigma,
+    simulate_copula,
     spearman_rho,
 )
 from gluecop.copulas import Copula, _finite_difference_du
@@ -47,6 +49,16 @@ ALL_CLOSED_FORM = SMOOTH_FAMILIES + [
 #: three smooth pieces glued at two points of the 33-point u grid below
 GLUED_SMOOTH = glue([ClaytonCopula(3.0), FrankCopula(-8.0), GumbelCopula(3.0)],
                     [0.25, 0.625])
+#: copulas whose bisection reaches ``_du`` through another copula's: a
+#: ``decompose`` slab of each kind, a finite-difference empirical ``_du`` and
+#: a glued piece (at 0.5, 0.75 of its slab) inside a glued copula
+UNCHECKED_DU = [
+    decompose(FrankCopula(-8.0), 0.4)[1],
+    decompose(make_copula("example1", 0.5), 0.25)[0],
+    EmpiricalCopula(simulate_copula(ClaytonCopula(2.0), 300, seed=4)),
+    glue([FrankCopula(4.0), glue([ClaytonCopula(3.0), W, GumbelCopula(3.0)],
+                                 [0.5, 0.75])], [0.5]),
+]
 
 
 class TestEval:
@@ -238,7 +250,7 @@ class TestConditional:
         v = conditional_quantile(M, u, 0.5)
         assert np.allclose(v, u, atol=1e-9)
 
-    @pytest.mark.parametrize("c", ALL_CLOSED_FORM + [GLUED_SMOOTH],
+    @pytest.mark.parametrize("c", ALL_CLOSED_FORM + [GLUED_SMOOTH] + UNCHECKED_DU,
                              ids=lambda c: repr(c))
     def test_quantile_is_the_34_step_bisection(self, c):
         u, p = np.meshgrid(np.linspace(0, 1, 33), np.linspace(0, 1, 17),

@@ -15,14 +15,18 @@ from gluecop import (
     PlackettCopula,
     QuadrantClass,
     RegressionClass,
+    RegressionModel,
+    UniformMarginal,
     check_copula_axioms,
     classify_quadrant,
     classify_regression_dependence,
+    conditional_quantile,
     decompose,
     dependence_report,
     fit_segment,
     glue,
     make_copula,
+    median_regression,
     pseudo_observations,
     schweizer_wolff_sigma,
     simulate_copula,
@@ -287,22 +291,23 @@ class TestScalarClamps:
         assert type(out) is float and np.isnan(out)
 
 
+@pytest.fixture()
+def unit_checks(monkeypatch):
+    """The arguments of every ``_validate_unit`` call, in the modules that
+    call it."""
+    calls = []
+    check = copulas._validate_unit
+
+    def counting(*arrays):
+        calls.append(arrays)
+        check(*arrays)
+
+    for module in (copulas, dependence):
+        monkeypatch.setattr(module, "_validate_unit", counting)
+    return calls
+
+
 class TestGridsCheckedOnce:
-    @pytest.fixture()
-    def unit_checks(self, monkeypatch):
-        """The arguments of every ``_validate_unit`` call, in the modules
-        that call it."""
-        calls = []
-        check = copulas._validate_unit
-
-        def counting(*arrays):
-            calls.append(arrays)
-            check(*arrays)
-
-        for module in (copulas, dependence):
-            monkeypatch.setattr(module, "_validate_unit", counting)
-        return calls
-
     def test_rule_nodes_checked_when_built(self, unit_checks):
         _rule.cache_clear()
         for theta in (2.0, 3.0):
@@ -322,6 +327,32 @@ class TestGridsCheckedOnce:
         dependence_report(ClaytonCopula(2.0))
         check_copula_axioms(PlackettCopula(5.0), 33)
         assert unit_checks == []
+
+
+#: three pieces glued at 0.25 and 0.625, the last itself glued at 0.5
+NESTED_GLUE = glue([ClaytonCopula(3.0), FrankCopula(-8.0),
+                    glue([GumbelCopula(3.0), M], [0.5])], [0.25, 0.625])
+
+
+class TestQuantileCheckedOnce:
+    """``conditional_quantile`` checks u and p at entry and none of the
+    brackets it builds: the count stays 1 whatever the number of steps."""
+
+    @pytest.mark.parametrize("steps", [1, 34, 60])
+    @pytest.mark.parametrize("c", [ClaytonCopula(2.0), NESTED_GLUE], ids=repr)
+    @pytest.mark.parametrize("u", [0.3, np.linspace(0.0, 1.0, 33)],
+                             ids=["scalar", "array"])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_one_check_per_call(self, unit_checks, monkeypatch, steps, c, u, p):
+        monkeypatch.setattr(copulas, "BISECT_STEPS", steps)
+        conditional_quantile(c, u, p)
+        assert len(unit_checks) == 1
+
+    @pytest.mark.parametrize("hi, slabs", [(0.2, 1), (0.5, 2), (1.0, 3)])
+    def test_median_checks_once_per_occupied_slab(self, unit_checks, hi, slabs):
+        m = RegressionModel(NESTED_GLUE, UniformMarginal(), UniformMarginal())
+        median_regression(m, np.linspace(0.0, hi, 1001))
+        assert len(unit_checks) == slabs
 
 
 class TestReport:

@@ -25,7 +25,8 @@ last slab empty (x in [0, 0.25] plus both gluing points).  So is that glued
 copula's conditional quantile at p in {0, 0.25, 0.5, 1} on a u grid that
 holds 0, both gluing points and 1, which no seeded case draws exactly.
 So is the v that ``simulate_copula`` draws from that glued copula (2000
-draws, seed 5), whose array bisection checks its arguments at every step.
+draws, seed 5), one array bisection per slab on the unchecked ``du`` of
+each piece.
 
 Each parametric fitting family is also fitted alone by ``fit_segment`` to a
 fixed Clayton(0.4) sample (positive sample rho) and a fixed Frank(-1.5) sample
