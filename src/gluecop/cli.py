@@ -28,10 +28,9 @@ import numpy as np
 from . import model_io
 from .changepoint import GRID_N_DEFAULT
 from .copulas import make_copula
-from .dependence import dependence_report, schweizer_wolff_sigma
-from .empirical import (DEFAULT_FIT_FAMILIES, DETECTION_PERSISTENCE,
-                        EmpiricalCopula, crossing_breakpoints, crossing_report,
-                        fit_piecewise, pseudo_observations, rank_correlation,
+from .dependence import dependence_report
+from .empirical import (DEFAULT_FIT_FAMILIES, DETECTION_PERSISTENCE, crossing_report,
+                        crossing_breakpoints, fit_piecewise, pseudo_observations,
                         sample_dependence_report, small_sample_note)
 from .errors import (DataError, DomainError, NumericalError, ParameterError,
                      check_array_size)
@@ -215,11 +214,12 @@ def cmd_analyze(args) -> int:
     sample = read_xy_csv(args.input)
     ps = pseudo_observations(sample)
     report = crossing_report(ps, args.grid_n, args.tol, args.persistence)
+    dependence = sample_dependence_report(ps)
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "n": sample.n,
-        "rho_hat": rank_correlation(*ps.ranks),
-        "sigma_hat": schweizer_wolff_sigma(EmpiricalCopula(ps)),
+        "rho_hat": dependence.rho,
+        "sigma_hat": dependence.sigma,
         "mixed_dependence": report.mixed_dependence,
         "crossings": [asdict(c) for c in report.crossings],
         "candidates": crossing_breakpoints(sample.x, report),
@@ -251,9 +251,15 @@ def cmd_fit(args) -> int:
         families = tuple(tok.strip() for tok in args.families.split(",") if tok.strip())
         if not families:
             raise DomainError(f"--families list is empty: {args.families!r}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = fit_piecewise(sample, candidates=candidates, families=families)
+    # the library's notes (fewer than MIN_DETECTION_POINTS points) are
+    # printed as predict prints its support warning, even when fitting fails
+    with warnings.catch_warnings(record=True) as notes:
+        warnings.simplefilter("always")
+        try:
+            result = fit_piecewise(sample, candidates=candidates, families=families)
+        finally:
+            for note in notes:
+                print(f"gluecop: warning: {note.message}", file=sys.stderr)
     model_io.save_model(result.model, args.out_model)
     print(f"{'segment':>8} {'interval':>24} {'family':>14} {'theta':>10} "
           f"{'rho_hat':>8} {'gof':>10}")
@@ -302,7 +308,7 @@ def cmd_measures(args) -> int:
     if args.family is not None:
         report = dependence_report(make_copula(args.family, args.theta), 64)
     else:
-        report = sample_dependence_report(read_xy_csv(args.input))
+        report = sample_dependence_report(pseudo_observations(read_xy_csv(args.input)))
     _emit_json({"schema_version": REPORT_SCHEMA_VERSION, **report.to_dict()},
                args.out)
     return EXIT_OK

@@ -28,6 +28,18 @@ from .errors import DomainError, ParameterError, on_arrays, out_of_range
 FD_STEP = 1e-5          # finite-difference step for the u-derivative
 BISECT_STEPS = 34       # conditional-quantile halvings of [0, 1]: 2**-34 < 1e-10
 
+# Near independence the closed forms cancel: Clayton's u^-theta + v^-theta - 1
+# rounds towards 1, Frank's product of expm1's underflows and Plackett's
+# s - d loses its digits, so they report a Frechet bound or the wrong sign.
+# Strictly inside these distances of independence (theta = 0, or 1 for
+# Plackett) each family takes a cancellation-free form instead.  Each
+# distance is the end of the family's rho-inversion range towards
+# independence (``empirical._FIT_RANGES``), ends excluded, so no fit reaches
+# the near forms.
+CLAYTON_NEAR = 1e-3     # 0 < theta < CLAYTON_NEAR
+FRANK_NEAR = 1e-6       # |theta| < FRANK_NEAR
+PLACKETT_NEAR = 1e-6    # 1 - PLACKETT_NEAR < theta < 1 + PLACKETT_NEAR
+
 
 def _validate_unit(*arrays):
     for a in arrays:
@@ -203,6 +215,12 @@ def _bound_where_lost(value, held, bound, u, v):
 # one-parameter families
 # ---------------------------------------------------------------------------
 
+def _clayton_log_excess(th, lu, lv):
+    """log(C/uv) = -log1p(-pq)/th of Clayton, p = u^th - 1 and q = v^th - 1
+    (u^-th + v^-th - 1 = (1 - pq)/(uv)^th): >= 0, and free of cancellation."""
+    return -np.log1p(-np.expm1(th * lu) * np.expm1(th * lv)) / th
+
+
 class ClaytonCopula(Copula):
     """Clayton copula, strict positive-dependence branch (theta > 0)."""
 
@@ -215,19 +233,30 @@ class ClaytonCopula(Copula):
 
     def _cdf(self, u, v):
         th = self.theta
-        with np.errstate(divide="ignore", over="ignore"):
-            s = u ** (-th) + v ** (-th) - 1.0
-            out = s ** (-1.0 / th)
-        out = _bound_where_lost(out, np.isfinite(s), _M._cdf, u, v)
+        if th < CLAYTON_NEAR:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = u * v * np.exp(_clayton_log_excess(th, np.log(u), np.log(v)))
+        else:
+            with np.errstate(divide="ignore", over="ignore"):
+                s = u ** (-th) + v ** (-th) - 1.0
+                out = s ** (-1.0 / th)
+            out = _bound_where_lost(out, np.isfinite(s), _M._cdf, u, v)
         return np.where((u <= 0) | (v <= 0), 0.0, out)
 
     def _du(self, u, v):
         th = self.theta
         uu = np.maximum(u, 1e-12)  # u and v are already checked to be <= 1
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            s = uu ** (-th) + np.maximum(v, 1e-300) ** (-th) - 1.0
-            out = uu ** (-th - 1.0) * s ** (-1.0 / th - 1.0)
-        out = _bound_where_lost(out, np.isfinite(out), _M._du, u, v)
+        vv = np.maximum(v, 1e-300)
+        if th < CLAYTON_NEAR:
+            # d/du of uv e^g, with e^g = (1 - pq)^(-1/th), is v^(1 + th) e^g / (1 - pq)
+            lv = np.log(vv)
+            g = _clayton_log_excess(th, np.log(uu), lv)
+            out = vv * np.exp(th * lv + g * (1.0 + th))
+        else:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                s = uu ** (-th) + vv ** (-th) - 1.0
+                out = uu ** (-th - 1.0) * s ** (-1.0 / th - 1.0)
+            out = _bound_where_lost(out, np.isfinite(out), _M._du, u, v)
         return np.where(v <= 0, 0.0, np.where(v >= 1, 1.0, out))
 
 
@@ -243,6 +272,12 @@ class FrankCopula(Copula):
 
     def _cdf(self, u, v):
         th = self.theta
+        if -FRANK_NEAR < th < FRANK_NEAR:
+            # log(C/uv) to second order in th; the next term is below
+            # th^3/100, under an ulp of C here
+            g = (0.5 * th * (1.0 - u) * (1.0 - v)
+                 * (1.0 + th * (5.0 * u * v - u - v - 1.0) / 12.0))
+            return u * v * np.exp(g)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             num = np.expm1(-th * u) * np.expm1(-th * v)
             out = -np.log1p(num / np.expm1(-th)) / th
@@ -333,6 +368,13 @@ class PlackettCopula(Copula):
     def _cdf(self, u, v):
         th = self.theta
         eta = th - 1.0
+        if 1.0 - PLACKETT_NEAR < th < 1.0 + PLACKETT_NEAR:
+            # C = uv + D, D the small root of eta D^2 - r D + eta w = 0 (put
+            # C = uv + D in the quadratic whose root (s - d)/(2 eta) is C),
+            # rationalised so that nothing cancels
+            w = u * v * (1.0 - u) * (1.0 - v)
+            r = 1.0 + eta * (u + v - 2.0 * u * v)
+            return u * v + 2.0 * eta * w / (r + np.sqrt(r * r - 4.0 * eta * eta * w))
         with np.errstate(all="ignore"):
             s = 1.0 + eta * (u + v)
             d = np.sqrt(s * s - 4.0 * th * eta * u * v)

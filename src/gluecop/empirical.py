@@ -240,11 +240,11 @@ def crossing_breakpoints(x, report: CrossingReport) -> list[float]:
                                      for c in report.crossings) if b != top]
 
 
-def sample_dependence_report(s: Sample) -> DependenceReport:
-    """The dependence report of a sample: its empirical copula on a 16-point
-    grid, with twice the detection tolerance ``empirical_tolerance(n)``."""
-    return dependence_report(EmpiricalCopula(pseudo_observations(s)), grid_n=16,
-                             tol=2.0 * empirical_tolerance(s.n))
+def sample_dependence_report(ps: PseudoSample) -> DependenceReport:
+    """The dependence report of ranked data's empirical copula, classed on a
+    16-point grid with twice the detection tolerance ``empirical_tolerance(n)``."""
+    return dependence_report(EmpiricalCopula(ps), grid_n=16,
+                             tol=2.0 * empirical_tolerance(ps.n))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from gluecop import (ClaytonCopula, FrankCopula, GumbelCopula, dependence,
                      glue, simulate_copula, simulate_example1, simulate_example4)
 from gluecop.cli import _read_xy_numpy, _read_xy_rows, main, read_xy_csv
-from gluecop.empirical import sample_dependence_report
+from gluecop.empirical import pseudo_observations, sample_dependence_report
 from gluecop.errors import DataError
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
@@ -266,6 +266,29 @@ class TestFitPredict:
         tent_true = np.where(data[:, 0] <= 0.5, data[:, 0] / 0.5,
                              (1 - data[:, 0]) / 0.5)
         assert np.sqrt(np.mean((data[:, 1] - tent_true) ** 2)) < 0.05
+
+    @pytest.mark.parametrize("extra, code_want", [([], 0),
+                                                  (["--breakpoints", "0.5"], 2)],
+                             ids=["fits", "segment too small"])
+    def test_small_sample_note_goes_to_stderr(self, tmp_path, capsys, extra,
+                                              code_want):
+        ps = simulate_copula(ClaytonCopula(3.0), 30, seed=1)
+        path = tmp_path / "small.csv"
+        rows = zip(ps.u.tolist(), ps.v.tolist())
+        path.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+        code, out, err = run(capsys, "fit", str(path), *extra,
+                             "--out-model", str(tmp_path / "m.json"))
+        assert code == code_want
+        note = ("gluecop: warning: only 30 points; piecewise fitting is "
+                "unreliable below 50\n")
+        if code == 0:
+            assert err == note
+            assert out.startswith(" segment ") and len(out.splitlines()) == 2
+            assert (tmp_path / "m.json").exists()
+        else:  # the note comes first, then the error that ends the run
+            assert err.startswith(note)
+            assert err[len(note):].startswith("gluecop: data error: segment ")
+            assert out == ""
 
     def test_analyze_candidates_are_fit_break_points(self, tent_csv, tmp_path,
                                                      capsys):
@@ -580,8 +603,38 @@ class TestTypedErrorPath:
     def test_dataset_report_is_the_library_report(self, tent_csv, capsys):
         code, out, _ = run(capsys, "measures", str(tent_csv))
         assert code == 0
-        report = sample_dependence_report(read_xy_csv(str(tent_csv)))
+        report = sample_dependence_report(pseudo_observations(read_xy_csv(str(tent_csv))))
         assert json.loads(out) == {"schema_version": 1, **report.to_dict()}
+
+
+#: the copulas whose samples the analyze/measures agreement is checked on
+DATA_COPULAS = [ClaytonCopula(3.0), ClaytonCopula(0.5), GumbelCopula(3.0),
+                FrankCopula(-8.0), FrankCopula(2.0)]
+
+
+class TestOneDataReport:
+    """``analyze`` and ``measures`` report one rho and one sigma of a
+    dataset: the empirical copula's, on one quadrature grid."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [200, 2000])
+    @pytest.mark.parametrize("c", DATA_COPULAS, ids=repr)
+    def test_rho_within_sigma_and_equal_in_both(self, tmp_path, capsys, c, n,
+                                                seed):
+        ps = simulate_copula(c, n, seed=seed)
+        path = tmp_path / "d.csv"
+        rows = zip(ps.u.tolist(), ps.v.tolist())
+        path.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        analyze = json.loads(out)
+        code, out, _ = run(capsys, "measures", str(path))
+        assert code == 0
+        measures = json.loads(out)
+        assert abs(analyze["rho_hat"]) <= analyze["sigma_hat"]
+        assert abs(measures["rho"]) <= measures["sigma"]
+        assert analyze["rho_hat"] == measures["rho"]
+        assert analyze["sigma_hat"] == measures["sigma"]
 
 
 class TestConstantColumn:

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,13 +20,16 @@ from gluecop import (
     check_copula_axioms,
     conditional_quantile,
     decompose,
+    dependence_report,
     glue,
     make_copula,
     schweizer_wolff_sigma,
     simulate_copula,
     spearman_rho,
 )
-from gluecop.copulas import Copula, _finite_difference_du
+from gluecop.copulas import (CLAYTON_NEAR, FRANK_NEAR, PLACKETT_NEAR, Copula,
+                             _finite_difference_du)
+from gluecop.empirical import _FIT_RANGES, _range_end_rho
 from oracles import bisection_quantile
 
 PI = IndependenceCopula()
@@ -317,3 +322,125 @@ class TestAxioms:
     def test_grid_too_small(self):
         with pytest.raises(DomainError):
             check_copula_axioms(PI, 1)
+
+
+# ---------------------------------------------------------------------------
+# near independence
+# ---------------------------------------------------------------------------
+
+def _decimal_cdf(family, theta, u, v):
+    """C(u, v) in 400-digit decimal arithmetic from the textbook closed form,
+    as a float: enough digits for theta - 0 (Plackett: theta - 1) down to
+    1e-300."""
+    with localcontext() as ctx:
+        ctx.prec = 400
+        th, u, v = Decimal(theta), Decimal(u), Decimal(v)
+        if family == "clayton":
+            c = (u ** -th + v ** -th - 1) ** (-1 / th)
+        elif family == "frank":
+            e = lambda t: (-th * t).exp() - 1  # noqa: E731
+            c = -(1 + e(u) * e(v) / e(Decimal(1))).ln() / th
+        else:
+            s = 1 + (th - 1) * (u + v)
+            c = (s - (s * s - 4 * th * (th - 1) * u * v).sqrt()) / (2 * (th - 1))
+        return float(c)
+
+
+def _decimal_clayton_du(theta, u, v):
+    with localcontext() as ctx:
+        ctx.prec = 400
+        th, u, v = Decimal(theta), Decimal(u), Decimal(v)
+        return float(u ** (-th - 1) * (u ** -th + v ** -th - 1) ** (-1 / th - 1))
+
+
+def _inward(end, towards):
+    return float(np.nextafter(end, towards))
+
+
+#: theta past each fitting range towards independence: the float next to the
+#: range end, then decades down to 1e-300 (Plackett: theta - 1 down to 1e-15,
+#: and the floats next to 1)
+NEAR_THETA = {
+    "clayton": [_inward(1e-3, 0.0), *(10.0 ** -k for k in range(4, 301))],
+    "frank": [_inward(1e-6, 0.0), *(10.0 ** -k for k in range(7, 301))],
+    "frank-": [_inward(-1e-6, 0.0), *(-(10.0 ** -k) for k in range(7, 301))],
+    "plackett": [_inward(1.0 + 1e-6, 1.0), *(1.0 + 10.0 ** -k for k in range(7, 16)),
+                 1.0 + 2.0 ** -52],
+    "plackett-": [_inward(1.0 - 1e-6, 1.0), *(1.0 - 10.0 ** -k for k in range(7, 16)),
+                  1.0 - 2.0 ** -53],
+}
+_POINTS = [(0.3, 0.7), (0.5, 0.5), (0.05, 0.9), (0.9, 0.95), (1e-8, 0.4),
+           (0.999, 0.001), (0.62, 1e-12)]
+
+
+def _family(key):
+    return key.rstrip("-")
+
+
+class TestNearIndependence:
+    def test_thresholds_are_the_fit_range_ends(self):
+        assert _FIT_RANGES["clayton"]["+"][0] == CLAYTON_NEAR
+        assert _FIT_RANGES["frank"]["+"][0] == FRANK_NEAR
+        assert _FIT_RANGES["frank"]["-"][1] == -FRANK_NEAR
+        assert _FIT_RANGES["plackett"]["+"][0] == 1.0 + PLACKETT_NEAR
+        assert _FIT_RANGES["plackett"]["-"][1] == 1.0 - PLACKETT_NEAR
+
+    # the rho of each range end, as the closed forms gave it before the near
+    # forms existed: no rho inversion, and so no fit, sees them
+    @pytest.mark.parametrize("family, key, rho", [
+        ("clayton", "+", 0.0007496251809939736),
+        ("frank", "+", 1.666666671340522e-07),
+        ("frank", "-", -1.6666666580178457e-07),
+        ("plackett", "+", 3.333241949121657e-07),
+        ("plackett", "-", -3.333335056865394e-07),
+    ])
+    def test_range_ends_keep_the_closed_forms(self, family, key, rho):
+        lo, hi = _range_end_rho(family, key)
+        assert (lo if key == "+" else hi) == rho
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key", NEAR_THETA)
+    def test_cdf_matches_a_high_precision_oracle(self, key):
+        family = _family(key)
+        thetas = NEAR_THETA[key]
+        for theta in (thetas[0], thetas[1], thetas[len(thetas) // 2], thetas[-1]):
+            c = make_copula(family, theta)
+            for u, v in _POINTS:
+                want = _decimal_cdf(family, theta, u, v)
+                assert c.cdf(u, v) == pytest.approx(want, rel=4e-16, abs=0), (theta, u, v)
+
+    @pytest.mark.filterwarnings("error")
+    def test_clayton_du_matches_a_high_precision_oracle(self):
+        for theta in NEAR_THETA["clayton"][::37]:
+            c = ClaytonCopula(theta)
+            for u, v in _POINTS:
+                want = _decimal_clayton_du(theta, u, v)
+                assert c.du(u, v) == pytest.approx(want, rel=4e-16, abs=0), (theta, u, v)
+
+    @pytest.mark.parametrize("key", NEAR_THETA)
+    def test_rho_has_the_sign_of_theta_and_shrinks_with_it(self, key):
+        family, sign = _family(key), (-1.0 if key.endswith("-") else 1.0)
+        rhos = [spearman_rho(make_copula(family, theta)) for theta in NEAR_THETA[key]]
+        assert all(sign * rho >= 0.0 for rho in rhos)
+        assert all(abs(b) <= abs(a) for a, b in zip(rhos, rhos[1:]))
+        assert rhos[-1] == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key", NEAR_THETA)
+    def test_smallest_theta_is_independent_like(self, key):
+        c = make_copula(_family(key), NEAR_THETA[key][-1])
+        report = dependence_report(c, 64)
+        assert report.quadrant_class.value == "INDEPENDENT-LIKE"
+        assert report.regression_class.value == "CONSTANT"
+        assert abs(report.rho) <= report.sigma < 1e-15
+        assert check_copula_axioms(c, 101).passed(1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key", NEAR_THETA)
+    def test_near_forms_are_copulas(self, key):
+        for theta in NEAR_THETA[key][:3]:
+            c = make_copula(_family(key), theta)
+            assert check_copula_axioms(c, 101).passed(1e-15)
+            t = np.linspace(0.05, 0.95, 19)
+            fd = _finite_difference_du(c._cdf, t[:, None], t[None, :])
+            assert np.max(np.abs(fd - c.du(t[:, None], t[None, :]))) < 1e-9

@@ -1,6 +1,6 @@
 """Check that two source trees give the same outputs, byte for byte.
 
-    python tools/same_outputs.py REF_SRC NEW_SRC
+    python tools/same_outputs.py REF_SRC NEW_SRC [--expect FILE]
 
 REF_SRC and NEW_SRC are ``src`` directories, each holding a ``gluecop``
 package (for example the ``src`` of a checkout of the base commit and this
@@ -44,7 +44,9 @@ Gumbel, Frank, Plackett and FGM at the ends of the parameter ranges that
 fitting searches (Plackett also at 1e16 and 1e300, where its closed form
 cancels and falls back to M), the product copula, both Fréchet bounds and
 the tent copula (``example1``, a glued one), so that each family's cdf and
-du grids are compared.  Last,
+du grids are compared.  Clayton, Frank and Plackett also run at the ends of
+their ranges towards independence and past them (``NEAR_INDEPENDENCE``),
+where each takes its near-independence form.  Last,
 ``gluecop analyze`` and ``gluecop measures`` run on each small CSV file of
 ``CSV_EDGE_FILES`` (quotes, comments, blank lines, line ends, a byte-order
 mark, ragged rows, non-finite and over-long cells, stray bytes), so that a
@@ -75,11 +77,16 @@ levels.  Each runs ``gluecop analyze``, ``gluecop fit`` and ``gluecop fit
 their absence) are compared too.
 
 Every difference is listed; the exit code is 1 on any difference, else 0.
+With ``--expect FILE``, a change declares the items it means to change: FILE
+holds their names as the differences print them ("case / seed / item"), one
+a line, and lines starting with # are comments.  The exit code is then 1 when
+an undeclared item differs or a declared item does not, else 0.
 Both trees run at once, so two CPUs halve the wall time.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -182,6 +189,16 @@ FIXED_RUNS = {
     "measures frechet-lower": ["measures", "--family", "frechet-lower"],
     "measures example1 0.4": ["measures", "--family", "example1", "--theta", "0.4"],
 }
+# near independence: the ends of the fitting ranges, where the closed forms
+# hold, and theta past them, where each family takes its near form
+NEAR_INDEPENDENCE = {
+    "clayton": ("1e-3", "1e-9", "1e-200"),
+    "frank": ("1e-6", "-1e-6", "1e-200", "-1e-200"),
+    "plackett": ("1.000001", "0.999999", "1.0000000000001"),
+}
+FIXED_RUNS.update({
+    f"measures {family} {theta}": ["measures", "--family", family, "--theta", theta]
+    for family, thetas in NEAR_INDEPENDENCE.items() for theta in thetas})
 
 
 def _cli(argv) -> bytes:
@@ -433,27 +450,54 @@ def _describe(item: str, a: bytes, b: bytes) -> str:
                 f"max |diff| {float(np.nanmax(np.abs(x - y))):.3g}")
     for i, (la, lb) in enumerate(zip(a.splitlines(), b.splitlines()), start=1):
         if la != lb:
-            return f"first difference at line {i}: {la[:80]!r} vs {lb[:80]!r}"
+            # 80 bytes from up to 40 before the first differing byte
+            at = slice(max(0, len(os.path.commonprefix([la, lb])) - 40), None)
+            return (f"first difference at line {i}: {la[at][:80]!r} vs "
+                    f"{lb[at][:80]!r}")
     return f"{len(a.splitlines())} vs {len(b.splitlines())} lines"
 
 
-def compare(ref: dict, new: dict) -> list[str]:
-    """One line per item that is missing from a side or differs."""
-    lines = []
+def differences(ref: dict, new: dict) -> dict[str, str]:
+    """Each item that is missing from a side or differs, by its name
+    ("case / seed / item"), with what differs."""
+    diffs = {}
     for key in sorted(set(ref) | set(new), key=str):
         name = " / ".join(map(str, key))
         if key not in ref or key not in new:
-            lines.append(f"{name}: only in {'new' if key in new else 'ref'}")
+            diffs[name] = f"only in {'new' if key in new else 'ref'}"
         elif ref[key] != new[key]:
-            lines.append(f"{name}: {_describe(key[2], ref[key], new[key])}")
-    return lines
+            diffs[name] = _describe(key[2], ref[key], new[key])
+    return diffs
+
+
+def read_expect(path) -> set[str]:
+    """The item names an ``--expect`` file declares: one per line, as the
+    differences are printed before their colon; blank lines and lines that
+    start with # are skipped."""
+    lines = (line.strip() for line in Path(path).read_text().splitlines())
+    return {line for line in lines if line and not line.startswith("#")}
+
+
+def unexpected(diffs: dict[str, str], expected: set[str]) -> list[str]:
+    """One line per difference that ``expected`` does not declare, and one
+    per declared item that does not differ."""
+    return ([f"undeclared: {name}" for name in diffs if name not in expected]
+            + [f"declared but the same: {name}"
+               for name in sorted(expected - diffs.keys())])
 
 
 def main(argv) -> int:
-    if len(argv) != 2:
-        print("usage: python tools/same_outputs.py REF_SRC NEW_SRC", file=sys.stderr)
-        return 2
-    srcs = [Path(a).resolve() for a in argv]
+    parser = argparse.ArgumentParser(
+        prog="tools/same_outputs.py",
+        description="Compare the outputs of two gluecop source trees.")
+    parser.add_argument("ref_src")
+    parser.add_argument("new_src")
+    parser.add_argument("--expect", metavar="FILE", default=None,
+                        help="the item names this change intends to change, one "
+                             "a line; without it every difference fails")
+    args = parser.parse_args(argv)
+    expected = None if args.expect is None else read_expect(args.expect)
+    srcs = [Path(a).resolve() for a in (args.ref_src, args.new_src)]
     runs = [_start(src) for src in srcs]
     outputs = [proc.communicate() for proc in runs]  # wait for both children
     for src, proc, (_, err) in zip(srcs, runs, outputs):
@@ -465,12 +509,19 @@ def main(argv) -> int:
     missed = [k for k, v in new.items() if k[2] == "breaks found" and v != b"True"]
     for key in missed:
         print(f"note: {key[0]} seed {key[1]}: not every break found", file=sys.stderr)
-    diffs = compare(ref, new)
-    for line in diffs:
+    diffs = differences(ref, new)
+    for name, what in diffs.items():
+        print(f"{name}: {what}")
+    summary = (f"{len(new)} items in {len({k[:2] for k in new})} cases; "
+               f"{len(diffs)} differ")
+    if expected is None:
+        print(summary)
+        return 1 if diffs else 0
+    failures = unexpected(diffs, expected)
+    for line in failures:
         print(line)
-    print(f"{len(new)} items in {len({k[:2] for k in new})} cases; "
-          f"{len(diffs)} differ")
-    return 1 if diffs else 0
+    print(f"{summary}; {len(expected)} declared; {len(failures)} unexpected")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
