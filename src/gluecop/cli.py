@@ -35,7 +35,7 @@ from .empirical import (DEFAULT_FIT_FAMILIES, DETECTION_PERSISTENCE, crossing_re
 from .errors import (DataError, DomainError, NumericalError, ParameterError,
                      check_array_size)
 from .reference import Sample, simulate_example1, simulate_example4
-from .regression import piecewise_regression
+from .regression import mean_regression, median_regression
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -295,9 +295,10 @@ def cmd_predict(args) -> int:
                             f"[{lo:g}, {hi:g}]")
         print(f"gluecop: warning: {int(np.sum(~inside))} grid points outside "
               f"model support emitted as NaN", file=sys.stderr)
+    curve = median_regression if args.statistic == "median" else mean_regression
     mu = np.full(xs.shape, np.nan)
     if np.any(inside):
-        mu[inside] = piecewise_regression(pm, xs[inside], statistic=args.statistic)
+        mu[inside] = curve(pm, xs[inside])
     _write_csv(args.out, ["x", "mu"], zip(xs, mu))
     return EXIT_OK
 

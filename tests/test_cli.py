@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gluecop import (ClaytonCopula, FrankCopula, GumbelCopula, dependence,
-                     glue, simulate_copula, simulate_example1, simulate_example4)
+from gluecop import (ClaytonCopula, EmpiricalMarginal, FrankCopula,
+                     FrechetLowerCopula, FrechetUpperCopula, GumbelCopula,
+                     PiecewiseRegressionModel, UniformMarginal, dependence, glue,
+                     load_model, piecewise_regression, save_model,
+                     simulate_copula, simulate_example1, simulate_example4)
 from gluecop.cli import _read_xy_numpy, _read_xy_rows, main, read_xy_csv
 from gluecop.empirical import pseudo_observations, sample_dependence_report
 from gluecop.errors import DataError
@@ -373,6 +376,33 @@ class TestFitPredict:
         code, _, _ = run(capsys, "predict", str(model_path), "--x-min", "0.9",
                          "--x-max", "0.1")
         assert code == 1
+
+
+class TestPredictCurve:
+    """``predict`` writes the bytes of the ``piecewise_regression`` curve on
+    the grid it builds, for both statistics."""
+
+    @pytest.mark.parametrize("statistic", ["median", "mean"])
+    @pytest.mark.parametrize("segments", [
+        (ClaytonCopula(3.0), FrankCopula(-8.0), GumbelCopula(3.0)),
+        (FrechetUpperCopula(), FrankCopula(-8.0), FrechetLowerCopula()),
+    ], ids=["smooth", "frechet-ends"])
+    def test_writes_the_piecewise_curve(self, tmp_path, capsys, segments,
+                                        statistic):
+        rng = np.random.default_rng(11)
+        pm = PiecewiseRegressionModel(
+            [0.3, 0.65], segments, UniformMarginal(-0.5, 1.5),
+            EmpiricalMarginal(rng.normal(0.2, 1.0, 500)))
+        path = tmp_path / "m.json"
+        save_model(pm, str(path))
+        code, out, err = run(capsys, "predict", str(path), "--num", "201",
+                             "--statistic", statistic)
+        assert code == 0 and err == ""
+        xs = np.linspace(-0.5, 1.5, 201)
+        mu = piecewise_regression(load_model(str(path)), xs,
+                                  statistic=statistic)
+        assert out == "x,mu\n" + "".join(f"{x!r},{m!r}\n"
+                                          for x, m in zip(xs.tolist(), mu.tolist()))
 
 
 def _model_doc(**changes):

@@ -31,6 +31,7 @@ from gluecop.copulas import (CLAYTON_NEAR, FRANK_NEAR, PLACKETT_NEAR, Copula,
                              _finite_difference_du)
 from gluecop.empirical import _FIT_RANGES, _range_end_rho
 from oracles import bisection_quantile
+from test_dependence import NESTED_GLUE
 
 PI = IndependenceCopula()
 M = FrechetUpperCopula()
@@ -280,6 +281,53 @@ class TestConditional:
         c = ClaytonCopula(theta)
         p = c.du(u, v)
         assert conditional_quantile(c, u, p) <= v + 1e-8
+
+
+#: u at the ends, around the bisection's grid step 2**-34 and where 1 - u or
+#: u + v rounds, next to 1/2 and 1
+EDGE_U = [0.0, 5e-324, 2.0 ** -35, np.nextafter(2.0 ** -34, 0.0), 2.0 ** -34,
+          np.nextafter(2.0 ** -34, 1.0), 0.5 - 2.0 ** -54, 0.5 + 2.0 ** -53,
+          1.0 - 2.0 ** -53, 1.0]
+#: 0.8125 is where the M inside NESTED_GLUE starts
+FRECHET_QUANTILE = [(M, []), (W, []),
+                    (make_copula("example1", 0.25), [0.25]),
+                    (make_copula("example1", 0.6), [0.6]),
+                    (NESTED_GLUE, [0.25, 0.625, 0.8125])]
+
+
+class TestFrechetQuantile:
+    """The Fréchet bounds invert their du in closed form: the bits of the
+    34-step bisection, in at most three du calls per slab."""
+
+    @pytest.mark.parametrize("c, points", FRECHET_QUANTILE,
+                             ids=[repr(c) for c, _ in FRECHET_QUANTILE])
+    @pytest.mark.parametrize("p", [0.0, 1e-300, 0.25, 0.5, 1.0, "uniform"])
+    def test_bits_of_the_bisection(self, c, points, p):
+        rng = np.random.default_rng(27)
+        pts = np.asarray(points, dtype=float)
+        u = np.r_[EDGE_U, pts, np.nextafter(pts, 0.0), np.nextafter(pts, 1.0),
+                  rng.uniform(size=10 ** 5)]
+        if p == "uniform":
+            p = rng.uniform(size=u.size)
+        assert np.array_equal(conditional_quantile(c, u, p),
+                              bisection_quantile(c, u, p))
+
+    @pytest.mark.parametrize("c", [M, W, make_copula("example1", 0.6)], ids=repr)
+    @pytest.mark.parametrize("u", [0.3, np.linspace(0.0, 1.0, 33)],
+                             ids=["scalar", "array"])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_at_most_three_du_calls_per_slab(self, monkeypatch, c, u, p):
+        calls = []
+        for bound in (FrechetUpperCopula, FrechetLowerCopula):
+            monkeypatch.setattr(bound, "_du", lambda self, u, v, du=bound._du:
+                                calls.append(self) or du(self, u, v))
+        conditional_quantile(c, u, p)
+        assert calls and all(calls.count(piece) <= 3 for piece in calls)
+        # the bisection the closed form replaces: the count sees its calls
+        calls.clear()
+        u = np.atleast_1d(u)
+        Copula._conditional_quantile(M, u, np.full(u.shape, p))
+        assert len(calls) == 35
 
 
 class TestDiagonal:

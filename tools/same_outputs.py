@@ -26,7 +26,11 @@ copula's conditional quantile at p in {0, 0.25, 0.5, 1} on a u grid that
 holds 0, both gluing points and 1, which no seeded case draws exactly.
 So is the v that ``simulate_copula`` draws from that glued copula (2000
 draws, seed 5), one array bisection per slab on the unchecked ``du`` of
-each piece.
+each piece.  The Fréchet bounds invert their ``du`` in closed form instead,
+so the conditional quantile of the tent copula (``example1`` at 0.6) and of
+W is compared on ``EDGE_U`` (u at the ends, around the bisection's grid
+step 2**-34, next to 1/2 and 1, and at the gluing point) at the same four p,
+and so are 2000 draws of ``simulate_copula`` from that tent copula (seed 5).
 
 Each parametric fitting family is also fitted alone by ``fit_segment`` to a
 fixed Clayton(0.4) sample (positive sample rho) and a fixed Frank(-1.5) sample
@@ -241,12 +245,20 @@ def _case(wl, seed: int) -> dict[str, bytes]:
     return rec
 
 
+#: u where the Fréchet bounds' closed-form quantile meets its bisection's
+#: grid and rounding edges; 0.6 is the tent copula's gluing point
+EDGE_U = (0.0, 5e-324, 2.0 ** -35, 2.0 ** -34 - 2.0 ** -87, 2.0 ** -34,
+          2.0 ** -34 + 2.0 ** -86, 0.5 - 2.0 ** -54, 0.5 + 2.0 ** -53,
+          1.0 - 2.0 ** -53, 1.0, 0.6)
+
+
 def _fixed_curves() -> dict[str, bytes]:
     import numpy as np
 
     from bench.workloads import GLUED_POINTS, glued_truth
-    from gluecop import (EmpiricalMarginal, FrankCopula, PiecewiseRegressionModel,
-                         RegressionModel, UniformMarginal, conditional_quantile,
+    from gluecop import (EmpiricalMarginal, FrankCopula, FrechetLowerCopula,
+                         PiecewiseRegressionModel, RegressionModel,
+                         UniformMarginal, conditional_quantile, make_copula,
                          mean_regression, median_regression, piecewise_regression,
                          simulate_copula)
 
@@ -259,6 +271,8 @@ def _fixed_curves() -> dict[str, bytes]:
     empty_slab = np.r_[np.linspace(0.0, 0.25, 101), GLUED_POINTS]
     u, p = np.meshgrid(np.r_[np.linspace(0.0, 1.0, 41), GLUED_POINTS],
                        [0.0, 0.25, 0.5, 1.0], indexing="ij")
+    edge_u, edge_p = np.meshgrid(EDGE_U, [0.0, 0.25, 0.5, 1.0], indexing="ij")
+    tent = make_copula("example1", 0.6)
     curves = {
         "frank -8 median curve": median_regression(frank, grid),
         "frank -8 mean curve": mean_regression(frank, grid),
@@ -269,6 +283,10 @@ def _fixed_curves() -> dict[str, bytes]:
             pm, empty_slab, statistic="mean"),
         "glued three quantile curve": conditional_quantile(glued.copula, u, p),
         "glued three simulated v curve": simulate_copula(glued.copula, 2000, 5).v,
+        "tent quantile curve": conditional_quantile(tent, edge_u, edge_p),
+        "frechet-lower quantile curve": conditional_quantile(
+            FrechetLowerCopula(), edge_u, edge_p),
+        "tent simulated v curve": simulate_copula(tent, 2000, 5).v,
     }
     return {item: np.asarray(mu).tobytes() for item, mu in curves.items()}
 
