@@ -7,8 +7,9 @@ derivative provide it; the rest fall back to central finite differences.
 Inputs outside [0, 1] are rejected, never clamped — silent clamping hides
 marginal-model bugs upstream.
 
-``slabs(u)`` walks the vertical slabs (a copula that is not glued is one),
-and ``conditional_quantile`` inverts each slab's piece on its own rows.
+A glued copula walks its own vertical slabs: on each one, ``du`` and the
+conditional quantile are its piece's at the rescaled u*.  Every other
+copula is its own single piece (``Copula._on_pieces``).
 
 Singular copulas (the Fréchet bounds, and gluings of them such as the tent
 copula ``make_copula("example1", theta)``, which is M glued to W at theta)
@@ -38,10 +39,9 @@ BISECT_STEPS = 34
 # rounds towards 1, Frank's product of expm1's underflows and Plackett's
 # s - d loses its digits, so they report a Frechet bound or the wrong sign.
 # Strictly inside these distances of independence (theta = 0, or 1 for
-# Plackett) each family takes a cancellation-free form instead.  Each
-# distance is the end of the family's rho-inversion range towards
-# independence (``empirical._FIT_RANGES``), ends excluded, so no fit reaches
-# the near forms.
+# Plackett) each family takes a cancellation-free form instead.  The
+# rho-inversion ranges (``empirical._FIT_RANGES``) end at these distances,
+# so no fit reaches the near forms.
 CLAYTON_NEAR = 1e-3     # 0 < theta < CLAYTON_NEAR
 FRANK_NEAR = 1e-6       # |theta| < FRANK_NEAR
 PLACKETT_NEAR = 1e-6    # 1 - PLACKETT_NEAR < theta < 1 + PLACKETT_NEAR
@@ -119,16 +119,6 @@ class Copula:
         _validate_unit(us, vs)
         return self._cdf_grid(us, vs)
 
-    @property
-    def pieces(self) -> tuple:
-        """The copulas on the slabs of ``slabs``: this one alone."""
-        return (self,)
-
-    def slabs(self, u):
-        """(index into ``pieces``, rows, u*) for each occupied slab of the array
-        u; a copula that is not glued is one slab, all rows at u* = u."""
-        yield 0, ..., u
-
     # -- implementation hooks ----------------------------------------------
 
     def _cdf(self, u, v):  # pragma: no cover - abstract
@@ -154,6 +144,13 @@ class Copula:
         _, hi = bisect_monotone(lambda v: self._du_clamped(u, v), p, lo,
                                 np.ones(u.shape), BISECT_STEPS)
         return np.where(at0, 0.0, hi)
+
+    def _on_pieces(self, f, u, *rows):
+        """f(piece, u*, *rows) on the piece of each vertical slab the array
+        u occupies, the rows (arrays of u's shape) cut to that slab, put
+        together in u's shape.  A copula that is not glued is one piece on
+        one slab: f(self, u, *rows)."""
+        return f(self, u, *rows)
 
     def _cdf_grid(self, us, vs):
         """``cdf_grid`` on 1-d float axes in [0, 1], unchecked: for grids the
@@ -447,20 +444,15 @@ def conditional_quantile(c: Copula, u, p):
     """Generalized inverse v = inf{v : ∂C/∂u (u, v) >= p}, by bisection.
 
     Monotone in v by 2-increasingness; jump discontinuities of singular
-    copulas resolve to the jump location.  Each slab of ``c.slabs`` inverts
-    its piece's ``du`` at u* on its own rows: that is c's ``du`` there.
+    copulas resolve to the jump location.  A glued copula inverts each
+    slab's piece at u* on its own rows: that is its ``du`` there.
 
-    u and p are checked once, at entry.  No point built after that needs a
-    check: u* is an affine rescale of a checked u onto [0, 1], where each
-    piece's ``_conditional_quantile`` takes it.  The Fréchet bounds return
-    their bisection's answer in closed form, bit for bit.
+    u and p are checked once, at entry, and ``c._conditional_quantile``
+    does the rest: u* is an affine rescale of a checked u onto [0, 1], so no
+    point built after the check needs one.  The Fréchet bounds return their
+    bisection's answer in closed form, bit for bit.
     """
-    def solve(u, p):
-        out = np.empty(u.shape)
-        for i, rows, us in c.slabs(u):
-            out[rows] = c.pieces[i]._conditional_quantile(us, p[rows])
-        return out
-    return _on_unit_square(solve, u, p)
+    return _on_unit_square(c._conditional_quantile, u, p)
 
 
 # ---------------------------------------------------------------------------

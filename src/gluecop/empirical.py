@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .changepoint import GRID_N_DEFAULT, CrossingReport, diagonal_crossings
-from .copulas import (Copula, _finite_difference_du, _validate_unit,
+from .copulas import (CLAYTON_NEAR, FRANK_NEAR, PLACKETT_NEAR, Copula,
+                      _finite_difference_du, _validate_unit,
                       conditional_quantile, make_copula)
 from .dependence import DependenceReport, dependence_report, spearman_rho
 from .errors import DataError, ParameterError, on_arrays
@@ -37,13 +38,14 @@ DETECTION_PERSISTENCE = 10  # grid points a sign run of delta_n(t) - t^2 must sp
 MIN_DETECTION_POINTS = 50   # detection on fewer points draws a warning
 
 #: parameter search ranges for Spearman-rho inversion, keyed by family and
-#: by the sign of the target rho where the family covers both signs
+#: by the sign of the target rho where the family covers both signs; the
+#: ends towards independence are where the near-independence forms begin
 _FIT_RANGES = {
-    "clayton": {"+": (1e-3, 50.0)},
+    "clayton": {"+": (CLAYTON_NEAR, 50.0)},
     "gumbel": {"+": (1.0 + 1e-9, 50.0)},
     "fgm": {"+": (0.0 + 1e-12, 1.0), "-": (-1.0, -1e-12)},
-    "frank": {"+": (1e-6, 30.0), "-": (-30.0, -1e-6)},
-    "plackett": {"+": (1.0 + 1e-6, 1e4), "-": (1e-4, 1.0 - 1e-6)},
+    "frank": {"+": (FRANK_NEAR, 30.0), "-": (-30.0, -FRANK_NEAR)},
+    "plackett": {"+": (1.0 + PLACKETT_NEAR, 1e4), "-": (1e-4, 1.0 - PLACKETT_NEAR)},
 }
 
 #: the rho of each Fréchet bound: a bound is a candidate only for a segment

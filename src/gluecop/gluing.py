@@ -7,9 +7,10 @@ Two copulas C1, C2 and a gluing point theta combine into
 
 and the same rescaling extends to finitely many pieces on vertical slabs:
 on the slab [lo, hi] with u* = (u - lo)/(hi - lo), C(u, v) = (hi - lo) *
-C_i(u*, v) + lo*v.  The u-derivative of the glued copula is the active
-piece's derivative at u*.  A gluing point belongs to the slab on its left,
-so at u = theta the left piece is active (u* = 1).  ``decompose`` inverts
+C_i(u*, v) + lo*v.  The u-derivative and the conditional quantile of the
+glued copula are the active piece's at u* (``GluedCopula._on_pieces``).
+A gluing point belongs to the slab on its left, so at u = theta the left
+piece is active (u* = 1).  ``decompose`` inverts
 the construction at a given gluing point; the round trip
 glue(decompose(C, t), t) == C holds for any copula, while the pieces
 themselves are valid copulas exactly when the vertical section at t is
@@ -42,7 +43,7 @@ class GluedCopula(Copula):
     def __init__(self, pieces, gluing_points):
         pieces = list(pieces)
         pts = np.asarray(list(gluing_points), dtype=float)
-        if len(pieces) != pts.size + 1 or len(pieces) < 1:
+        if len(pieces) != pts.size + 1:
             raise DomainError("need exactly one more piece than gluing points")
         if misplaced_gluing_point(pts) is not None:
             raise DomainError("gluing points must be strictly increasing in (0, 1)")
@@ -55,7 +56,7 @@ class GluedCopula(Copula):
     def pieces(self) -> tuple:
         return self._pieces
 
-    def slabs(self, u):
+    def _slabs(self, u):
         """(piece index, mask, u*) for each occupied slab of the array u, with
         the flat u* = (u - lo)/(hi - lo) on the slab [lo, hi].  Left-closed: u
         exactly at a gluing point belongs to the left slab (u* = 1 there),
@@ -68,25 +69,27 @@ class GluedCopula(Copula):
                 lo, hi = self._bounds[i], self._bounds[i + 1]
                 yield i, m, (u[m] - lo) / (hi - lo)
 
-    def _on_slabs(self, u, v, cdf: bool):
-        """C (``cdf``) or its u-derivative, one rescaled piece per slab;
-        cdf is continuous at a gluing point, du is not."""
-        u, v = np.broadcast_arrays(u, v)
+    def _on_pieces(self, f, u, *rows):
         out = np.empty(u.shape)
-        for i, m, us in self.slabs(u):
-            piece, vs = self.pieces[i], v[m]
-            if cdf:
-                lo, hi = self._bounds[i], self._bounds[i + 1]
-                out[m] = (hi - lo) * piece._cdf(us, vs) + lo * vs
-            else:
-                out[m] = piece._du(us, vs)
+        for i, m, us in self._slabs(u):
+            out[m] = f(self.pieces[i], us, *(r[m] for r in rows))
         return out
 
     def _cdf(self, u, v):
-        return self._on_slabs(u, v, cdf=True)
+        # the rescaled piece plus lo * v, so C is continuous at a gluing point
+        u, v = np.broadcast_arrays(u, v)
+        out = np.empty(u.shape)
+        for i, m, us in self._slabs(u):
+            lo, hi, vs = self._bounds[i], self._bounds[i + 1], v[m]
+            out[m] = (hi - lo) * self.pieces[i]._cdf(us, vs) + lo * vs
+        return out
 
     def _du(self, u, v):
-        return self._on_slabs(u, v, cdf=False)
+        return self._on_pieces(lambda c, u, v: c._du(u, v),
+                               *np.broadcast_arrays(u, v))
+
+    def _conditional_quantile(self, u, p):
+        return self._on_pieces(lambda c, u, p: c._conditional_quantile(u, p), u, p)
 
     def __repr__(self):
         pts = ", ".join(f"{t:g}" for t in self.gluing_points)

@@ -13,12 +13,12 @@ so they are built once per curve.
 
 On a vertical slab of a glued copula, dC/du is the active piece's dC/du at
 the rescaled u*, so E[Y | X = x] is that piece's conditional mean at u*.
-Both curves therefore take each x to its slab once on ``Copula.slabs``
-(a copula that is not glued is a single slab) and work on the piece there:
-the mean integrates it MEAN_BLOCK rows per du call, so that memory stays
-bounded, and the median inverts it, as ``conditional_quantile`` does.  A
-piecewise model is a ``RegressionModel`` whose copula is the glue of its
-segments, so both curves serve it as they serve any other.
+The median is one ``conditional_quantile`` call on the whole copula, which
+inverts each slab's piece itself.  The mean takes each x to its slab's
+piece once (``Copula._on_pieces``; a copula that is not glued is its own
+piece) and integrates it MEAN_BLOCK rows per du call, so that memory stays
+bounded.  A piecewise model is a ``RegressionModel`` whose copula is the
+glue of its segments, so both curves serve it as they serve any other.
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ class RegressionModel:
 
 def median_regression(m: RegressionModel, x):
     """Median regression curve mu(x); accepts scalars or arrays."""
-    psi = _slab_curve(m, x, lambda piece, us: conditional_quantile(piece, us, 0.5))
-    return m.marginal_y.quantile(psi)
+    m.marginal_x.require_in_support(x)
+    return m.marginal_y.quantile(
+        conditional_quantile(m.copula, m.marginal_x.cdf(x), 0.5))
 
 
 def _mean_grid(my: Marginal):
@@ -66,16 +67,14 @@ def _mean_grid(my: Marginal):
     return a, side(a, yhi), side(ylo, a)
 
 
-def _slab_curve(m: RegressionModel, x, on_slab):
-    """The curve that ``on_slab(piece, u*)`` gives on each slab of the model's
-    copula at u = F_X(x), through ``on_arrays``."""
+def _piece_curve(m: RegressionModel, x, on_piece):
+    """The curve that ``on_piece(piece, u*)`` gives on the 1-d u* of each
+    piece of the model's copula at u = F_X(x), through ``on_arrays``."""
     m.marginal_x.require_in_support(x)
 
     def curve(x):
-        out = np.empty(x.size)
-        for i, rows, us in m.copula.slabs(m.marginal_x.cdf(x.ravel())):
-            out[rows] = on_slab(m.copula.pieces[i], us)
-        return out.reshape(x.shape)
+        us = m.marginal_x.cdf(x.ravel())
+        return m.copula._on_pieces(on_piece, us).reshape(x.shape)
     return on_arrays(curve, x)
 
 
@@ -100,7 +99,7 @@ def mean_regression(m: RegressionModel, x):
                 F = piece._du_clamped(block, v)
                 mu[j:j + MEAN_BLOCK] -= h * np.sum(F, axis=1)
         return mu
-    return _slab_curve(m, x, mean)
+    return _piece_curve(m, x, mean)
 
 
 @dataclass(frozen=True, init=False)
@@ -137,6 +136,6 @@ def piecewise_regression(pm: PiecewiseRegressionModel, x,
         raise DomainError(f"unknown statistic {statistic!r}")
     if statistic == "mean":
         return mean_regression(pm, x)
-    psi = _slab_curve(pm, x, lambda piece, us: [conditional_quantile(piece, u, 0.5)
-                                                for u in us])
+    psi = _piece_curve(pm, x, lambda piece, us: np.array(
+        [conditional_quantile(piece, u, 0.5) for u in us]))
     return pm.marginal_y.quantile(psi)

@@ -293,6 +293,10 @@ FRECHET_QUANTILE = [(M, []), (W, []),
                     (make_copula("example1", 0.25), [0.25]),
                     (make_copula("example1", 0.6), [0.6]),
                     (NESTED_GLUE, [0.25, 0.625, 0.8125])]
+#: a scalar u inside a Fréchet slab of each copula: 0.9 is in the M inside
+#: NESTED_GLUE
+DU_CALL_CASES = [(M, 0.3), (W, 0.3), (make_copula("example1", 0.6), 0.3),
+                 (NESTED_GLUE, 0.9)]
 
 
 class TestFrechetQuantile:
@@ -312,11 +316,12 @@ class TestFrechetQuantile:
         assert np.array_equal(conditional_quantile(c, u, p),
                               bisection_quantile(c, u, p))
 
-    @pytest.mark.parametrize("c", [M, W, make_copula("example1", 0.6)], ids=repr)
-    @pytest.mark.parametrize("u", [0.3, np.linspace(0.0, 1.0, 33)],
-                             ids=["scalar", "array"])
+    @pytest.mark.parametrize("c, scalar", DU_CALL_CASES,
+                             ids=[repr(c) for c, _ in DU_CALL_CASES])
+    @pytest.mark.parametrize("array", [False, True], ids=["scalar", "array"])
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
-    def test_at_most_three_du_calls_per_slab(self, monkeypatch, c, u, p):
+    def test_at_most_three_du_calls_per_slab(self, monkeypatch, c, scalar, array, p):
+        u = np.linspace(0.0, 1.0, 33) if array else scalar
         calls = []
         for bound in (FrechetUpperCopula, FrechetLowerCopula):
             monkeypatch.setattr(bound, "_du", lambda self, u, v, du=bound._du:

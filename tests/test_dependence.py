@@ -348,11 +348,11 @@ class TestQuantileCheckedOnce:
         conditional_quantile(c, u, p)
         assert len(unit_checks) == 1
 
-    @pytest.mark.parametrize("hi, slabs", [(0.2, 1), (0.5, 2), (1.0, 3)])
-    def test_median_checks_once_per_occupied_slab(self, unit_checks, hi, slabs):
+    @pytest.mark.parametrize("hi", [0.2, 0.5, 1.0], ids=["1-slab", "2-slab", "3-slab"])
+    def test_median_checks_once_whatever_the_slabs(self, unit_checks, hi):
         m = RegressionModel(NESTED_GLUE, UniformMarginal(), UniformMarginal())
         median_regression(m, np.linspace(0.0, hi, 1001))
-        assert len(unit_checks) == slabs
+        assert len(unit_checks) == 1
 
 
 class TestReport:

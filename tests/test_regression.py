@@ -357,9 +357,10 @@ class TestGluingEquivalence:
         assert len(pm.copula.pieces) == len(pm.segment_copulas) and all(
             a is b for a, b in zip(pm.copula.pieces, pm.segment_copulas))
         xs = np.concatenate((levels, np.linspace(*mx.support, 101)))
-        slab = np.empty(xs.size, dtype=int)
-        for i, m, _ in pm.copula.slabs(mx.cdf(xs)):
-            slab[m] = i
+        # the piece each x's slab hands to the hook, as its index
+        slab = pm.copula._on_pieces(
+            lambda piece, us: np.full(us.shape, pm.segment_copulas.index(piece)),
+            mx.cdf(xs))
         np.testing.assert_array_equal(
             slab, np.searchsorted(pm.break_points, xs, side="left"))
         glued = RegressionModel(pm.copula, mx, TWO_SIDED_Y)

@@ -10,8 +10,9 @@ cases: the benchmark's tent, parabola and glued-three generators at seeds 3,
 every break is found.  For each case the script compares
 
 - the input CSV text and the model document of ``fit_piecewise``;
-- the ``tobytes()`` of the median and mean curves on a 1001-point grid over
-  the x support plus the break-points;
+- the ``tobytes()`` of the median and mean curves (``median_regression``
+  and ``mean_regression``) on a 1001-point grid over the x support plus the
+  break-points;
 - stdout, stderr and exit code of ``gluecop fit``, ``gluecop predict``,
   ``gluecop predict --statistic mean``, ``gluecop analyze``, ``gluecop
   measures`` on the data and ``gluecop measures --family clayton --theta 2``,
@@ -31,6 +32,10 @@ so the conditional quantile of the tent copula (``example1`` at 0.6) and of
 W is compared on ``EDGE_U`` (u at the ends, around the bisection's grid
 step 2**-34, next to 1/2 and 1, and at the gluing point) at the same four p,
 and so are 2000 draws of ``simulate_copula`` from that tent copula (seed 5).
+A glue nested inside a glue (Clayton(3), Frank(-8) and Gumbel(3) glued to M
+at 0.5, glued at 0.25 and 0.625) gives its conditional quantile at the same
+four p on a 41-point u grid plus 0.25, 0.625 and 0.8125, where its M
+begins, and its median curve with the empirical response on 1001 points.
 
 Each parametric fitting family is also fitted alone by ``fit_segment`` to a
 fixed Clayton(0.4) sample (positive sample rho) and a fixed Frank(-1.5) sample
@@ -222,7 +227,8 @@ def _case(wl, seed: int) -> dict[str, bytes]:
     import numpy as np
 
     from bench.workloads import csv_text, data_seed
-    from gluecop import cli, fit_piecewise, model_io, piecewise_regression
+    from gluecop import (cli, fit_piecewise, mean_regression, median_regression,
+                         model_io)
 
     rec = {}
     text = csv_text(wl.simulate(CASE_N, data_seed(seed, 0)))
@@ -236,9 +242,8 @@ def _case(wl, seed: int) -> dict[str, bytes]:
         model_io.model_to_dict(model)).encode()
     xs = np.concatenate((np.linspace(*model.marginal_x.support, 1001),
                          model.break_points))
-    for statistic in ("median", "mean"):
-        rec[f"{statistic} curve"] = np.asarray(
-            piecewise_regression(model, xs, statistic=statistic)).tobytes()
+    rec["median curve"] = median_regression(model, xs).tobytes()
+    rec["mean curve"] = mean_regression(model, xs).tobytes()
     for name, argv in CLI_RUNS.items():
         rec[f"gluecop {name}"] = _cli(argv)
     rec["gluecop fit model file"] = Path("cli_model.json").read_bytes()
@@ -256,9 +261,10 @@ def _fixed_curves() -> dict[str, bytes]:
     import numpy as np
 
     from bench.workloads import GLUED_POINTS, glued_truth
-    from gluecop import (EmpiricalMarginal, FrankCopula, FrechetLowerCopula,
+    from gluecop import (ClaytonCopula, EmpiricalMarginal, FrankCopula,
+                         FrechetLowerCopula, FrechetUpperCopula, GumbelCopula,
                          PiecewiseRegressionModel, RegressionModel,
-                         UniformMarginal, conditional_quantile, make_copula,
+                         UniformMarginal, conditional_quantile, glue, make_copula,
                          mean_regression, median_regression, piecewise_regression,
                          simulate_copula)
 
@@ -273,6 +279,13 @@ def _fixed_curves() -> dict[str, bytes]:
                        [0.0, 0.25, 0.5, 1.0], indexing="ij")
     edge_u, edge_p = np.meshgrid(EDGE_U, [0.0, 0.25, 0.5, 1.0], indexing="ij")
     tent = make_copula("example1", 0.6)
+    nested = glue([ClaytonCopula(3.0), FrankCopula(-8.0),
+                   glue([GumbelCopula(3.0), FrechetUpperCopula()], [0.5])],
+                  [0.25, 0.625])
+    # u also at both gluing points and at 0.8125, where the M inside begins
+    nested_u, nested_p = np.meshgrid(
+        np.r_[np.linspace(0.0, 1.0, 41), 0.25, 0.625, 0.8125],
+        [0.0, 0.25, 0.5, 1.0], indexing="ij")
     curves = {
         "frank -8 median curve": median_regression(frank, grid),
         "frank -8 mean curve": mean_regression(frank, grid),
@@ -287,6 +300,10 @@ def _fixed_curves() -> dict[str, bytes]:
         "frechet-lower quantile curve": conditional_quantile(
             FrechetLowerCopula(), edge_u, edge_p),
         "tent simulated v curve": simulate_copula(tent, 2000, 5).v,
+        "nested glue quantile curve": conditional_quantile(nested, nested_u,
+                                                           nested_p),
+        "nested glue median curve": median_regression(
+            RegressionModel(nested, unit, my), grid),
     }
     return {item: np.asarray(mu).tobytes() for item, mu in curves.items()}
 
