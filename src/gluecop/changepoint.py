@@ -3,8 +3,8 @@
 A PQD copula has diagonal above t^2 and an NQD one below, so a sign change
 of g(t) = delta(t) - t^2 flags mixed dependence and the crossing location is
 a gluing-point candidate.  Detection classifies grid points into +/0/- bands
-with a tolerance, keeps only sign runs long enough to survive noise
-(persistence), and refines each surviving sign change by bisection.
+with a tolerance (``dependence._band``), keeps only sign runs long enough to
+survive noise (persistence), and bisects each surviving sign change.
 Tangential touches (g reaches the zero band without changing sign) are
 reported separately, not as crossings.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .copulas import Copula
-from .dependence import _tolerance
+from .dependence import _band, _tolerance
 from .errors import DomainError, check_array_size
 
 GRID_N_DEFAULT = 512
@@ -66,7 +66,7 @@ def diagonal_crossings(c: Copula, grid_n: int = GRID_N_DEFAULT,
     than ``persistence`` points are dropped; between two adjacent surviving
     runs of opposite sign lies a crossing, refined by bisection, and between
     two of the same sign a tangential touch, reported at the gap's midpoint.
-    ``tol=None`` takes the copula's default tolerance.  ``mixed_dependence``
+    ``tol=None`` is ``TOL_DEFAULT``.  ``mixed_dependence``
     (g beyond +tol somewhere and beyond -tol elsewhere, filtered runs too) is
     the necessary condition for mixed dependence that motivates break points.
     """
@@ -74,12 +74,13 @@ def diagonal_crossings(c: Copula, grid_n: int = GRID_N_DEFAULT,
         raise DomainError("grid_n must be >= 64")
     if persistence < 1:
         raise DomainError("persistence must be >= 1")
-    tol = _tolerance(c, tol)
+    tol = _tolerance(tol, TOL_DEFAULT)
     check_array_size("grid_n", grid_n)
     grid = np.linspace(0.0, 1.0, grid_n)
     g = lambda tt: c.diagonal(tt) - tt * tt
     values = g(grid)
-    codes = np.where(values > tol, 1, np.where(values < -tol, -1, 0))
+    # beyond +tol minus beyond -tol: 1, -1, or 0 (a NaN is on both sides)
+    codes = np.subtract(*_band(values, tol), dtype=int)
 
     starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
     ends = np.r_[starts[1:], grid_n] - 1

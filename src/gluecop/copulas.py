@@ -81,8 +81,6 @@ class Copula:
     name : family tag used for serialization and reporting.
     smooth : False for copulas with kinks or singular components; steers the
         quadrature rule used by the dependence measures.
-    numerical : True when the evaluator itself is built on quadrature or data,
-        which loosens default classification tolerances.
 
     ``cdf``, ``du``, ``diagonal`` and ``conditional_quantile`` take scalars
     or arrays: a scalar in gives a float out, with the bits the array call
@@ -95,7 +93,6 @@ class Copula:
 
     name = "copula"
     smooth = True
-    numerical = False
 
     # -- evaluation ---------------------------------------------------------
 

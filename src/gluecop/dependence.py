@@ -9,7 +9,9 @@ makes the integrand non-smooth anyway).  The nodes and weights of each rule
 are built once and shared, read-only, by every call, so a rho inversion
 that evaluates the same rule many times pays for it once.
 The nodes are checked to lie in [0, 1] once, when their rule is built, and
-no evaluation on them checks them again.
+no evaluation on them checks them again.  Both classes here and the
+diagonal crossings of ``changepoint`` read values against the band
+[-tol, tol] through ``_band``; ``tol=None`` is the default each check states.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import DomainError
 
 GAUSS_NODES = 64      # per axis, smooth integrands
 MIDPOINT_NODES = 512  # per axis, kinked integrands
+CLASS_TOL = 1e-6      # both dependence classes, on any copula
 
 
 class QuadrantClass(str, Enum):
@@ -41,25 +44,33 @@ class RegressionClass(str, Enum):
     CONSTANT = "CONSTANT"
 
 
-def _tolerance(c: Copula, tol: float | None) -> float:
-    """``tol`` checked to be >= 0 and finite, or the copula's default if None."""
+def _tolerance(tol: float | None, default: float) -> float:
+    """``tol`` checked to be >= 0 and finite, or ``default`` if None."""
     if tol is not None and not 0.0 <= tol < np.inf:
         raise DomainError("tol must be >= 0 and finite")
-    return (1e-4 if c.numerical else 1e-6) if tol is None else tol
+    return default if tol is None else tol
+
+
+def _band(values: np.ndarray, tol: float):
+    """(beyond +tol, beyond -tol), elementwise; a NaN, which compares false
+    with everything, is on both sides."""
+    return ~(values <= tol), ~(values >= -tol)
 
 
 def _band_class(values: np.ndarray, tol: float, classes):
     """Where ``values`` lie against the band [-tol, tol], as the member of
     ``classes`` declared (positive, negative, neither, inside the band)."""
     positive, negative, neither, inside = classes
-    lo, hi = float(np.min(values)), float(np.max(values))
-    if -tol <= lo and hi <= tol:
-        return inside
-    if lo >= -tol:
-        return positive
-    if hi <= tol:
-        return negative
-    return neither
+    above, below = (bool(side.any()) for side in _band(values, tol))
+    return (neither if above and below else positive if above
+            else negative if below else inside)
+
+
+def _interior_grid(grid_n: int) -> np.ndarray:
+    """``grid_n`` >= 8 equispaced points strictly inside (0, 1)."""
+    if grid_n < 8:
+        raise DomainError("grid_n must be >= 8")
+    return np.arange(1, grid_n + 1) / (grid_n + 1)
 
 
 @lru_cache(maxsize=2)
@@ -102,10 +113,7 @@ def schweizer_wolff_sigma(c: Copula) -> float:
 
 def classify_quadrant(c: Copula, grid_n: int = 64, tol: float | None = None) -> QuadrantClass:
     """Classify PQD/NQD by the sign of C − Π on an interior grid."""
-    if grid_n < 8:
-        raise DomainError("grid_n must be >= 8")
-    tol = _tolerance(c, tol)
-    t = np.arange(1, grid_n + 1) / (grid_n + 1)
+    t, tol = _interior_grid(grid_n), _tolerance(tol, CLASS_TOL)
     return _band_class(c._cdf_grid(t, t) - np.outer(t, t), tol, QuadrantClass)
 
 
@@ -117,10 +125,7 @@ def classify_regression_dependence(c: Copula, grid_n: int = 64,
     conditional CDF shifting right as u grows); the criterion holds for
     almost all u, so isolated grid artifacts below tol are ignored.
     """
-    if grid_n < 8:
-        raise DomainError("grid_n must be >= 8")
-    tol = _tolerance(c, tol)
-    t = np.arange(1, grid_n + 1) / (grid_n + 1)
+    t, tol = _interior_grid(grid_n), _tolerance(tol, CLASS_TOL)
     # du without its check of an axis the library built
     du = c._du_clamped(t[:, None], t[None, :])
     # PRD: the steps of ∂C/∂u between adjacent u are all <= tol
@@ -148,7 +153,7 @@ class DependenceReport:
 def dependence_report(c: Copula, grid_n: int = 64,
                       tol: float | None = None) -> DependenceReport:
     """Compute rho, sigma and both dependence classifications in one pass."""
-    tol = _tolerance(c, tol)
+    tol = _tolerance(tol, CLASS_TOL)
     return DependenceReport(
         rho=spearman_rho(c),
         sigma=schweizer_wolff_sigma(c),

@@ -119,7 +119,6 @@ class EmpiricalCopula(Copula):
 
     name = "empirical"
     smooth = False
-    numerical = True
 
     def __init__(self, ps: PseudoSample):
         self.u = np.asarray(ps.u, dtype=float)

@@ -50,7 +50,6 @@ class GluedCopula(Copula):
         self._pieces = tuple(pieces)
         self.gluing_points = pts
         self._bounds = np.concatenate(([0.0], pts, [1.0]))
-        self.numerical = any(p.numerical for p in pieces)
 
     @property
     def pieces(self) -> tuple:
@@ -112,7 +111,6 @@ class _Slab(Copula):
         self.lo, self.hi = lo, hi
         # the rescaling is affine, so a slab has its parent's kinks and no others
         self.smooth = parent.smooth
-        self.numerical = parent.numerical
 
     def _cdf(self, u, v):
         lo, hi = self.lo, self.hi

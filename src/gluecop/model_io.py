@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .copulas import (FAMILY_CONSTRUCTORS, PARAMETRIC_FAMILIES, Copula,
                       make_copula)
 from .errors import DataError, DomainError, NumericalError, ParameterError
@@ -37,6 +39,24 @@ def copula_to_dict(c: Copula) -> dict:
     return doc
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; a bool, a string or an integer beyond float
+    range is a ``DataError``, not a silent number."""
+    if type(value) in (int, float):  # not bool, a subclass of int
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise DataError(f"malformed model document: {what} must be a number "
+                    f"within float range, not {value!r:.40}")
+
+
+def _numbers(values, key: str) -> list:
+    if not isinstance(values, list):
+        raise DataError(f"malformed model document: {key} must be a list")
+    return [_number(v, f"each of {key}") for v in values]
+
+
 def copula_from_dict(doc: dict) -> Copula:
     return _copula_from_dict(doc, 0)
 
@@ -47,8 +67,9 @@ def _copula_from_dict(doc: dict, depth: int) -> Copula:
         if depth >= MAX_GLUE_DEPTH:
             raise DataError(f"glued copula nested deeper than {MAX_GLUE_DEPTH} levels")
         return GluedCopula([_copula_from_dict(p, depth + 1) for p in doc["pieces"]],
-                           doc["gluing_points"])
-    return make_copula(family, doc.get("theta"))
+                           _numbers(doc["gluing_points"], "gluing_points"))
+    theta = doc.get("theta")
+    return make_copula(family, None if theta is None else _number(theta, "theta"))
 
 
 def marginal_to_dict(m: Marginal) -> dict:
@@ -62,9 +83,15 @@ def marginal_to_dict(m: Marginal) -> dict:
 def marginal_from_dict(doc: dict) -> Marginal:
     kind = doc.get("type")
     if kind == "uniform":
-        return UniformMarginal(doc["a"], doc["b"])
+        return UniformMarginal(_number(doc["a"], "a"), _number(doc["b"], "b"))
     if kind == "empirical":
-        return EmpiricalMarginal(doc["knots"])
+        # one conversion, whose type discovery finds nesting, bools alone,
+        # strings and integers beyond 64 bits
+        knots = np.array(doc["knots"]) if isinstance(doc["knots"], list) else None
+        if knots is None or knots.ndim != 1 or knots.dtype.kind not in "iuf":
+            raise DataError("malformed model document: knots must be a flat "
+                            "list of numbers")
+        return EmpiricalMarginal(knots)
     raise DataError(f"unknown marginal type {kind!r}")
 
 
@@ -87,7 +114,7 @@ def model_from_dict(doc: dict) -> PiecewiseRegressionModel:
         raise DataError(f"unsupported model schema version {version!r}")
     try:
         return PiecewiseRegressionModel(
-            break_points=tuple(doc["break_points"]),
+            break_points=_numbers(doc["break_points"], "break_points"),
             segment_copulas=tuple(copula_from_dict(c) for c in doc["segment_copulas"]),
             marginal_x=marginal_from_dict(doc["marginal_x"]),
             marginal_y=marginal_from_dict(doc["marginal_y"]),

@@ -186,7 +186,6 @@ class Example4Copula(Copula):
 
     name = "example4"
     smooth = True
-    numerical = True
 
     def __init__(self, model: Example4Model):
         self.model = model

@@ -251,9 +251,9 @@ def test_criterion_9_property_suites(capsys):
                    glue([M, W], [0.4])]
     axioms_ok = all(check_copula_axioms(c, 41).passed(1e-9)
                     for c in closed_form)
-    numerical = [Example4Model(k=0.1).copula()]
+    quadrature_built = [Example4Model(k=0.1).copula()]
     axioms_ok &= all(check_copula_axioms(c, 21).passed(1e-6)
-                     for c in numerical)
+                     for c in quadrature_built)
 
     sweep = closed_form
     sigma_ok = all(abs(spearman_rho(c)) <= schweizer_wolff_sigma(c) + 2e-3

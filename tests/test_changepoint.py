@@ -32,7 +32,7 @@ class TestDiagonalCrossings:
         c = report.crossings[0]
         assert c.direction == "down"
         assert c.t == pytest.approx(theta, abs=1e-3)
-        # at the copula's own tolerance too
+        # with tol=None too, which is the default
         assert diagonal_crossings(make_copula("example1", theta),
                                   tol=None).mixed_dependence is True
 
@@ -54,8 +54,10 @@ class TestDiagonalCrossings:
                                    GumbelCopula(2), PlackettCopula(0.3), M, W, PI],
                              ids=lambda c: repr(c))
     def test_totally_ordered_families_have_no_crossings(self, c):
-        assert diagonal_crossings(c, tol=1e-6).crossings == []
-        assert diagonal_crossings(c, tol=None).mixed_dependence is False
+        # a band 100 times narrower than the default
+        report = diagonal_crossings(c, tol=1e-6)
+        assert report.crossings == []
+        assert report.mixed_dependence is False
 
     def test_crossings_increasing_and_alternating(self):
         g = glue([M, W, M, W], [0.25, 0.5, 0.75])
@@ -73,6 +75,12 @@ class TestDiagonalCrossings:
     def test_negative_or_non_finite_tol(self, tol):
         with pytest.raises(DomainError, match=r"^tol must be >= 0 and finite$"):
             diagonal_crossings(PI, tol=tol)
+
+    @pytest.mark.parametrize("c", [make_copula("example1", 0.3), M, W, ClaytonCopula(2)],
+                             ids=lambda c: repr(c))
+    def test_none_is_the_default_tolerance(self, c):
+        assert diagonal_crossings(c, tol=None) == diagonal_crossings(c)
+        assert diagonal_crossings(c, tol=None).tolerance == 1e-4
 
     def test_zero_tol_is_allowed(self):
         report = diagonal_crossings(M, tol=0.0)
@@ -150,3 +158,15 @@ class TestTouches:
         assert report.crossings == []
         assert report.touches == [0.5 * (GRID_64[29] + GRID_64[33])]
         assert report.mixed_dependence is True
+
+    @pytest.mark.parametrize("persistence", [1, 5])
+    def test_nan_is_coded_zero(self, persistence):
+        # a NaN is beyond both sides of the band, so it codes 0: inside a +
+        # run it splits the run with a touch, and it is no crossing
+        c = _StepDiagonal(_steps((0.01, 20), (np.nan, 1), (0.01, 20),
+                                 (np.nan, 3), (0.01, 20)))
+        report = diagonal_crossings(c, 64, tol=1e-4, persistence=persistence)
+        assert report.crossings == []
+        assert report.touches == [0.5 * (GRID_64[19] + GRID_64[21]),
+                                  0.5 * (GRID_64[40] + GRID_64[44])]
+        assert report.mixed_dependence is False

@@ -535,6 +535,30 @@ class TestPredictInputs:
         assert out == ""
         assert "data error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"segment_copulas": [{"family": "clayton", "theta": True},
+                              {"family": "frechet-lower"}]},
+         "theta must be a number within float range, not True"),
+        ({"marginal_x": {"type": "uniform", "a": False, "b": 1.0}},
+         "a must be a number within float range, not False"),
+        ({"break_points": [True]},
+         "each of break_points must be a number within float range, not True"),
+        ({"marginal_y": {"type": "empirical", "knots": [[0, 1], [2, 3]]}},
+         "knots must be a flat list of numbers"),
+        ({"marginal_y": {"type": "empirical", "knots": [False, True]}},
+         "knots must be a flat list of numbers"),
+    ], ids=["theta-true", "a-false", "break-point-true", "knots-nested",
+            "knots-bools"])
+    def test_non_number_in_model_is_data_error(self, tmp_path, capsys, changes,
+                                               message):
+        # each of these once loaded as a number and exited 0
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_model_doc(**changes)))
+        code, out, err = run(capsys, "predict", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"gluecop: data error: malformed model document: {message}\n"
+
     @pytest.mark.parametrize("text", [
         "[" * 100_000 + "]" * 100_000,
         _nested_glue_model(500),

@@ -387,3 +387,49 @@ class TestTolerance:
         assert r.quadrant_class is QuadrantClass.PQD
         assert classify_quadrant(PI, tol=0.0) is QuadrantClass.INDEPENDENT_LIKE
         assert classify_regression_dependence(M, tol=0.0) is RegressionClass.PRD
+
+    @pytest.mark.parametrize("c", [
+        Example4Model().copula(),
+        EmpiricalCopula(pseudo_observations(simulate_example1(500, 0.4, seed=3)))],
+        ids=["parabola", "empirical"])
+    def test_none_is_one_millionth_on_any_copula(self, c):
+        # quadrature- and data-built copulas take the default of every other
+        r = dependence_report(c, grid_n=8)
+        assert r.tolerance == 1e-6
+        assert r.quadrant_class is classify_quadrant(c, 8, 1e-6)
+        assert r.regression_class is classify_regression_dependence(c, 8, 1e-6)
+
+
+class _Shifted(copulas.Copula):
+    """Not a copula: C = uv + shift on every grid and ∂C/∂u = v - shift·u,
+    each with a NaN at grid point (3, 5) when ``nan``."""
+
+    def __init__(self, shift, nan):
+        self.shift, self.nan = shift, nan
+
+    def _poke(self, out):
+        if self.nan:
+            out[3, 5] = np.nan
+        return out
+
+    def _cdf_grid(self, us, vs):
+        return self._poke(np.outer(us, vs) + self.shift)
+
+    def _du(self, u, v):
+        return self._poke(np.broadcast_to(v - self.shift * u,
+                                          np.broadcast(u, v).shape).copy())
+
+
+class TestBand:
+    @pytest.mark.parametrize("shift, quadrant, regression", [
+        (0.0, QuadrantClass.INDEPENDENT_LIKE, RegressionClass.CONSTANT),
+        (1e-3, QuadrantClass.PQD, RegressionClass.PRD),
+        (-1e-3, QuadrantClass.NQD, RegressionClass.NRD),
+    ])
+    def test_a_nan_is_on_both_sides(self, shift, quadrant, regression):
+        c = _Shifted(shift, nan=False)
+        assert classify_quadrant(c, 16) is quadrant
+        assert classify_regression_dependence(c, 16) is regression
+        c = _Shifted(shift, nan=True)
+        assert classify_quadrant(c, 16) is QuadrantClass.NEITHER
+        assert classify_regression_dependence(c, 16) is RegressionClass.NEITHER

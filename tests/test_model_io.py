@@ -152,3 +152,82 @@ class TestModelRoundTrip:
         xs = np.linspace(0.1, 0.9, 9)
         assert np.allclose(piecewise_regression(back, xs),
                            piecewise_regression(pm, xs), atol=1e-12)
+
+
+def _doc(**changes):
+    """A valid two-segment document with empirical marginals, ``changes``
+    applied to its top-level keys."""
+    doc = {"schema_version": 1, "break_points": [0.5],
+           "segment_copulas": [{"family": "clayton", "theta": 2.0},
+                               {"family": "frank", "theta": -3.0}],
+           "marginal_x": {"type": "empirical", "knots": [0.0, 0.25, 0.75, 1.0]},
+           "marginal_y": {"type": "uniform", "a": 0.0, "b": 1.0}}
+    doc.update(changes)
+    return doc
+
+
+def _bad_knots(knots):
+    return _doc(marginal_x={"type": "empirical", "knots": knots})
+
+
+class TestNumbersAreNumbers:
+    """A JSON bool, string, list or out-of-range integer where the document
+    holds a number is a ``DataError``; it once loaded as a number."""
+
+    @pytest.mark.parametrize("doc, message", [
+        (_doc(segment_copulas=[{"family": "clayton", "theta": True},
+                               {"family": "product"}]),
+         "theta must be a number within float range, not True"),
+        (_doc(segment_copulas=[{"family": "clayton", "theta": "2"},
+                               {"family": "product"}]),
+         "theta must be a number within float range, not '2'"),
+        (_doc(segment_copulas=[{"family": "clayton", "theta": 10 ** 400},
+                               {"family": "product"}]),
+         # the value is cut to its first 40 characters
+         "theta must be a number within float range, not 1" + "0" * 39),
+        (_doc(marginal_y={"type": "uniform", "a": False, "b": 1.0}),
+         "a must be a number within float range, not False"),
+        (_doc(marginal_y={"type": "uniform", "a": 0.0, "b": [1.0]}),
+         "b must be a number within float range, not [1.0]"),
+        (_doc(break_points=[True]),
+         "each of break_points must be a number within float range, not True"),
+        (_doc(break_points=[10 ** 400]),
+         "each of break_points must be a number within float range, not 1"
+         + "0" * 39),
+        (_doc(break_points="0.5"), "break_points must be a list"),
+        (_doc(segment_copulas=[{"family": "glued", "gluing_points": [True], "pieces": [
+            {"family": "product"}, {"family": "product"}]}, {"family": "product"}]),
+         "each of gluing_points must be a number within float range, not True"),
+        (_bad_knots([[0, 1], [2, 3]]), "knots must be a flat list of numbers"),
+        (_bad_knots([False, True]), "knots must be a flat list of numbers"),
+        (_bad_knots(["0.25", "0.75"]), "knots must be a flat list of numbers"),
+        (_bad_knots([0, 2 ** 64]), "knots must be a flat list of numbers"),
+        (_bad_knots([0, None]), "knots must be a flat list of numbers"),
+        (_bad_knots("0.25"), "knots must be a flat list of numbers"),
+    ], ids=["theta-true", "theta-string", "theta-huge", "a-false", "b-list",
+            "break-point-true", "break-point-huge", "break-points-string",
+            "gluing-point-true", "knots-nested", "knots-bools", "knots-strings",
+            "knots-beyond-int64", "knots-null", "knots-string"])
+    def test_not_a_number_is_data_error(self, doc, message):
+        with pytest.raises(DataError) as info:
+            model_from_dict(doc)
+        assert str(info.value) == f"malformed model document: {message}"
+
+    def test_ragged_knots_are_data_error(self):
+        with pytest.raises(DataError, match="^malformed model document: "):
+            model_from_dict(_bad_knots([[0, 1], [2]]))
+
+    def test_integers_load_as_floats(self):
+        doc = _doc(break_points=[1], segment_copulas=[
+            {"family": "clayton", "theta": 2}, {"family": "frank", "theta": -3}],
+            marginal_x={"type": "empirical", "knots": [0, 1, 2, 3]},
+            marginal_y={"type": "uniform", "a": 0, "b": 1})
+        assert model_to_dict(model_from_dict(doc)) == _doc(
+            break_points=[1.0], marginal_x={"type": "empirical",
+                                            "knots": [0.0, 1.0, 2.0, 3.0]})
+
+    def test_valid_document_resaves_byte_identically(self):
+        knots = np.sort(np.random.default_rng(5).normal(size=1000)).tolist()
+        text = dumps_canonical(_doc(marginal_x={"type": "empirical", "knots": knots},
+                                    break_points=[0.1]))
+        assert dumps_canonical(model_to_dict(model_from_dict(json.loads(text)))) == text

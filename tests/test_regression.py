@@ -146,7 +146,7 @@ class _CountingCopula(Copula):
 
     def __init__(self, inner: Copula):
         self.inner, self.sizes = inner, []
-        self.smooth, self.numerical = inner.smooth, inner.numerical
+        self.smooth = inner.smooth
 
     def _cdf(self, u, v):
         return self.inner._cdf(u, v)

@@ -37,6 +37,12 @@ at 0.5, glued at 0.25 and 0.625) gives its conditional quantile at the same
 four p on a 41-point u grid plus 0.25, 0.625 and 0.8125, where its M
 begins, and its median curve with the empirical response on 1001 points.
 
+The band decisions are pinned at fixed tolerances (``_decisions``): the
+``diagonal_crossings`` report of the tent copula at 0.3 and 0.6, of that
+glued copula and of the parabola's copula (256 points), each at its omitted
+default and at tol 0, and at tol 1e-6 and 0 the ``dependence_report`` of
+the glued copula and the two dependence classes of each parabola piece.
+
 Each parametric fitting family is also fitted alone by ``fit_segment`` to a
 fixed Clayton(0.4) sample (positive sample rho) and a fixed Frank(-1.5) sample
 (negative), and the ``repr`` of its theta, rho_hat and goodness of fit (or
@@ -369,6 +375,40 @@ def _shape_calls() -> dict[str, bytes]:
     }
 
 
+def _decisions() -> dict[str, bytes]:
+    """The band decisions at a fixed tolerance: the ``repr`` of the
+    crossings, touches, mixed flag and tolerance of ``diagonal_crossings``
+    (at its omitted default and at 0) and of the dependence classes (at
+    1e-6 and 0)."""
+    from bench.workloads import PARABOLA_K, glued_truth
+    from gluecop import (Example4Model, classify_quadrant,
+                         classify_regression_dependence, dependence_report,
+                         diagonal_crossings, make_copula)
+
+    parabola = Example4Model(PARABOLA_K)
+    crossings = {"tent 0.3": (make_copula("example1", 0.3), {}),
+                 "tent 0.6": (make_copula("example1", 0.6), {}),
+                 "glued three": (glued_truth(), {}),
+                 "parabola": (parabola.copula(), {"grid_n": 256})}
+    rec = {}
+    for name, (c, kw) in crossings.items():
+        for tol, tol_kw in (("default", {}), ("0", {"tol": 0.0})):
+            r = diagonal_crossings(c, **kw, **tol_kw)
+            rec[f"diagonal crossings {name} tol {tol}"] = repr(
+                (r.crossings, r.touches, r.mixed_dependence, r.tolerance)).encode()
+    left, right = parabola.pieces()
+    for tol in (1e-6, 0.0):
+        rec[f"dependence report glued three tol {tol!r}"] = repr(
+            dependence_report(glued_truth(), tol=tol)).encode()
+        # the pieces' quadrature makes rho, sigma and a 64-point grid cost
+        # seconds, so only their classes, on 16 points
+        for name, c in (("left", left), ("right", right)):
+            rec[f"classes parabola {name} piece tol {tol!r}"] = repr(
+                (classify_quadrant(c, 16, tol),
+                 classify_regression_dependence(c, 16, tol))).encode()
+    return rec
+
+
 def _family_fits() -> dict[str, bytes]:
     """``fit_segment`` restricted to each parametric fitting family, on one
     sample with positive and one with negative sample rho: the ``repr`` of
@@ -460,6 +500,8 @@ def collect() -> None:
                 "marginal_y": {"type": "uniform", "a": 0.0, "b": 1.0}}))
             records[("edge models", 0, f"gluecop predict {name}")] = _cli(
                 ["predict", "edge_model.json", "--num", "5"])
+        for item, value in _decisions().items():
+            records[("decisions", 0, item)] = value
         for item, value in _family_fits().items():
             records[("family fits", 0, item)] = value
         for item, value in _tie_cases().items():
