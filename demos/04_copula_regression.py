@@ -16,7 +16,7 @@ theta = 0.5
 m = RegressionModel(make_copula("example1", theta), UniformMarginal(),
                     UniformMarginal())
 xs = np.linspace(0, 1, 11)
-mu = np.array([median_regression(m, x) for x in xs])
+mu = median_regression(m, xs)
 print("tent model, median regression vs truth:")
 for x, y in zip(xs, mu):
     print(f"  x = {x:.1f}  mu(x) = {y:.6f}  truth = {tent(x, theta):.6f}")
@@ -25,8 +25,8 @@ for x, y in zip(xs, mu):
 model = Example4Model(k=0.1)
 m4 = RegressionModel(model.copula(), model.marginal_x(), model.marginal_y())
 xs = np.linspace(0.1, 0.9, 9)
-med = np.array([median_regression(m4, x) for x in xs])
-avg = np.array([mean_regression(m4, x) for x in xs])
+med = median_regression(m4, xs)
+avg = mean_regression(m4, xs)
 truth = (xs - 0.5) ** 2
 print("\nparabola model, median and mean regression vs (x - 0.5)^2:")
 print(f"  max |median - truth| = {np.max(np.abs(med - truth)):.2e}")

@@ -88,7 +88,9 @@ class Copula:
     broadcastable arrays and return their broadcast shape.  Grids the
     library builds pass a (n, 1) column and a (1, m) row, so a family
     computes its per-argument terms (powers, logs, exponentials) on each
-    axis before it combines the two.
+    axis before it combines the two.  Every family in the package does, the
+    parabola's included (one response-quantile solve per v of the row); a
+    glued copula, whose slabs cut the grid, hands each piece its cells.
     """
 
     name = "copula"

@@ -85,13 +85,15 @@ def marginal_from_dict(doc: dict) -> Marginal:
     if kind == "uniform":
         return UniformMarginal(_number(doc["a"], "a"), _number(doc["b"], "b"))
     if kind == "empirical":
-        # one conversion, whose type discovery finds nesting, bools alone,
-        # strings and integers beyond 64 bits
-        knots = np.array(doc["knots"]) if isinstance(doc["knots"], list) else None
-        if knots is None or knots.ndim != 1 or knots.dtype.kind not in "iuf":
-            raise DataError("malformed model document: knots must be a flat "
-                            "list of numbers")
-        return EmpiricalMarginal(knots)
+        knots = doc["knots"]
+        # a per-value type test finds nesting, bools (even among numbers),
+        # strings and nulls; numpy's type discovery integers beyond 64 bits
+        if isinstance(knots, list) and set(map(type, knots)) <= {int, float}:
+            knots = np.array(knots)
+            if knots.dtype.kind in "iuf":
+                return EmpiricalMarginal(knots)
+        raise DataError("malformed model document: knots must be a flat "
+                        "list of numbers")
     raise DataError(f"unknown marginal type {kind!r}")
 
 

@@ -6,7 +6,8 @@ known in closed form; its copula is ``make_copula("example1", theta)``, the
 upper Fréchet bound M glued to the lower bound W at theta.  The parabola model
 Y = (X-0.5)^2 + k*eps has a smooth copula only available through nested
 quadrature and inversion of the response marginal; its regression curve is
-the parabola itself.
+the parabola itself; its copula solves y_v = F_Y^{-1}(v) once per v of a
+grid's row or a mean block's nodes, not once per grid cell.
 """
 
 from __future__ import annotations
@@ -192,25 +193,19 @@ class Example4Copula(Copula):
 
     def _cdf(self, u, v):
         m = self.model
-        u, v = np.broadcast_arrays(u, v)
-        out = np.zeros(u.shape)
-        interior = (u > 0) & (v > 0)
-        ui, yv = u[interior], m.marginal_y_quantile(v[interior])
-        # rescale the unit-interval nodes to [0, u] per point
-        r = 0.5 * ui[:, None] * (2.0 * m._r[None, :])
-        z = (yv[:, None] - (r - 0.5) ** 2) / m.k
-        out[interior] = ui * np.sum(_ndtr(z) * m._w, axis=-1)
+        yv = m.marginal_y_quantile(v)
+        # rescale the unit-interval nodes to [0, u] per u
+        r = 0.5 * u[..., None] * (2.0 * m._r)
+        z = (yv[..., None] - (r - 0.5) ** 2) / m.k
+        out = u * np.sum(_ndtr(z) * m._w, axis=-1)
         # exact edges keep the uniform margins to machine precision
-        return np.where(v >= 1.0, u, np.where(u >= 1.0, v, out))
+        return np.where(v >= 1.0, u, np.where(u >= 1.0, v, np.where(
+            (u > 0) & (v > 0), out, 0.0)))
 
     def _du(self, u, v):
         m = self.model
-        u, v = np.broadcast_arrays(u, v)
-        out = np.zeros(u.shape)
-        pos = v > 0
-        yv = m.marginal_y_quantile(v[pos])
-        out[pos] = _ndtr((yv - (u[pos] - 0.5) ** 2) / m.k)
-        return np.where(v >= 1.0, 1.0, out)
+        out = _ndtr((m.marginal_y_quantile(v) - (u - 0.5) ** 2) / m.k)
+        return np.where(v >= 1.0, 1.0, np.where(v > 0, out, 0.0))
 
 
 def simulate_example4(n: int, k: float = 0.1, seed: int = 0) -> Sample:

@@ -547,8 +547,10 @@ class TestPredictInputs:
          "knots must be a flat list of numbers"),
         ({"marginal_y": {"type": "empirical", "knots": [False, True]}},
          "knots must be a flat list of numbers"),
+        ({"marginal_y": {"type": "empirical", "knots": [True, 1.5]}},
+         "knots must be a flat list of numbers"),
     ], ids=["theta-true", "a-false", "break-point-true", "knots-nested",
-            "knots-bools"])
+            "knots-bools", "knots-true-among-floats"])
     def test_non_number_in_model_is_data_error(self, tmp_path, capsys, changes,
                                                message):
         # each of these once loaded as a number and exited 0

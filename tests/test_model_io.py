@@ -204,18 +204,25 @@ class TestNumbersAreNumbers:
         (_bad_knots([0, 2 ** 64]), "knots must be a flat list of numbers"),
         (_bad_knots([0, None]), "knots must be a flat list of numbers"),
         (_bad_knots("0.25"), "knots must be a flat list of numbers"),
+        (_bad_knots([True, 1.5]), "knots must be a flat list of numbers"),
+        (_bad_knots([1, False]), "knots must be a flat list of numbers"),
+        (_bad_knots([0.5, [1.5]]), "knots must be a flat list of numbers"),
     ], ids=["theta-true", "theta-string", "theta-huge", "a-false", "b-list",
             "break-point-true", "break-point-huge", "break-points-string",
             "gluing-point-true", "knots-nested", "knots-bools", "knots-strings",
-            "knots-beyond-int64", "knots-null", "knots-string"])
+            "knots-beyond-int64", "knots-null", "knots-string",
+            "knots-true-among-floats", "knots-false-among-ints",
+            "knots-list-among-floats"])
     def test_not_a_number_is_data_error(self, doc, message):
         with pytest.raises(DataError) as info:
             model_from_dict(doc)
         assert str(info.value) == f"malformed model document: {message}"
 
     def test_ragged_knots_are_data_error(self):
-        with pytest.raises(DataError, match="^malformed model document: "):
+        with pytest.raises(DataError) as info:
             model_from_dict(_bad_knots([[0, 1], [2]]))
+        assert str(info.value) == ("malformed model document: knots must be "
+                                   "a flat list of numbers")
 
     def test_integers_load_as_floats(self):
         doc = _doc(break_points=[1], segment_copulas=[

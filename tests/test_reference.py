@@ -9,15 +9,20 @@ from gluecop import (
     Example4Copula,
     Example4Model,
     ParameterError,
+    RegressionModel,
     Sample,
     check_copula_axioms,
+    classify_regression_dependence,
     make_copula,
+    mean_regression,
     simulate_copula,
     simulate_example1,
     simulate_example4,
     tent,
 )
 from gluecop.copulas import _finite_difference_du
+from gluecop.dependence import _rule
+from gluecop.regression import MEAN_BLOCK, MEAN_NODES
 
 
 class TestSample:
@@ -204,6 +209,58 @@ class TestParabolaCopula:
             U, V = np.meshgrid(t, t, indexing="ij")
             fd = _finite_difference_du(piece._cdf, U, V)
             assert np.max(np.abs(fd - piece.du(U, V))) < 1e-6
+
+    @pytest.mark.parametrize("which", ["copula", "left", "right"])
+    def test_column_by_row_equals_meshgrid_bit_for_bit(self, model, which):
+        c = _parabola_copulas(model)[which]
+        t = np.r_[0.0, 5e-324, np.linspace(0.0, 1.0, 17), 0.5, 1 - 2 ** -53, 1.0]
+        U, V = np.meshgrid(t, t, indexing="ij")
+        assert c.cdf_grid(t, t).tobytes() == c.cdf(U, V).tobytes()
+        assert (c._du_clamped(t[:, None], t[None, :]).tobytes()
+                == c.du(U, V).tobytes())
+
+
+def _parabola_copulas(model):
+    left, right = model.pieces()
+    return {"copula": model.copula(), "left": left, "right": right}
+
+
+class TestQuantileSolvedOncePerV:
+    """The copula solves y_v = F_Y^{-1}(v) for the v it is given, a grid's
+    row or a mean block's nodes, not for every (u, v) of their product."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        counted = Example4Model(k=0.1)
+        sizes = []
+        quantile = counted.marginal_y_quantile
+
+        def counting(p):
+            sizes.append(np.size(p))
+            return quantile(p)
+        monkeypatch.setattr(counted, "marginal_y_quantile", counting)
+        return counted, sizes
+
+    @pytest.mark.parametrize("which", ["copula", "left", "right"])
+    def test_quadrature_grid(self, solved, which):
+        counted, sizes = solved
+        t, _ = _rule(True)
+        _parabola_copulas(counted)[which]._cdf_grid(t, t)
+        assert sum(sizes) == t.size == 64
+
+    @pytest.mark.parametrize("which", ["copula", "left", "right"])
+    def test_regression_grid(self, solved, which):
+        counted, sizes = solved
+        classify_regression_dependence(_parabola_copulas(counted)[which])
+        assert sum(sizes) == 64
+
+    def test_one_mean_block(self, solved, model):
+        counted, sizes = solved
+        # the response marginal comes from another model, so only the
+        # copula's solves are counted: 512 midpoint nodes on each side of 0
+        m = RegressionModel(counted.copula(), model.marginal_x(), model.marginal_y())
+        mean_regression(m, np.linspace(0.05, 0.95, MEAN_BLOCK))
+        assert sum(sizes) == 2 * MEAN_NODES == 1024
 
 
 class TestParabolaSimulation:

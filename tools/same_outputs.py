@@ -40,8 +40,9 @@ begins, and its median curve with the empirical response on 1001 points.
 The band decisions are pinned at fixed tolerances (``_decisions``): the
 ``diagonal_crossings`` report of the tent copula at 0.3 and 0.6, of that
 glued copula and of the parabola's copula (256 points), each at its omitted
-default and at tol 0, and at tol 1e-6 and 0 the ``dependence_report`` of
-the glued copula and the two dependence classes of each parabola piece.
+default and at tol 0, the ``dependence_report`` of the glued copula at tol
+1e-6 and 0, and that of the parabola's copula and of each of its pieces
+(rho, sigma and both classes on the 64-point grid) at the default tolerance.
 
 Each parametric fitting family is also fitted alone by ``fit_segment`` to a
 fixed Clayton(0.4) sample (positive sample rho) and a fixed Frank(-1.5) sample
@@ -378,12 +379,11 @@ def _shape_calls() -> dict[str, bytes]:
 def _decisions() -> dict[str, bytes]:
     """The band decisions at a fixed tolerance: the ``repr`` of the
     crossings, touches, mixed flag and tolerance of ``diagonal_crossings``
-    (at its omitted default and at 0) and of the dependence classes (at
-    1e-6 and 0)."""
+    (at its omitted default and at 0) and of ``dependence_report`` (at 1e-6
+    and 0 for the glued three, at the default for the parabola)."""
     from bench.workloads import PARABOLA_K, glued_truth
-    from gluecop import (Example4Model, classify_quadrant,
-                         classify_regression_dependence, dependence_report,
-                         diagonal_crossings, make_copula)
+    from gluecop import (Example4Model, dependence_report, diagonal_crossings,
+                         make_copula)
 
     parabola = Example4Model(PARABOLA_K)
     crossings = {"tent 0.3": (make_copula("example1", 0.3), {}),
@@ -396,16 +396,14 @@ def _decisions() -> dict[str, bytes]:
             r = diagonal_crossings(c, **kw, **tol_kw)
             rec[f"diagonal crossings {name} tol {tol}"] = repr(
                 (r.crossings, r.touches, r.mixed_dependence, r.tolerance)).encode()
-    left, right = parabola.pieces()
     for tol in (1e-6, 0.0):
         rec[f"dependence report glued three tol {tol!r}"] = repr(
             dependence_report(glued_truth(), tol=tol)).encode()
-        # the pieces' quadrature makes rho, sigma and a 64-point grid cost
-        # seconds, so only their classes, on 16 points
-        for name, c in (("left", left), ("right", right)):
-            rec[f"classes parabola {name} piece tol {tol!r}"] = repr(
-                (classify_quadrant(c, 16, tol),
-                 classify_regression_dependence(c, 16, tol))).encode()
+    left, right = parabola.pieces()
+    for name, c in (("copula", parabola.copula()), ("left piece", left),
+                    ("right piece", right)):
+        rec[f"dependence report parabola {name}"] = repr(
+            dependence_report(c)).encode()
     return rec
 
 
