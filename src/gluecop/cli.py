@@ -43,6 +43,7 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 REPORT_SCHEMA_VERSION = 1
+NAMED_BAD_LINES = 5  # the unparseable CSV lines an error names; it counts the rest
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,8 +71,8 @@ def read_xy_csv(path: str) -> Sample:
     UTF-8 byte-order mark is accepted and columns after the second are
     ignored.  Blank rows are skipped.  Rows whose first two cells are not
     finite numbers (``nan`` and ``inf`` included) are reported by line number
-    in a ``DataError``, as are files that cannot be parsed and files with
-    fewer than 2 rows.
+    (the first ``NAMED_BAD_LINES``, then a count) in a ``DataError``, as are
+    files that cannot be parsed and files with fewer than 2 rows.
 
     numpy parses the file when it can (see ``_read_xy_numpy``); every file
     it declines, the rejected ones included, goes to the row reader
@@ -112,8 +113,10 @@ def _read_xy_rows(data: bytes, path: str) -> Sample:
     except (csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"cannot parse {path}: {exc}") from exc
     if bad_lines:
-        raise DataError(f"unparseable CSV rows at lines: "
-                        f"{', '.join(map(str, bad_lines))}")
+        rest = len(bad_lines) - NAMED_BAD_LINES
+        raise DataError("unparseable CSV rows at lines: "
+                        + ", ".join(map(str, bad_lines[:NAMED_BAD_LINES]))
+                        + (f" and {rest} more" if rest > 0 else ""))
     if len(xs) < 2:
         raise DataError("need at least 2 numeric (x, y) rows")
     return Sample(x=np.array(xs), y=np.array(ys))

@@ -5,7 +5,8 @@ the partial derivative with respect to the first argument, which equals the
 conditional distribution of V given U=u.  Families with a closed-form
 derivative provide it; the rest fall back to central finite differences.
 Inputs outside [0, 1] are rejected, never clamped — silent clamping hides
-marginal-model bugs upstream.
+marginal-model bugs upstream; past that check the hooks see the caller's
+shapes, and a grid is a column and a row: ``cdf(us[:, None], vs[None, :])``.
 
 A glued copula walks its own vertical slabs: on each one, ``du`` and the
 conditional quantile are its piece's at the rescaled u*.  Every other
@@ -53,12 +54,15 @@ def _validate_unit(*arrays):
             raise DomainError("copula arguments must lie in [0, 1] and be non-NaN")
 
 
-def _on_unit_square(f, u, v):
-    """f on the validated u and v, broadcast to one shape, by ``on_arrays``."""
+def _on_unit_square(f, u, v, reshape=np.atleast_1d):
+    """f on the validated u and v by ``on_arrays``.  Shapes that differ must
+    broadcast, and f sees ``reshape(u, v)``: by default each as passed, a 0-d
+    one as one element (whose ``pow`` rounds as the 1-element call's does)."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     _validate_unit(u, v)
     if u.shape != v.shape:
-        u, v = np.broadcast_arrays(u, v)
+        np.broadcast_shapes(u.shape, v.shape)
+        u, v = reshape(u, v)
     return on_arrays(f, u, v)
 
 
@@ -83,10 +87,10 @@ class Copula:
         quadrature rule used by the dependence measures.
 
     ``cdf``, ``du``, ``diagonal`` and ``conditional_quantile`` take scalars
-    or arrays: a scalar in gives a float out, with the bits the array call
-    gives at the same point.  The hooks ``_cdf`` and ``_du`` take any two
-    broadcastable arrays and return their broadcast shape.  Grids the
-    library builds pass a (n, 1) column and a (1, m) row, so a family
+    or broadcastable arrays: a scalar in gives a float out, with the bits
+    the array call gives at the same point.  The hooks ``_cdf`` and ``_du``
+    see the caller's shapes and return their broadcast.  A grid, the
+    library's or a caller's, is a (n, 1) column and a (1, m) row, so a family
     computes its per-argument terms (powers, logs, exponentials) on each
     axis before it combines the two.  Every family in the package does, the
     parabola's included (one response-quantile solve per v of the row); a
@@ -108,15 +112,6 @@ class Copula:
     def diagonal(self, t):
         """Diagonal section δ(t) = C(t, t)."""
         return self.cdf(t, t)
-
-    def cdf_grid(self, us, vs):
-        """C evaluated on the tensor grid us × vs, shape (len(us), len(vs)).
-
-        The axes are validated once; ``_cdf_grid`` does the evaluation."""
-        us = np.asarray(us, dtype=float).ravel()
-        vs = np.asarray(vs, dtype=float).ravel()
-        _validate_unit(us, vs)
-        return self._cdf_grid(us, vs)
 
     # -- implementation hooks ----------------------------------------------
 
@@ -150,13 +145,6 @@ class Copula:
         together in u's shape.  A copula that is not glued is one piece on
         one slab: f(self, u, *rows)."""
         return f(self, u, *rows)
-
-    def _cdf_grid(self, us, vs):
-        """``cdf_grid`` on 1-d float axes in [0, 1], unchecked: for grids the
-        library builds itself.  ``_cdf`` sees the axes as a (len(us), 1)
-        column and a (1, len(vs)) row, so each family's per-argument terms
-        run once per node and only their combination runs on the grid."""
-        return self._cdf(us[:, None], vs[None, :])
 
     def __repr__(self):
         theta = f" theta={self.theta!r}" if hasattr(self, "theta") else ""
@@ -451,7 +439,7 @@ def conditional_quantile(c: Copula, u, p):
     point built after the check needs one.  The Fréchet bounds return their
     bisection's answer in closed form, bit for bit.
     """
-    return _on_unit_square(c._conditional_quantile, u, p)
+    return _on_unit_square(c._conditional_quantile, u, p, np.broadcast_arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +471,7 @@ def check_copula_axioms(c: Copula, n: int = 101) -> AxiomReport:
     if n < 2:
         raise DomainError("grid size must be >= 2")
     t = np.linspace(0.0, 1.0, n)
-    M = c._cdf_grid(t, t)
+    M = c._cdf(t[:, None], t[None, :])
 
     grounded = max(float(np.max(np.abs(M[0, :]))), float(np.max(np.abs(M[:, 0]))))
     margins = max(float(np.max(np.abs(M[-1, :] - t))), float(np.max(np.abs(M[:, -1] - t))))

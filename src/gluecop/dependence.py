@@ -9,9 +9,11 @@ makes the integrand non-smooth anyway).  The nodes and weights of each rule
 are built once and shared, read-only, by every call, so a rho inversion
 that evaluates the same rule many times pays for it once.
 The nodes are checked to lie in [0, 1] once, when their rule is built, and
-no evaluation on them checks them again.  Both classes here and the
-diagonal crossings of ``changepoint`` read values against the band
-[-tol, tol] through ``_band``; ``tol=None`` is the default each check states.
+each grid is the hook ``_cdf`` (or ``_du``) on them as a column and a row,
+unchecked: the bits of the public ``cdf`` of that column and row.  Both
+classes here and the diagonal crossings of ``changepoint`` read values
+against the band [-tol, tol] through ``_band``; ``tol=None`` is the default
+each check states.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def spearman_rho(c: Copula) -> float:
     on a ``decompose`` piece that fails ``check_copula_axioms`` the clamped
     value means nothing."""
     t, w = _rule(c.smooth)
-    rho = 12.0 * float(w @ c._cdf_grid(t, t) @ w) - 3.0
+    rho = 12.0 * float(w @ c._cdf(t[:, None], t[None, :]) @ w) - 3.0
     # comparisons cost less than np.clip on a float; a NaN rho stays NaN
     return 1.0 if rho > 1.0 else -1.0 if rho < -1.0 else rho
 
@@ -106,7 +108,7 @@ def schweizer_wolff_sigma(c: Copula) -> float:
     [0, 1]: on a ``decompose`` piece that fails ``check_copula_axioms`` the
     clamped value means nothing."""
     t, w = _rule(c.smooth)
-    diff = np.abs(c._cdf_grid(t, t) - np.outer(t, t))
+    diff = np.abs(c._cdf(t[:, None], t[None, :]) - np.outer(t, t))
     sigma = 12.0 * float(w @ diff @ w)
     return 1.0 if sigma > 1.0 else 0.0 if sigma < 0.0 else sigma
 
@@ -114,7 +116,7 @@ def schweizer_wolff_sigma(c: Copula) -> float:
 def classify_quadrant(c: Copula, grid_n: int = 64, tol: float | None = None) -> QuadrantClass:
     """Classify PQD/NQD by the sign of C − Π on an interior grid."""
     t, tol = _interior_grid(grid_n), _tolerance(tol, CLASS_TOL)
-    return _band_class(c._cdf_grid(t, t) - np.outer(t, t), tol, QuadrantClass)
+    return _band_class(c._cdf(t[:, None], t[None, :]) - np.outer(t, t), tol, QuadrantClass)
 
 
 def classify_regression_dependence(c: Copula, grid_n: int = 64,

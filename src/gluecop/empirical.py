@@ -157,6 +157,10 @@ class EmpiricalCopula(Copula):
         return self._count_grid(uq, vq), iu, iv
 
     def _cdf(self, u, v):
+        if u.ndim == v.ndim == 2 and u.shape[1] == v.shape[0] == 1:
+            # a column and a row: one count grid on their distinct values
+            grid, iu, iv = self._on_distinct(u.ravel(), v.ravel())
+            return grid[np.ix_(iu, iv)]
         shape = np.broadcast(u, v).shape
         uq, vq = (a.ravel() for a in np.broadcast_arrays(u, v))
         out = np.empty(uq.shape)
@@ -166,10 +170,6 @@ class EmpiricalCopula(Copula):
             grid, iu, iv = self._on_distinct(uq[sl], vq[sl])
             out[sl] = grid[iu, iv]
         return out.reshape(shape)
-
-    def _cdf_grid(self, us, vs):
-        grid, iu, iv = self._on_distinct(us, vs)
-        return grid[np.ix_(iu, iv)]
 
     @functools.cached_property
     def _sorted_max(self):
@@ -363,7 +363,7 @@ def _fit_ranked(ps: PseudoSample, families, interval) -> FitResult:
     # goodness of fit: mean squared difference between the empirical and
     # the fitted copula on one grid, built once for every candidate
     t = np.arange(1, GOF_GRID_N + 1) / (GOF_GRID_N + 1)
-    emp = EmpiricalCopula(ps)._cdf_grid(t, t)
+    emp = EmpiricalCopula(ps)._cdf(t[:, None], t[None, :])
     best: FitResult | None = None
     for family in families:
         if _BOUND_RHO.get(family, 0.0) * rho_hat < 0:
@@ -374,7 +374,7 @@ def _fit_ranked(ps: PseudoSample, families, interval) -> FitResult:
             if theta is None:
                 continue
         c = make_copula(family, theta)
-        gof = float(np.mean((emp - c._cdf_grid(t, t)) ** 2))
+        gof = float(np.mean((emp - c._cdf(t[:, None], t[None, :])) ** 2))
         if best is None or gof < best.gof_distance:
             best = FitResult(family=family, theta=theta, rho_hat=rho_hat,
                              gof_distance=gof, interval=interval, copula=c)

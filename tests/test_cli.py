@@ -66,6 +66,18 @@ class TestReadCsv:
         assert code == 2
         assert "lines: 3" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("bad,rest", [(5, ""), (100_000, " and 99995 more")])
+    def test_bad_rows_past_the_fifth_are_counted(self, tmp_path, capsys, bad, rest):
+        # numpy 2 writes a float as "np.float64(0.5)", which no reader parses
+        p = tmp_path / "d.csv"
+        p.write_text("x,y\n" + "np.float64(0.5),1\n" * bad + "0.5,1\n")
+        with pytest.raises(DataError) as info:
+            read_xy_csv(str(p))
+        assert str(info.value) == f"unparseable CSV rows at lines: 2, 3, 4, 5, 6{rest}"
+        code, out, err = run(capsys, "analyze", str(p))
+        assert (code, out) == (2, "")
+        assert err == f"gluecop: data error: {info.value}\n"
+
     def test_missing_file(self):
         with pytest.raises(DataError):
             read_xy_csv("/nonexistent/path.csv")

@@ -110,7 +110,7 @@ GRID_FAMILIES = ALL_CLOSED_FORM + [
 ]
 
 
-class TestCdfGrid:
+class TestColumnByRow:
     @pytest.mark.parametrize("c", GRID_FAMILIES, ids=lambda c: repr(c))
     def test_equals_cdf_on_meshgrid(self, c):
         x, _ = np.polynomial.legendre.leggauss(64)
@@ -120,7 +120,8 @@ class TestCdfGrid:
         for us in axes:
             for vs in (us, axes[-1]):
                 U, V = np.meshgrid(us, vs, indexing="ij")
-                np.testing.assert_array_equal(c.cdf_grid(us, vs), c.cdf(U, V))
+                np.testing.assert_array_equal(c.cdf(us[:, None], vs[None, :]),
+                                              c.cdf(U, V))
 
     @pytest.mark.parametrize("c", GRID_FAMILIES, ids=lambda c: repr(c))
     @pytest.mark.parametrize("n,m", [(7, 5), (1, 64), (64, 1), (0, 64), (64, 0)])
@@ -130,7 +131,7 @@ class TestCdfGrid:
         rng = np.random.default_rng(10 * n + m)
         us, vs = (np.sort(np.r_[0.0, 1.0, rng.uniform(size=k - 2)]) if k >= 2
                   else rng.uniform(size=k) for k in (n, m))
-        grid = c.cdf_grid(us, vs)
+        grid = c.cdf(us[:, None], vs[None, :])
         assert grid.shape == (n, m)
         U, V = np.meshgrid(us, vs, indexing="ij")
         assert grid.tobytes() == c.cdf(U, V).tobytes()
@@ -141,9 +142,9 @@ class TestCdfGrid:
     def test_rejects_bad_axis(self, c, bad):
         ok = np.linspace(0.0, 1.0, 5)
         with pytest.raises(DomainError):
-            c.cdf_grid(np.append(ok, bad), ok)
+            c.cdf(np.append(ok, bad)[:, None], ok[None, :])
         with pytest.raises(DomainError):
-            c.cdf_grid(ok, np.append(ok, bad))
+            c.cdf(ok[:, None], np.append(ok, bad)[None, :])
 
 
 class TestParameters:
@@ -209,7 +210,8 @@ class TestDu:
         c, bound = PlackettCopula(theta), (M if theta > 1 else W)
         t = np.linspace(0.0, 1.0, 33)
         U, V = np.meshgrid(t, t, indexing="ij")
-        np.testing.assert_allclose(c.cdf_grid(t, t), bound.cdf_grid(t, t),
+        np.testing.assert_allclose(c.cdf(t[:, None], t[None, :]),
+                                   bound.cdf(t[:, None], t[None, :]),
                                    rtol=0, atol=1e-8)
         assert np.all(np.isfinite(c.du(U, V)))
         assert (conditional_quantile(c, 0.3, 0.5)

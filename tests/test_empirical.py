@@ -95,7 +95,7 @@ class TestEmpiricalCopula:
         assert ec.cdf(1.0, 1.0) == pytest.approx(1.0)
         assert ec.cdf(0.1, 0.9) == pytest.approx(0.0)
 
-    def test_cdf_grid_matches_pointwise(self):
+    def test_column_by_row_matches_pointwise(self):
         ps = simulate_copula(ClaytonCopula(2.0), 300, seed=4)
         ec = EmpiricalCopula(ps)
 
@@ -110,23 +110,23 @@ class TestEmpiricalCopula:
         assert ec.cdf(0.4, 0.7) == count(0.4, 0.7)
         np.testing.assert_array_equal(ec.cdf(U, V), count(U, V))
         np.testing.assert_array_equal(ec.cdf(*scattered), count(*scattered))
-        np.testing.assert_array_equal(ec.cdf_grid(t, t), count(U, V))
+        np.testing.assert_array_equal(ec.cdf(t[:, None], t[None, :]), count(U, V))
         h = max(0.05, 2.0 / np.sqrt(ps.n))
         lo, hi = np.maximum(U - h, 0.0), np.minimum(U + h, 1.0)
         np.testing.assert_array_equal(
             ec.du(U, V), np.clip((count(hi, V) - count(lo, V)) / (hi - lo), 0.0, 1.0))
 
-    def test_cdf_grid_takes_any_axes(self):
+    def test_column_by_row_takes_any_axes(self):
         ec = EmpiricalCopula(simulate_copula(ClaytonCopula(2.0), 300, seed=4))
         us = np.array([0.9, 0.1, 0.5, 0.1, 1.0, 0.0])
         vs = np.array([0.5, 0.5, 0.2, 0.95])
         U, V = np.meshgrid(us, vs, indexing="ij")
-        np.testing.assert_array_equal(ec.cdf_grid(us, vs), ec.cdf(U, V))
+        np.testing.assert_array_equal(ec.cdf(us[:, None], vs[None, :]), ec.cdf(U, V))
         for bad in ([1.5], [-0.1], [np.nan], [0.2, np.nan]):
             with pytest.raises(DomainError):
-                ec.cdf_grid(bad, vs)
+                ec.cdf(np.array(bad)[:, None], vs[None, :])
             with pytest.raises(DomainError):
-                ec.cdf_grid(us, bad)
+                ec.cdf(us[:, None], np.array(bad)[None, :])
 
     def test_counts_on_bounded_grids(self, monkeypatch):
         ec = EmpiricalCopula(simulate_copula(FrankCopula(3.0), 400, seed=9))
@@ -147,6 +147,11 @@ class TestEmpiricalCopula:
         t = np.linspace(0, 1, 64)
         ec.du(*np.meshgrid(t, t, indexing="ij"))
         assert all(nu * nv <= block ** 2 for nu, nv in sizes)
+        # a column and a row take one count grid on their distinct values,
+        # not one per block of the 64 * 64 cells they broadcast to
+        sizes.clear()
+        ec.cdf(t[:, None], t[None, :])
+        assert sizes == [(64, 64)]
 
     @pytest.mark.parametrize("ranked", [True, False],
                              ids=["ranking's orders", "sorted here"])
@@ -164,7 +169,7 @@ class TestEmpiricalCopula:
         vs = np.unique(np.r_[0.0, ps.v, 1.0, rng.uniform(size=5)])
         brute = np.mean((ps.u[:, None, None] <= us[None, :, None])
                         & (ps.v[:, None, None] <= vs[None, None, :]), axis=0)
-        np.testing.assert_array_equal(ec.cdf_grid(us, vs), brute)
+        np.testing.assert_array_equal(ec.cdf(us[:, None], vs[None, :]), brute)
         np.testing.assert_array_equal(
             ec.cdf(*np.meshgrid(us, vs, indexing="ij")), brute)
         # unsorted, repeated query points, all on data values
@@ -417,11 +422,11 @@ class TestFitSegment:
     def test_gof_distance_is_l2_grid_distance(self):
         ps = simulate_copula(FrankCopula(-5.0), 500, seed=22)
         t = np.arange(1, GOF_GRID_N + 1) / (GOF_GRID_N + 1)
-        emp = EmpiricalCopula(ps).cdf_grid(t, t)
+        emp = EmpiricalCopula(ps).cdf(t[:, None], t[None, :])
         for family in ("product", "frank", "plackett"):
             fit = fit_segment(ps.u, ps.v, families=(family,))
             assert fit.gof_distance == float(
-                np.mean((emp - fit.copula.cdf_grid(t, t)) ** 2))
+                np.mean((emp - fit.copula.cdf(t[:, None], t[None, :])) ** 2))
 
     def test_constant_column_names_the_interval(self):
         u = np.arange(1, 101) / 101

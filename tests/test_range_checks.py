@@ -58,8 +58,8 @@ COPULA_CALLS = [
     ("cdf v", lambda c, a: c.cdf(0.5, a)),
     ("du u", lambda c, a: c.du(a, 0.5)),
     ("du v", lambda c, a: c.du(0.5, a)),
-    ("cdf_grid us", lambda c, a: c.cdf_grid(a, [0.25, 0.5])),
-    ("cdf_grid vs", lambda c, a: c.cdf_grid([0.25, 0.5], a)),
+    ("cdf column", lambda c, a: c.cdf(np.ravel(a)[:, None], [[0.25, 0.5]])),
+    ("cdf row", lambda c, a: c.cdf([[0.25], [0.5]], np.ravel(a)[None, :])),
     ("conditional_quantile u", lambda c, a: conditional_quantile(c, a, 0.5)),
     ("conditional_quantile p", lambda c, a: conditional_quantile(c, 0.5, a)),
 ]

@@ -215,7 +215,7 @@ class TestParabolaCopula:
         c = _parabola_copulas(model)[which]
         t = np.r_[0.0, 5e-324, np.linspace(0.0, 1.0, 17), 0.5, 1 - 2 ** -53, 1.0]
         U, V = np.meshgrid(t, t, indexing="ij")
-        assert c.cdf_grid(t, t).tobytes() == c.cdf(U, V).tobytes()
+        assert c.cdf(t[:, None], t[None, :]).tobytes() == c.cdf(U, V).tobytes()
         assert (c._du_clamped(t[:, None], t[None, :]).tobytes()
                 == c.du(U, V).tobytes())
 
@@ -245,8 +245,19 @@ class TestQuantileSolvedOncePerV:
     def test_quadrature_grid(self, solved, which):
         counted, sizes = solved
         t, _ = _rule(True)
-        _parabola_copulas(counted)[which]._cdf_grid(t, t)
+        _parabola_copulas(counted)[which]._cdf(t[:, None], t[None, :])
         assert sum(sizes) == t.size == 64
+
+    @pytest.mark.parametrize("which", ["copula", "left", "right"])
+    @pytest.mark.parametrize("call", ["cdf", "du"])
+    def test_public_column_by_row(self, solved, which, call):
+        # the public calls check the axes but leave them per axis: 64
+        # solves, not one for each of the 4096 cells
+        counted, sizes = solved
+        t, _ = _rule(True)
+        out = getattr(_parabola_copulas(counted)[which], call)(t[:, None], t[None, :])
+        assert out.shape == (64, 64)
+        assert sum(sizes) == 64
 
     @pytest.mark.parametrize("which", ["copula", "left", "right"])
     def test_regression_grid(self, solved, which):

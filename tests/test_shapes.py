@@ -1,7 +1,13 @@
 """One evaluation shape: a scalar in gives a float out, with exactly the bits
 the array call gives at the same point.  numpy can round a 0-d array's
 ``pow`` differently in the last bit, and a flat ``du`` turns such a bit into
-a different bisection step of ``conditional_quantile``."""
+a different bisection step of ``conditional_quantile``.
+
+Arrays whose shapes differ reach the hooks as passed: a column by a row
+gives the meshgrid call's bits, in the broadcast shape, and so does a
+scalar beside an array."""
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -82,3 +88,46 @@ def test_scalar_gives_the_array_bits(f, args):
     assert all(type(y) is float for y in alone)
     differ = np.flatnonzero(np.array(alone).view(np.int64) != whole.view(np.int64))
     assert differ.size == 0, [tuple(float(a[i]) for a in args) for i in differ]
+
+
+def _per_axis_copulas():
+    yield from _copulas()
+    e4 = Example4Model(k=0.1)
+    yield "example4", e4.copula()
+    left, right = e4.pieces()
+    yield "example4 left piece", left
+    yield "example4 right piece", right
+
+
+PER_AXIS = [pytest.param(c, id=name) for name, c in _per_axis_copulas()]
+
+
+def _same_bits(out, want):
+    assert type(out) is np.ndarray and out.shape == want.shape
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("c", PER_AXIS)
+@pytest.mark.parametrize("call", ["cdf", "du"])
+def test_column_by_row_gives_the_meshgrid_bits(c, call):
+    # the hooks see the column and the row as passed, not the grid
+    f = getattr(c, call)
+    col, row = U[:9, None], V[None, :7]
+    _same_bits(f(col, row), f(*np.meshgrid(U[:9], V[:7], indexing="ij")))
+
+
+@pytest.mark.parametrize("c", PER_AXIS)
+def test_scalar_beside_an_array_gives_the_broadcast_bits(c):
+    for f in (c.cdf, c.du, partial(conditional_quantile, c)):
+        for i in range(5):  # the edges and the gluing points of GLUED
+            _same_bits(f(U[i], V[:7]), f(np.full(7, U[i]), V[:7]))
+            _same_bits(f(U[:7], V[i]), f(U[:7], np.full(7, V[i])))
+
+
+@pytest.mark.parametrize("c", PER_AXIS)
+def test_shapes_that_do_not_broadcast_raise(c):
+    for f in (c.cdf, c.du, partial(conditional_quantile, c)):
+        with pytest.raises(ValueError):
+            f(U[:3], V[:4])
+        with pytest.raises(ValueError):
+            f(U[:6].reshape(2, 3), V[:2])

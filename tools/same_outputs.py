@@ -77,7 +77,11 @@ message each raises, or the bytes it returns.
 Two library calls at one point compare the evaluation shapes:
 ``conditional_quantile`` of Clayton(6.0540158930013295) at u = 0.01 and
 p = 1 - 6e-11, once with a scalar u and once with the 1-element array
-``[0.01]``, whose ``repr`` must agree.
+``[0.01]``, whose ``repr`` must agree.  The bytes of the public ``cdf`` and
+``du`` on a column and a row are compared too, for the tent copula at 0.6,
+the glued three and an empirical copula of tied data (64-point axes holding
+0, 1 and the gluing points; the empirical one also repeats 40 data values),
+and for the parabola's copula on 16 points.
 
 Three model documents at the edges of ``gluecop predict`` run with ``--num
 5`` (``EDGE_MODELS``): one whose empirical x knots span -1.7e308 to 1.7e308,
@@ -334,8 +338,9 @@ def _bad_calls() -> dict[str, bytes]:
         "du u -5e-324": lambda: c.du(-5e-324, 0.5),
         "du glued v inf": lambda: g.du(0.5, np.inf),
         "du glued 2-D nan": lambda: g.du(grid, 0.5),
-        "cdf_grid us nan last": lambda: c.cdf_grid(np.r_[0.0, 0.5, np.nan], [0.5]),
-        "cdf_grid vs -inf first": lambda: c.cdf_grid([0.5], [-np.inf, 0.5]),
+        "cdf column nan last": lambda: c.cdf(np.c_[[0.0, 0.5, np.nan]], [[0.5]]),
+        "cdf row -inf first": lambda: c.cdf([[0.5]], [[-np.inf, 0.5]]),
+        "du shapes 3 and 4": lambda: c.du(np.full(3, 0.5), np.full(4, 0.5)),
         "conditional_quantile p -inf": lambda: conditional_quantile(g, 0.5, -np.inf),
         "conditional_quantile u strided": lambda: conditional_quantile(
             c, np.linspace(-0.5, 1.0, 7)[1::2], 0.5),
@@ -364,16 +369,37 @@ def _bad_calls() -> dict[str, bytes]:
 
 def _shape_calls() -> dict[str, bytes]:
     """``conditional_quantile`` where a scalar u and the 1-element array
-    holding it once gave different bits: the ``repr`` of each result."""
-    from gluecop import ClaytonCopula, conditional_quantile
+    holding it once gave different bits: the ``repr`` of each result.  And
+    the bytes of the public ``cdf`` and ``du`` on a column and a row."""
+    import numpy as np
+
+    from bench.workloads import GLUED_POINTS, PARABOLA_K, glued_truth
+    from gluecop import (ClaytonCopula, EmpiricalCopula, Example4Model, Sample,
+                         conditional_quantile, make_copula, pseudo_observations,
+                         simulate_example1)
 
     c, p = ClaytonCopula(6.0540158930013295), 1.0 - 6e-11  # du(0.01, 1/2)
-    return {
+    rec = {
         "conditional_quantile scalar u": repr(
             conditional_quantile(c, 0.01, p)).encode(),
         "conditional_quantile 1-element u": repr(
             conditional_quantile(c, [0.01], p).tolist()).encode(),
     }
+    tent = simulate_example1(500, 0.4, seed=3)
+    ties = pseudo_observations(Sample(x=np.round(tent.x * 4),
+                                      y=np.round(tent.y * 4)))
+    axis = np.r_[np.linspace(0.0, 1.0, 61), GLUED_POINTS, 0.6]
+    grids = {"tent": (make_copula("example1", 0.6), axis),
+             "glued three": (glued_truth(), axis),
+             "parabola": (Example4Model(PARABOLA_K).copula(),
+                          np.linspace(0.0, 1.0, 16)),
+             "empirical with ties": (EmpiricalCopula(ties),
+                                     np.r_[axis, ties.u[:40]])}
+    for name, (cop, t) in grids.items():
+        for call in ("cdf", "du"):
+            rec[f"{call} column by row {name}"] = getattr(cop, call)(
+                t[:, None], t[None, :]).tobytes()
+    return rec
 
 
 def _decisions() -> dict[str, bytes]:
