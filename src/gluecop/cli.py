@@ -7,8 +7,9 @@ document), ``predict`` (regression curve CSV from a model document) and
 
 Exit codes are a stable contract for scripting: 0 success, 1 usage error,
 2 data error, 3 numerical failure (running out of memory included).  The
-commands raise the package's typed errors, and ``main`` alone turns them into
-an error line and an exit code.
+commands raise the package's typed errors and warnings and write nothing to
+stderr themselves: ``main`` alone prints each warning as a warning line, then
+turns an error into an error line and an exit code.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import re
 import sys
@@ -28,9 +28,10 @@ import numpy as np
 from . import model_io
 from .changepoint import GRID_N_DEFAULT
 from .copulas import make_copula
-from .dependence import dependence_report
-from .empirical import (DEFAULT_FIT_FAMILIES, DETECTION_PERSISTENCE, crossing_report,
-                        crossing_breakpoints, fit_piecewise, pseudo_observations,
+from .dependence import dependence_report, schweizer_wolff_sigma, spearman_rho
+from .empirical import (DEFAULT_FIT_FAMILIES, DETECTION_PERSISTENCE,
+                        EmpiricalCopula, crossing_report, crossing_breakpoints,
+                        fit_piecewise, pseudo_observations,
                         sample_dependence_report, small_sample_note)
 from .errors import (DataError, DomainError, NumericalError, ParameterError,
                      check_array_size)
@@ -217,12 +218,13 @@ def cmd_analyze(args) -> int:
     sample = read_xy_csv(args.input)
     ps = pseudo_observations(sample)
     report = crossing_report(ps, args.grid_n, args.tol, args.persistence)
-    dependence = sample_dependence_report(ps)
+    # sample_dependence_report's rho and sigma, without its two classes
+    copula = EmpiricalCopula(ps)
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "n": sample.n,
-        "rho_hat": dependence.rho,
-        "sigma_hat": dependence.sigma,
+        "rho_hat": spearman_rho(copula),
+        "sigma_hat": schweizer_wolff_sigma(copula),
         "mixed_dependence": report.mixed_dependence,
         "crossings": [asdict(c) for c in report.crossings],
         "candidates": crossing_breakpoints(sample.x, report),
@@ -254,15 +256,7 @@ def cmd_fit(args) -> int:
         families = tuple(tok.strip() for tok in args.families.split(",") if tok.strip())
         if not families:
             raise DomainError(f"--families list is empty: {args.families!r}")
-    # the library's notes (fewer than MIN_DETECTION_POINTS points) are
-    # printed as predict prints its support warning, even when fitting fails
-    with warnings.catch_warnings(record=True) as notes:
-        warnings.simplefilter("always")
-        try:
-            result = fit_piecewise(sample, candidates=candidates, families=families)
-        finally:
-            for note in notes:
-                print(f"gluecop: warning: {note.message}", file=sys.stderr)
+    result = fit_piecewise(sample, candidates=candidates, families=families)
     model_io.save_model(result.model, args.out_model)
     print(f"{'segment':>8} {'interval':>24} {'family':>14} {'theta':>10} "
           f"{'rho_hat':>8} {'gof':>10}")
@@ -296,8 +290,8 @@ def cmd_predict(args) -> int:
         if args.strict:
             raise DataError("x grid extends outside the model support "
                             f"[{lo:g}, {hi:g}]")
-        print(f"gluecop: warning: {int(np.sum(~inside))} grid points outside "
-              f"model support emitted as NaN", file=sys.stderr)
+        warnings.warn(f"{int(np.sum(~inside))} grid points outside model "
+                      "support emitted as NaN")
     curve = median_regression if args.statistic == "median" else mean_regression
     mu = np.full(xs.shape, np.nan)
     if np.any(inside):
@@ -381,22 +375,27 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except DataError as exc:
-        print(f"gluecop: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"gluecop: numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except MemoryError as exc:
-        print(f"gluecop: numerical error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ParameterError, DomainError) as exc:
-        print(f"gluecop: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    args = build_parser().parse_args(argv)
+    # every UserWarning is recorded, repeats included; other categories keep
+    # the filters in force, so one that a filter makes an error still raises
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            code, error = args.func(args), None
+        except DataError as exc:
+            code, error = EXIT_DATA, f"data error: {exc}"
+        except NumericalError as exc:
+            code, error = EXIT_NUMERICAL, f"numerical error: {exc}"
+        except MemoryError as exc:
+            code, error = EXIT_NUMERICAL, f"numerical error: out of memory: {exc}"
+        except (ParameterError, DomainError) as exc:
+            code, error = EXIT_USAGE, f"error: {exc}"
+        finally:  # also before an unexpected exception's traceback
+            for w in caught:
+                print(f"gluecop: warning: {w.message}", file=sys.stderr)
+    if error is not None:
+        print(f"gluecop: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from gluecop import (ClaytonCopula, EmpiricalMarginal, FrankCopula,
                      PiecewiseRegressionModel, UniformMarginal, dependence, glue,
                      load_model, piecewise_regression, save_model,
                      simulate_copula, simulate_example1, simulate_example4)
+from gluecop import cli
 from gluecop.cli import _read_xy_numpy, _read_xy_rows, main, read_xy_csv
 from gluecop.empirical import pseudo_observations, sample_dependence_report
 from gluecop.errors import DataError
@@ -171,6 +173,17 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "example9", "--n", "10")
         assert code == 1
 
+    @pytest.mark.parametrize("argv, code_want, err_want", [
+        (["example1", "--theta", "1e-320"], 0, ""),
+        (["example4", "--k", "1e308"], 1,
+         "gluecop: error: sample values must be finite\n"),
+    ], ids=["tent-tiny-theta", "parabola-huge-k"])
+    def test_overflow_shows_no_numpy_warning(self, tmp_path, capsys, argv,
+                                             code_want, err_want):
+        code, out, err = run(capsys, "simulate", *argv, "--n", "20000",
+                             "--out", str(tmp_path / "s.csv"))
+        assert (code, out, err) == (code_want, "", err_want)
+
 
 class TestAnalyze:
     def test_tent_report(self, tent_csv, capsys):
@@ -194,6 +207,18 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["warning"] == ("only 20 points; detection is "
                                               "unreliable below 50")
+
+    def test_dependence_classes_are_not_computed(self, tent_csv, capsys,
+                                                 monkeypatch):
+        # the report holds rho and sigma only, so neither class is needed
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze computed a dependence class")
+
+        monkeypatch.setattr(dependence, "classify_quadrant", refuse)
+        monkeypatch.setattr(dependence, "classify_regression_dependence", refuse)
+        code, out, err = run(capsys, "analyze", str(tent_csv))
+        assert (code, err) == (0, "")
+        assert {"rho_hat", "sigma_hat"} <= set(json.loads(out))
 
     def test_missing_file_is_data_error(self, capsys):
         code, _, err = run(capsys, "analyze", "/nope.csv")
@@ -673,6 +698,74 @@ class TestTypedErrorPath:
         assert code == 0
         report = sample_dependence_report(pseudo_observations(read_xy_csv(str(tent_csv))))
         assert json.loads(out) == {"schema_version": 1, **report.to_dict()}
+
+
+def _overflow_first(f):
+    """``f`` that overflows a numpy multiplication before it runs."""
+    def wrapped(*args, **kwargs):
+        np.multiply(np.array([1e308]), 10.0)
+        return f(*args, **kwargs)
+    return wrapped
+
+
+class TestOneReportingPath:
+    """``main`` prints every warning a command raises as one line, before the
+    error line of a command that then fails; filters that make a warning an
+    error still apply."""
+
+    @pytest.mark.parametrize("times", [1, 2])
+    def test_user_warning_is_one_line(self, tent_csv, capsys, monkeypatch,
+                                      times):
+        expected = run(capsys, "measures", str(tent_csv))
+
+        def measure(ps):
+            for _ in range(times):  # repeats from one place all show
+                warnings.warn("planted note")
+            return sample_dependence_report(ps)
+
+        monkeypatch.setattr(cli, "sample_dependence_report", measure)
+        code, out, err = run(capsys, "measures", str(tent_csv))
+        assert (code, out) == expected[:2]
+        assert err == times * "gluecop: warning: planted note\n"
+
+    def test_warning_line_comes_before_error_line(self, tent_csv, capsys,
+                                                  monkeypatch):
+        def fail(ps):
+            warnings.warn("planted note")
+            raise DataError("planted failure")
+
+        monkeypatch.setattr(cli, "sample_dependence_report", fail)
+        code, out, err = run(capsys, "measures", str(tent_csv))
+        assert (code, out) == (2, "")
+        assert err == ("gluecop: warning: planted note\n"
+                       "gluecop: data error: planted failure\n")
+
+    @pytest.mark.parametrize("name, argv", [
+        ("simulate_example1", ["simulate", "example1", "--n", "5"]),
+        ("crossing_report", ["analyze", "{csv}"]),
+        ("fit_piecewise", ["fit", "{csv}", "--out-model", "{out}"]),
+        ("median_regression", ["predict", "{model}"]),
+        ("sample_dependence_report", ["measures", "{csv}"]),
+    ], ids=["simulate", "analyze", "fit", "predict", "measures"])
+    def test_runtime_warning_still_raises(self, tent_csv, tmp_path, capsys,
+                                          monkeypatch, name, argv):
+        # this suite makes every RuntimeWarning an error
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(_model_doc()))
+        argv = [a.format(csv=tent_csv, model=model_path, out=tmp_path / "o.json")
+                for a in argv]
+        monkeypatch.setattr(cli, name, _overflow_first(getattr(cli, name)))
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            main(argv)
+
+    @pytest.mark.filterwarnings("always::RuntimeWarning")
+    def test_shown_runtime_warning_is_one_line(self, tent_csv, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr(cli, "sample_dependence_report",
+                            _overflow_first(sample_dependence_report))
+        code, _, err = run(capsys, "measures", str(tent_csv))
+        assert code == 0
+        assert err == "gluecop: warning: overflow encountered in multiply\n"
 
 
 #: the copulas whose samples the analyze/measures agreement is checked on

@@ -93,6 +93,12 @@ class TestTentModel:
         with pytest.raises(ParameterError):
             simulate_example1(10, 1.0, seed=0)
 
+    def test_tiny_theta_does_not_warn(self):
+        # x / theta overflows on the falling side, whose branch is not taken;
+        # RuntimeWarnings are errors in this suite
+        s = simulate_example1(3, 1e-320, 2)
+        assert np.array_equal(s.y, (1.0 - s.x) / (1.0 - 1e-320))
+
     @pytest.mark.parametrize("theta", [0.0, 1.0, -0.5, 1.5, np.nan, np.inf])
     def test_curve_rejects_theta_outside_unit_interval(self, theta):
         # theta = 0 or 1 would divide by zero, and NaN would give a NaN curve
@@ -292,3 +298,9 @@ class TestParabolaSimulation:
             simulate_example4(0)
         with pytest.raises(ParameterError):
             simulate_example4(10, k=-1.0)
+
+    def test_overflowing_noise_is_the_sample_check(self):
+        # k * eps overflows for |eps| > 1.8; Sample rejects the infinite y,
+        # and no RuntimeWarning (an error in this suite) comes first
+        with pytest.raises(DomainError, match="^sample values must be finite$"):
+            simulate_example4(20000, 1e308, seed=0)
