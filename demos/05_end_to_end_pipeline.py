@@ -9,8 +9,8 @@ import tempfile
 
 import numpy as np
 
-from gluecop import (fit_piecewise, load_model, piecewise_regression,
-                     save_model, simulate_example4)
+from gluecop import (fit_piecewise, load_model, median_regression, save_model,
+                     simulate_example4)
 
 # data: parabola with gaussian noise; nothing downstream knows the shape
 s = simulate_example4(5000, k=0.1, seed=3)
@@ -25,7 +25,7 @@ for i, seg in enumerate(fit.segments):
           f"{seg.gof_distance:>10.3e}")
 
 xs = np.linspace(0.05, 0.95, 181)
-mu = piecewise_regression(fit.model, xs)
+mu = median_regression(fit.model, xs)
 rmse = np.sqrt(np.mean((mu - (xs - 0.5) ** 2) ** 2))
 print(f"\nprediction RMSE vs the true curve: {rmse:.4f}")
 
@@ -33,5 +33,5 @@ print(f"\nprediction RMSE vs the true curve: {rmse:.4f}")
 with tempfile.NamedTemporaryFile(suffix=".json") as fh:
     save_model(fit.model, fh.name)
     back = load_model(fh.name)
-    same = np.array_equal(piecewise_regression(back, xs), mu)
+    same = np.array_equal(median_regression(back, xs), mu)
 print(f"serialization round trip preserves predictions: {same}")

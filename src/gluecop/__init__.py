@@ -3,8 +3,9 @@
 from .changepoint import Crossing, CrossingReport, diagonal_crossings
 from .copulas import (AxiomReport, ClaytonCopula, Copula, FGMCopula,
                       FrankCopula, FrechetLowerCopula, FrechetUpperCopula,
-                      GumbelCopula, IndependenceCopula, PlackettCopula,
-                      check_copula_axioms, conditional_quantile, make_copula)
+                      GluedCopula, GumbelCopula, IndependenceCopula,
+                      PlackettCopula, check_copula_axioms, conditional_quantile,
+                      decompose, glue, make_copula)
 from .dependence import (DependenceReport, QuadrantClass, RegressionClass,
                          classify_quadrant, classify_regression_dependence,
                          dependence_report, schweizer_wolff_sigma, spearman_rho)
@@ -14,7 +15,6 @@ from .empirical import (EmpiricalCopula, FitResult, PiecewiseFit, PseudoSample,
                         sample_dependence_report, simulate_copula)
 from .errors import (DataError, DomainError, GluecopError, NumericalError,
                      ParameterError)
-from .gluing import GluedCopula, decompose, glue
 from .marginals import EmpiricalMarginal, Marginal, UniformMarginal
 from .model_io import (copula_from_dict, copula_to_dict, load_model,
                        model_from_dict, model_to_dict, save_model)

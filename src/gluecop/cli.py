@@ -203,13 +203,23 @@ def _emit_json(doc: dict, path: str | None) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _reject_unused(flag: str, value, source: str) -> None:
+    """A flag that the chosen source ignores is a usage error, not dropped."""
+    if value is not None:
+        raise DomainError(f"{flag} does not apply to {source}")
+
+
 def cmd_simulate(args) -> int:
     if args.n < 1:
         raise DomainError("--n must be >= 1")
     if args.model == "example1":
-        sample = simulate_example1(args.n, args.theta, args.seed)
+        _reject_unused("--k", args.k, "example1")
+        theta = 0.5 if args.theta is None else args.theta
+        sample = simulate_example1(args.n, theta, args.seed)
     else:
-        sample = simulate_example4(args.n, args.k, args.seed)
+        _reject_unused("--theta", args.theta, "example4")
+        k = 0.1 if args.k is None else args.k
+        sample = simulate_example4(args.n, k, args.seed)
     _write_csv(args.out, ["x", "y"], zip(sample.x, sample.y))
     return EXIT_OK
 
@@ -306,6 +316,7 @@ def cmd_measures(args) -> int:
     if args.family is not None:
         report = dependence_report(make_copula(args.family, args.theta), 64)
     else:
+        _reject_unused("--theta", args.theta, "a dataset")
         report = sample_dependence_report(pseudo_observations(read_xy_csv(args.input)))
     _emit_json({"schema_version": REPORT_SCHEMA_VERSION, **report.to_dict()},
                args.out)
@@ -324,10 +335,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="simulate a reference model to CSV")
     p.add_argument("model", choices=["example1", "example4"])
-    p.add_argument("--theta", type=float, default=0.5,
-                   help="tent-model gluing point (example1)")
-    p.add_argument("--k", type=float, default=0.1,
-                   help="noise scale (example4)")
+    p.add_argument("--theta", type=float, default=None,
+                   help="tent-model gluing point (example1; default 0.5)")
+    p.add_argument("--k", type=float, default=None,
+                   help="noise scale (example4; default 0.1)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")

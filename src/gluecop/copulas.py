@@ -1,4 +1,5 @@
-"""Bivariate copulas: parametric families, partial derivatives, conditionals.
+"""Bivariate copulas: parametric families, gluing, partial derivatives,
+conditionals.
 
 Every copula exposes ``cdf(u, v)`` on the unit square plus ``du(u, v)``,
 the partial derivative with respect to the first argument, which equals the
@@ -8,9 +9,19 @@ Inputs outside [0, 1] are rejected, never clamped — silent clamping hides
 marginal-model bugs upstream; past that check the hooks see the caller's
 shapes, and a grid is a column and a row: ``cdf(us[:, None], vs[None, :])``.
 
-A glued copula walks its own vertical slabs: on each one, ``du`` and the
-conditional quantile are its piece's at the rescaled u*.  Every other
-copula is its own single piece (``Copula._on_pieces``).
+``glue`` puts pieces C_i on vertical slabs: on the slab [lo, hi], with
+u* = (u - lo)/(hi - lo),
+
+    C(u, v) = (hi - lo) * C_i(u*, v) + lo*v,
+
+so two pieces glued at theta give theta*C1(u/theta, v) on [0, theta] and
+(1-theta)*C2((u-theta)/(1-theta), v) + theta*v on [theta, 1].  A gluing
+point belongs to the slab on its left (u* = 1 there).  A glued copula walks
+its own slabs: on each one, ``du`` and the conditional quantile are its
+piece's at u*.  Every other copula is its own single piece
+(``Copula._on_pieces``).  ``decompose`` inverts the construction at a point
+t: glue(decompose(C, t), t) == C for any copula, and the pieces are copulas
+exactly when the vertical section at t is linear (C(t, v) = t*v for all v).
 
 Singular copulas (the Fréchet bounds, and gluings of them such as the tent
 copula ``make_copula("example1", theta)``, which is M glued to W at theta)
@@ -424,6 +435,112 @@ class PlackettCopula(Copula):
 
 
 # ---------------------------------------------------------------------------
+# vertical-slab gluing and its inverse decomposition
+# ---------------------------------------------------------------------------
+
+def misplaced_gluing_point(pts) -> int | None:
+    """Index of the first gluing point that is not above the one before it
+    (0 for the first) and below 1, or None when they are strictly increasing
+    in (0, 1); written as a positive test so that a NaN point is misplaced."""
+    pts = np.asarray(pts, dtype=float)
+    bad = np.flatnonzero(~((pts > np.r_[0.0, pts[:-1]]) & (pts < 1.0)))
+    return int(bad[0]) if bad.size else None
+
+
+class GluedCopula(Copula):
+    """Copula assembled from rescaled pieces on vertical slabs."""
+
+    name = "glued"
+    smooth = False
+
+    def __init__(self, pieces, gluing_points):
+        pieces = list(pieces)
+        pts = np.asarray(list(gluing_points), dtype=float)
+        if len(pieces) != pts.size + 1:
+            raise DomainError("need exactly one more piece than gluing points")
+        if misplaced_gluing_point(pts) is not None:
+            raise DomainError("gluing points must be strictly increasing in (0, 1)")
+        self._pieces = tuple(pieces)
+        self.gluing_points = pts
+        self._bounds = np.concatenate(([0.0], pts, [1.0]))
+
+    @property
+    def pieces(self) -> tuple:
+        return self._pieces
+
+    def _slabs(self, u):
+        """(piece index, mask, flat u*) for each occupied slab of the array u;
+        left-closed, as are the x <= b segments of PiecewiseRegressionModel."""
+        idx = np.clip(np.searchsorted(self._bounds, u, side="left") - 1,
+                      0, len(self.pieces) - 1)
+        for i in range(len(self.pieces)):
+            m = idx == i
+            if np.any(m):
+                lo, hi = self._bounds[i], self._bounds[i + 1]
+                yield i, m, (u[m] - lo) / (hi - lo)
+
+    def _on_pieces(self, f, u, *rows):
+        out = np.empty(u.shape)
+        for i, m, us in self._slabs(u):
+            out[m] = f(self.pieces[i], us, *(r[m] for r in rows))
+        return out
+
+    def _cdf(self, u, v):
+        # the slab rule; its lo * v keeps C continuous at a gluing point
+        u, v = np.broadcast_arrays(u, v)
+        out = np.empty(u.shape)
+        for i, m, us in self._slabs(u):
+            lo, hi, vs = self._bounds[i], self._bounds[i + 1], v[m]
+            out[m] = (hi - lo) * self.pieces[i]._cdf(us, vs) + lo * vs
+        return out
+
+    def _du(self, u, v):
+        return self._on_pieces(lambda c, u, v: c._du(u, v),
+                               *np.broadcast_arrays(u, v))
+
+    def _conditional_quantile(self, u, p):
+        return self._on_pieces(lambda c, u, p: c._conditional_quantile(u, p), u, p)
+
+    def __repr__(self):
+        pts = ", ".join(f"{t:g}" for t in self.gluing_points)
+        return f"<GluedCopula [{pts}] of {len(self.pieces)} pieces>"
+
+
+def glue(pieces, gluing_points) -> GluedCopula:
+    """Glue copulas on vertical slabs separated by the given points."""
+    return GluedCopula(pieces, gluing_points)
+
+
+class _Slab(Copula):
+    """The parent's piece on the slab [lo, hi]: the slab rule solved for C_i."""
+
+    name = "decomposed"
+
+    def __init__(self, parent: Copula, lo: float, hi: float):
+        self.parent = parent
+        self.lo, self.hi = lo, hi
+        # the rescaling is affine, so a slab has its parent's kinks and no others
+        self.smooth = parent.smooth
+
+    def _cdf(self, u, v):
+        lo, hi = self.lo, self.hi
+        return (self.parent._cdf(lo + (hi - lo) * u, v) - lo * v) / (hi - lo)
+
+    def _du(self, u, v):
+        # chain rule: the factor hi - lo cancels the 1/(hi - lo)
+        return self.parent._du(self.lo + (self.hi - self.lo) * u, v)
+
+
+def decompose(c: Copula, theta: float) -> tuple[Copula, Copula]:
+    """The pieces of ``c`` on [0, theta] and [theta, 1]; the module
+    docstring says when they are copulas (``check_copula_axioms`` checks)."""
+    if not 0.0 < theta < 1.0:
+        raise DomainError("gluing point must lie in (0, 1)")
+    theta = float(theta)
+    return _Slab(c, 0.0, theta), _Slab(c, theta, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # conditional distributions and quantiles
 # ---------------------------------------------------------------------------
 
@@ -492,7 +609,6 @@ def check_copula_axioms(c: Copula, n: int = 101) -> AxiomReport:
 
 def _tent(theta: float) -> Copula:
     """The tent copula of Example 1: M glued to W at theta."""
-    from .gluing import glue  # gluing imports this module
     if not (np.isfinite(theta) and 0.0 < theta < 1.0):
         raise ParameterError("tent copula requires theta in (0, 1)")
     return glue([FrechetUpperCopula(), FrechetLowerCopula()], [theta])

@@ -8,6 +8,8 @@ points.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DataError, DomainError, on_arrays, out_of_range
@@ -112,16 +114,29 @@ class EmpiricalMarginal(Marginal):
         self.knots_x = knots_x
         n = knots_x.size
         self.knots_p = np.arange(1, n + 1) / (n + 1)
-        self.support = (float(knots_x[0]), float(knots_x[-1]))
+        self.support = lo, hi = float(knots_x[0]), float(knots_x[-1])
+        # np.interp's slope on a knot gap of width dx is dx (n + 1) for the
+        # quantile, which can overflow, and 1/((n + 1) dx) for the cdf, which
+        # is 0 once dx overflows.  Where (hi - lo)(n + 1) overflows (Python
+        # floats: inf, no warning), both run on knots scaled by a power of
+        # two that keeps it finite, exact on normal values; other knots are
+        # used as they are.
+        self._scale = 1.0
+        self._knots = knots_x
+        if math.isinf((hi - lo) * (n + 1)):
+            self._scale = 2.0 ** -(2 + math.frexp(n + 1)[1])
+            self._knots = knots_x * self._scale
 
     def _cdf(self, x):
-        return np.interp(x, self.knots_x, self.knots_p,
-                         left=0.0, right=1.0)
+        if self._scale != 1.0:
+            x = x * self._scale
+        return np.interp(x, self._knots, self.knots_p, left=0.0, right=1.0)
 
     def _quantile(self, p):
         # Below the first / above the last plotting position the quantile
         # clamps to the sample extremes (generalized-inverse convention).
-        return np.interp(p, self.knots_p, self.knots_x)
+        q = np.interp(p, self.knots_p, self._knots)
+        return q if self._scale == 1.0 else q / self._scale
 
     def __repr__(self):
         return f"EmpiricalMarginal(n={self.knots_x.size})"

@@ -12,9 +12,8 @@ import json
 import numpy as np
 
 from .copulas import (FAMILY_CONSTRUCTORS, PARAMETRIC_FAMILIES, Copula,
-                      make_copula)
+                      GluedCopula, make_copula)
 from .errors import DataError, DomainError, NumericalError, ParameterError
-from .gluing import GluedCopula
 from .marginals import EmpiricalMarginal, Marginal, UniformMarginal
 from .regression import PiecewiseRegressionModel
 
@@ -112,7 +111,8 @@ def model_from_dict(doc: dict) -> PiecewiseRegressionModel:
     if not isinstance(doc, dict):
         raise DataError("model document must be a JSON object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    # the integer itself: true and 1.0 compare equal to 1 but are not it
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise DataError(f"unsupported model schema version {version!r}")
     try:
         return PiecewiseRegressionModel(

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copulas import Copula, bisect_monotone
+from .copulas import Copula, bisect_monotone, decompose
 from .errors import DomainError, ParameterError, check_array_size, on_arrays
-from .gluing import decompose
 from .marginals import Marginal, UniformMarginal
 
 

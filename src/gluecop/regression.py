@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copulas import Copula, conditional_quantile
+from .copulas import Copula, conditional_quantile, glue, misplaced_gluing_point
 from .errors import DomainError, on_arrays
-from .gluing import glue, misplaced_gluing_point
 from .marginals import Marginal
 
 MEAN_EPS = 1e-6     # tail mass cut from each end of the response marginal

@@ -173,6 +173,22 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "example9", "--n", "10")
         assert code == 1
 
+    # each model takes one parameter; the other one's flag is not dropped
+    @pytest.mark.parametrize("argv, message", [
+        (["example4", "--theta", "0.3"], "--theta does not apply to example4"),
+        (["example1", "--k", "3"], "--k does not apply to example1"),
+    ], ids=["theta-on-parabola", "k-on-tent"])
+    def test_flag_the_model_ignores_is_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "simulate", *argv, "--n", "5")
+        assert (code, out, err) == (1, "", f"gluecop: error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["example1", "--theta", "0.5"],
+                                      ["example4", "--k", "0.1"]])
+    def test_default_parameter_is_the_flag_at_its_default(self, capsys, argv):
+        given = run(capsys, "simulate", *argv, "--n", "20", "--seed", "4")
+        default = run(capsys, "simulate", argv[0], "--n", "20", "--seed", "4")
+        assert given == default and given[0] == 0
+
     @pytest.mark.parametrize("argv, code_want, err_want", [
         (["example1", "--theta", "1e-320"], 0, ""),
         (["example4", "--k", "1e308"], 1,
@@ -502,6 +518,20 @@ class TestPredictInputs:
         xs, mu = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1).T
         assert xs[0] == x.min() and xs[-1] == x.max()
         assert np.all(np.diff(xs) > 0) and np.all(np.isfinite(mu))
+
+    def test_overflowing_quantile_slope_gives_finite_curve(self, tmp_path,
+                                                           capsys):
+        # np.interp's y-quantile slope between knots 1e308 and 1.7e308,
+        # 0.7e308 * 3, overflows unless the knots are scaled
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_model_doc(
+            break_points=[], segment_copulas=[{"family": "product"}],
+            marginal_y={"type": "empirical", "knots": [1e308, 1.7e308]})))
+        code, out, err = run(capsys, "predict", str(path), "--num", "3")
+        assert (code, err) == (0, "")
+        xs, mu = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1).T
+        assert xs.tolist() == [0.0, 0.5, 1.0]
+        assert mu == pytest.approx([1.35e308] * 3, rel=1e-12)
 
     @pytest.mark.parametrize("statistic", ["median", "mean"])
     def test_overflowing_grid_span_gives_finite_grid(self, tmp_path, capsys,
@@ -883,6 +913,12 @@ class TestMeasures:
     def test_neither_source_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "measures")
         assert code == 1
+
+    def test_theta_on_dataset_is_usage_error(self, tent_csv, capsys):
+        # a dataset has no parameter for --theta to set
+        code, out, err = run(capsys, "measures", str(tent_csv), "--theta", "2")
+        assert (code, out) == (1, "")
+        assert err == "gluecop: error: --theta does not apply to a dataset\n"
 
     @pytest.mark.parametrize("family, theta, message", [
         ("clayton", "-2", "Clayton requires theta > 0"),

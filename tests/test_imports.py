@@ -1,5 +1,7 @@
-"""The package imports with numpy alone; scipy is loaded on first use."""
+"""The package imports with numpy alone; scipy is loaded on first use.
+Its modules import one another at module level only."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -60,3 +62,23 @@ def test_fit_piecewise_leaves_scipy_unloaded():
         "    warnings.simplefilter('ignore')\n"
         "    fit = fit_piecewise(Sample(x=ps.u, y=ps.v))\n"
         "assert len(fit.segments) == 3, fit.break_points")
+
+
+def _imports_gluecop(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or node.module.split(".")[0] == "gluecop"
+    return (isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "gluecop" for a in node.names))
+
+
+def test_no_function_imports_a_gluecop_module():
+    # a function-level import of a package module hides an import cycle;
+    # a lazy third-party import (scipy.special in reference._ndtr) is fine
+    paths, found = sorted((ROOT / "src" / "gluecop").glob("*.py")), []
+    assert len(paths) > 10
+    for path in paths:
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno} in {func.name}"
+                          for node in ast.walk(func) if _imports_gluecop(node)]
+    assert found == []

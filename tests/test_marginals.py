@@ -75,6 +75,50 @@ class TestEmpirical:
         assert EmpiricalMarginal(values + [3.0]).support == (min(values), 3.0)
 
 
+class TestWideKnots:
+    """Knots whose span times n + 1 overflows: np.interp's slope on a gap
+    would be inf for the quantile and 0 for the cdf."""
+
+    def test_quantile_is_finite_on_an_overflowing_slope(self):
+        # the slope between the knots is 0.7e308 * 3
+        m = EmpiricalMarginal([1e308, 1.7e308])
+        assert m.quantile([0.4, 0.5, 0.6]) == pytest.approx(
+            [1.14e308, 1.35e308, 1.56e308], rel=1e-12)
+        assert m.quantile([0.0, 1.0]).tolist() == [1e308, 1.7e308]
+
+    def test_cdf_interpolates_across_an_infinite_gap(self):
+        m = EmpiricalMarginal([-1.7e308, 1.7e308])
+        assert m.cdf(0.0) == pytest.approx(0.5, abs=1e-15)
+        assert m.cdf([-1.7e308, 1.7e308]).tolist() == [1 / 3, 2 / 3]
+
+    def test_huge_span_round_trips(self):
+        m = EmpiricalMarginal([-1.7e308, 0.0, 1.7e308])
+        assert m.quantile(0.3) == pytest.approx(-1.36e308, rel=1e-12)
+        ps = np.linspace(0.25, 0.75, 11)
+        assert m.cdf(m.quantile(ps)) == pytest.approx(ps, abs=1e-15)
+        # the knots themselves are found exactly
+        assert m.quantile(m.knots_p).tolist() == [-1.7e308, 0.0, 1.7e308]
+        assert m.cdf(m.knots_x).tolist() == m.knots_p.tolist()
+
+    def test_knots_that_do_not_overflow_are_used_as_they_are(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        m = EmpiricalMarginal(rng.normal(size=500) * 1e300)
+        xs, ps = rng.normal(size=50) * 1e300, rng.uniform(size=50)
+        seen, interp = [], np.interp
+
+        def spy(x, xp, fp, *args, **kwargs):
+            seen.append((xp, fp))
+            return interp(x, xp, fp, *args, **kwargs)
+
+        monkeypatch.setattr(np, "interp", spy)
+        cdf, q = m.cdf(xs), m.quantile(ps)
+        assert cdf.tobytes() == interp(xs, m.knots_x, m.knots_p, left=0.0,
+                                       right=1.0).tobytes()
+        assert q.tobytes() == interp(ps, m.knots_p, m.knots_x).tobytes()
+        # the stored knots themselves, no per-call copy
+        assert [xp is m.knots_x or fp is m.knots_x for xp, fp in seen[:2]] == [True, True]
+
+
 def _column(kind: str) -> np.ndarray:
     rng = np.random.default_rng(4)
     if kind == "continuous":

@@ -127,9 +127,12 @@ class TestModelRoundTrip:
 
     def test_schema_version_checked(self):
         doc = model_to_dict(tent_model())
-        doc["schema_version"] = 99
-        with pytest.raises(DataError):
-            model_from_dict(doc)
+        # True and 1.0 compare equal to 1 but are not the integer 1
+        for version in (99, True, 1.0, "1", None):
+            doc["schema_version"] = version
+            with pytest.raises(DataError,
+                               match="unsupported model schema version"):
+                model_from_dict(doc)
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"

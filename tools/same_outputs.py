@@ -101,7 +101,9 @@ With ``--expect FILE``, a change declares the items it means to change: FILE
 holds their names as the differences print them ("case / seed / item"), one
 a line, and lines starting with # are comments.  The exit code is then 1 when
 an undeclared item differs or a declared item does not, else 0.
-Both trees run at once, so two CPUs halve the wall time.
+Both trees run at once, so two CPUs halve the wall time.  Each runs with
+``-W error::RuntimeWarning``, as the test suite does, so a numpy
+floating-point warning in either tree fails the run.
 """
 
 from __future__ import annotations
@@ -246,7 +248,7 @@ def _case(wl, seed: int) -> dict[str, bytes]:
     Path("data.csv").write_text(text)
     rec["input csv"] = text.encode()
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         model = fit_piecewise(cli.read_xy_csv("data.csv")).model
     rec["breaks found"] = str(wl.breaks_ok(model.break_points)).encode()
     rec["model document"] = model_io.dumps_canonical(
@@ -537,7 +539,10 @@ def _start(src: Path) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT)]))
     code = (f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); "
             "import same_outputs; same_outputs.collect()")
-    return subprocess.Popen([sys.executable, "-c", code], env=env,
+    # a numpy floating-point warning is an error in the children, as in
+    # the test suite
+    return subprocess.Popen([sys.executable, "-W", "error::RuntimeWarning",
+                             "-c", code], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
