@@ -1,14 +1,14 @@
 """Bivariate copula gluing, dependence diagnostics and piecewise regression."""
 
-from .changepoint import Crossing, CrossingReport, diagonal_crossings
 from .copulas import (AxiomReport, ClaytonCopula, Copula, FGMCopula,
                       FrankCopula, FrechetLowerCopula, FrechetUpperCopula,
                       GluedCopula, GumbelCopula, IndependenceCopula,
                       PlackettCopula, check_copula_axioms, conditional_quantile,
                       decompose, glue, make_copula)
-from .dependence import (DependenceReport, QuadrantClass, RegressionClass,
-                         classify_quadrant, classify_regression_dependence,
-                         dependence_report, schweizer_wolff_sigma, spearman_rho)
+from .dependence import (Crossing, CrossingReport, DependenceReport,
+                         QuadrantClass, RegressionClass, classify_quadrant,
+                         classify_regression_dependence, dependence_report,
+                         diagonal_crossings, schweizer_wolff_sigma, spearman_rho)
 from .empirical import (EmpiricalCopula, FitResult, PiecewiseFit, PseudoSample,
                         crossing_breakpoints, empirical_crossing_report,
                         empirical_tolerance, fit_piecewise, fit_segment, pseudo_observations,

@@ -26,9 +26,9 @@ from dataclasses import asdict
 import numpy as np
 
 from . import model_io
-from .changepoint import GRID_N_DEFAULT
 from .copulas import make_copula
-from .dependence import dependence_report, schweizer_wolff_sigma, spearman_rho
+from .dependence import (GRID_N_DEFAULT, dependence_report, schweizer_wolff_sigma,
+                         spearman_rho)
 from .empirical import (DEFAULT_FIT_FAMILIES, DETECTION_PERSISTENCE,
                         EmpiricalCopula, crossing_report, crossing_breakpoints,
                         fit_piecewise, pseudo_observations,

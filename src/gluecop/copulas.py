@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, on_arrays, out_of_range
+from .errors import (DomainError, ParameterError, check_array_size, on_arrays,
+                     out_of_range)
 
 FD_STEP = 1e-5          # finite-difference step for the u-derivative
 # Conditional-quantile halvings of [0, 1]: 2**-34 < 1e-10.  Every midpoint is
@@ -587,6 +588,7 @@ def check_copula_axioms(c: Copula, n: int = 101) -> AxiomReport:
     Fréchet–Hoeffding bounds on an n×n grid; report worst violations."""
     if n < 2:
         raise DomainError("grid size must be >= 2")
+    check_array_size("n ** 2", int(n) ** 2)
     t = np.linspace(0.0, 1.0, n)
     M = c._cdf(t[:, None], t[None, :])
 

@@ -1,4 +1,5 @@
-"""Dependence measures and quadrant/regression-dependence classification.
+"""Dependence measures, quadrant/regression-dependence classification and
+the crossings of the diagonal section with t^2.
 
 Spearman's rho is 12 * double-integral of C minus 3; the Schweizer–Wolff
 sigma is 12 times the L1 distance between C and the product copula.  Both
@@ -10,26 +11,39 @@ are built once and shared, read-only, by every call, so a rho inversion
 that evaluates the same rule many times pays for it once.
 The nodes are checked to lie in [0, 1] once, when their rule is built, and
 each grid is the hook ``_cdf`` (or ``_du``) on them as a column and a row,
-unchecked: the bits of the public ``cdf`` of that column and row.  Both
-classes here and the diagonal crossings of ``changepoint`` read values
-against the band [-tol, tol] through ``_band``; ``tol=None`` is the default
-each check states.
+unchecked: the bits of the public ``cdf`` of that column and row.
+
+Break-point candidates come from the diagonal section: a PQD copula has
+delta(t) above t^2 and an NQD one below, so a sign change of
+g(t) = delta(t) - t^2 flags mixed dependence, and where g crosses zero is
+a gluing-point candidate (``diagonal_crossings``).
+
+One band rule, ``_band``, has three readers: the crossings read g, the
+quadrant class reads C − Π and the regression class reads the steps of
+∂C/∂u, each against [-tol, tol].  A NaN, which compares false with
+everything, lies beyond both sides of the band.  ``tol=None`` is the
+default each check states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .copulas import Copula, _validate_unit
-from .errors import DomainError
+from .errors import DomainError, check_array_size
 
 GAUSS_NODES = 64      # per axis, smooth integrands
 MIDPOINT_NODES = 512  # per axis, kinked integrands
 CLASS_TOL = 1e-6      # both dependence classes, on any copula
+# diagonal crossings: grid points, band half-width, shortest sign run kept
+GRID_N_DEFAULT = 512
+TOL_DEFAULT = 1e-4
+PERSISTENCE_DEFAULT = 5
+REFINE_WIDTH = 1e-9   # bisection bracket width; locates crossings to < 1e-6
 
 
 class QuadrantClass(str, Enum):
@@ -54,8 +68,8 @@ def _tolerance(tol: float | None, default: float) -> float:
 
 
 def _band(values: np.ndarray, tol: float):
-    """(beyond +tol, beyond -tol), elementwise; a NaN, which compares false
-    with everything, is on both sides."""
+    """(beyond +tol, beyond -tol), elementwise: the band rule of the module
+    docstring."""
     return ~(values <= tol), ~(values >= -tol)
 
 
@@ -69,9 +83,11 @@ def _band_class(values: np.ndarray, tol: float, classes):
 
 
 def _interior_grid(grid_n: int) -> np.ndarray:
-    """``grid_n`` >= 8 equispaced points strictly inside (0, 1)."""
+    """``grid_n`` >= 8 equispaced points strictly inside (0, 1), checked
+    first to span a grid_n × grid_n grid that ``check_array_size`` allows."""
     if grid_n < 8:
         raise DomainError("grid_n must be >= 8")
+    check_array_size("grid_n ** 2", int(grid_n) ** 2)
     return np.arange(1, grid_n + 1) / (grid_n + 1)
 
 
@@ -156,6 +172,7 @@ def dependence_report(c: Copula, grid_n: int = 64,
                       tol: float | None = None) -> DependenceReport:
     """Compute rho, sigma and both dependence classifications in one pass."""
     tol = _tolerance(tol, CLASS_TOL)
+    _interior_grid(grid_n)  # grid_n checked before the quadratures
     return DependenceReport(
         rho=spearman_rho(c),
         sigma=schweizer_wolff_sigma(c),
@@ -164,3 +181,80 @@ def dependence_report(c: Copula, grid_n: int = 64,
         grid_n=grid_n,
         tolerance=tol,
     )
+
+
+@dataclass(frozen=True)
+class Crossing:
+    t: float
+    direction: str  # "up": g goes - to +; "down": g goes + to -
+
+
+@dataclass(frozen=True)
+class CrossingReport:
+    crossings: list[Crossing]
+    touches: list[float] = field(default_factory=list)
+    grid_n: int = GRID_N_DEFAULT
+    tolerance: float = TOL_DEFAULT
+    persistence: int = PERSISTENCE_DEFAULT
+    mixed_dependence: bool = False  # g beyond +tol and beyond -tol somewhere
+
+
+def _bisect_zero(g, lo: float, hi: float) -> float:
+    """Locate a sign change of g inside [lo, hi] by bisection."""
+    glo = g(lo)
+    while hi - lo > REFINE_WIDTH:
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if gm == 0.0:
+            return mid
+        if (gm > 0) == (glo > 0):
+            lo, glo = mid, gm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def diagonal_crossings(c: Copula, grid_n: int = GRID_N_DEFAULT,
+                       tol: float | None = None,
+                       persistence: int = PERSISTENCE_DEFAULT) -> CrossingReport:
+    """Crossings between the diagonal section of ``c`` and t^2.
+
+    g(t) = delta(t) - t^2 is sampled on ``grid_n`` equispaced points and
+    coded +1 beyond +tol, -1 beyond -tol and 0 in between.  Sign runs shorter
+    than ``persistence`` points are dropped; between two adjacent surviving
+    runs of opposite sign lies a crossing, refined by bisection, and between
+    two of the same sign a tangential touch, reported at the gap's midpoint.
+    ``tol=None`` is ``TOL_DEFAULT``.  ``mixed_dependence``
+    (g beyond +tol somewhere and beyond -tol elsewhere, filtered runs too) is
+    the necessary condition for mixed dependence that motivates break points.
+    """
+    if grid_n < 64:
+        raise DomainError("grid_n must be >= 64")
+    if persistence < 1:
+        raise DomainError("persistence must be >= 1")
+    tol = _tolerance(tol, TOL_DEFAULT)
+    check_array_size("grid_n", grid_n)
+    grid = np.linspace(0.0, 1.0, grid_n)
+    g = lambda tt: c.diagonal(tt) - tt * tt
+    values = g(grid)
+    # beyond +tol minus beyond -tol: 1, -1, or 0 (a NaN is on both sides)
+    codes = np.subtract(*_band(values, tol), dtype=int)
+
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    ends = np.r_[starts[1:], grid_n] - 1
+    runs = [(codes[a], a, b) for a, b in zip(starts, ends)
+            if codes[a] != 0 and b - a + 1 >= persistence]
+    crossings: list[Crossing] = []
+    touches: list[float] = []
+    # maximal runs of one sign are never adjacent, so a gap separates them
+    for (sign, _, end), (next_sign, start, _) in zip(runs, runs[1:]):
+        if sign == next_sign:
+            touches.append(float(0.5 * (grid[end] + grid[start])))
+        else:
+            t_star = _bisect_zero(g, float(grid[end]), float(grid[start]))
+            crossings.append(Crossing(t=t_star,
+                                      direction="down" if sign > 0 else "up"))
+    return CrossingReport(crossings=crossings, touches=touches, grid_n=grid_n,
+                          tolerance=tol, persistence=persistence,
+                          mixed_dependence=bool(np.any(codes == 1)
+                                                and np.any(codes == -1)))

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .changepoint import GRID_N_DEFAULT, CrossingReport, diagonal_crossings
 from .copulas import (CLAYTON_NEAR, FRANK_NEAR, PLACKETT_NEAR, Copula,
                       _finite_difference_du, _validate_unit,
                       conditional_quantile, make_copula)
-from .dependence import DependenceReport, dependence_report, spearman_rho
+from .dependence import (GRID_N_DEFAULT, CrossingReport, DependenceReport,
+                         dependence_report, diagonal_crossings, spearman_rho)
 from .errors import DataError, ParameterError, on_arrays
 from .marginals import EmpiricalMarginal
 from .reference import Sample, seeded_rng
@@ -332,6 +332,8 @@ def _brent_root(f, a: float, b: float, fa: float, fb: float) -> float:
 
 
 def _check_families(families) -> None:
+    if not families:
+        raise ParameterError("families is empty; give at least one family")
     unknown = [f for f in families if f not in DEFAULT_FIT_FAMILIES]
     if unknown:
         raise ParameterError(f"unknown families: {', '.join(unknown)}")

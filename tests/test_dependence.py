@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from gluecop import (
     conditional_quantile,
     decompose,
     dependence_report,
+    diagonal_crossings,
     fit_segment,
     glue,
     make_copula,
@@ -401,6 +404,13 @@ class TestTolerance:
         assert r.quadrant_class is classify_quadrant(c, 8, 1e-6)
         assert r.regression_class is classify_regression_dependence(c, 8, 1e-6)
 
+    @pytest.mark.parametrize("entry", [
+        classify_quadrant, classify_regression_dependence, dependence_report,
+        diagonal_crossings])
+    def test_every_check_defaults_to_none(self, entry):
+        # one spelling of the default: the check maps None to its own value
+        assert inspect.signature(entry).parameters["tol"].default is None
+
 
 class _Shifted(copulas.Copula):
     """Not a copula: C = uv + shift on every grid and ∂C/∂u = v - shift·u,
@@ -435,3 +445,43 @@ class TestBand:
         c = _Shifted(shift, nan=True)
         assert classify_quadrant(c, 16) is QuadrantClass.NEITHER
         assert classify_regression_dependence(c, 16) is RegressionClass.NEITHER
+
+
+GRID_CHECKS = {
+    "quadrant": lambda n: classify_quadrant(ClaytonCopula(2.0), grid_n=n),
+    "regression": lambda n: classify_regression_dependence(ClaytonCopula(2.0),
+                                                           grid_n=n),
+    "report": lambda n: dependence_report(ClaytonCopula(2.0), grid_n=n),
+    "axioms": lambda n: check_copula_axioms(ClaytonCopula(2.0), n=n),
+    "crossings": lambda n: diagonal_crossings(ClaytonCopula(2.0), grid_n=n),
+}
+
+
+class TestGridSizeGuard:
+    """Every dependence grid is sized by ``check_array_size`` before it is
+    allocated: grid_n ** 2 values for a 2-D grid, grid_n for the diagonal."""
+
+    @pytest.mark.parametrize("n", [2 ** 62, 10 ** 30], ids=["2**62", "10**30"])
+    @pytest.mark.parametrize("check", sorted(GRID_CHECKS))
+    def test_huge_grid_is_memory_error(self, check, n):
+        with pytest.raises(MemoryError, match="values an array may hold$"):
+            GRID_CHECKS[check](n)
+
+    # 2**26 points would fit, but not the 2**52 values of their grid; an
+    # np.int64(2**32) squared would wrap to 0 in int64 arithmetic
+    @pytest.mark.parametrize("n, square", [
+        (2 ** 26, 2 ** 52), (np.int64(2 ** 32), 2 ** 64)], ids=["2**26", "int64"])
+    @pytest.mark.parametrize("check", ["quadrant", "regression", "report", "axioms"])
+    def test_square_beyond_the_guard(self, check, n, square):
+        with pytest.raises(MemoryError, match=rf"n \*\* 2 = {square} "):
+            GRID_CHECKS[check](n)
+
+    def test_report_checks_grid_n_before_the_quadratures(self, monkeypatch):
+        def quadrature(c):
+            raise AssertionError("quadrature ran before grid_n was checked")
+        monkeypatch.setattr(dependence, "spearman_rho", quadrature)
+        monkeypatch.setattr(dependence, "schweizer_wolff_sigma", quadrature)
+        with pytest.raises(MemoryError):
+            dependence_report(ClaytonCopula(2.0), grid_n=2 ** 62)
+        with pytest.raises(DomainError, match="^grid_n must be >= 8$"):
+            dependence_report(ClaytonCopula(2.0), grid_n=4)

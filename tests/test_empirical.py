@@ -419,6 +419,16 @@ class TestFitSegment:
         with pytest.raises(ParameterError, match="^unknown families: gaussian$"):
             fit_piecewise(Sample(x=u, y=u), families=("product", "gaussian"))
 
+    def test_empty_family_list(self):
+        # a usage error, checked at entry like an unknown family: one point,
+        # too few to fit, still gives the ParameterError
+        u = np.arange(1, 101) / 101
+        for x in (u, u[:1]):
+            with pytest.raises(ParameterError, match="^families is empty"):
+                fit_segment(x, x, families=[])
+        with pytest.raises(ParameterError, match="^families is empty"):
+            fit_piecewise(Sample(x=u, y=u), families=())
+
     def test_gof_distance_is_l2_grid_distance(self):
         ps = simulate_copula(FrankCopula(-5.0), 500, seed=22)
         t = np.arange(1, GOF_GRID_N + 1) / (GOF_GRID_N + 1)

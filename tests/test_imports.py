@@ -1,5 +1,6 @@
 """The package imports with numpy alone; scipy is loaded on first use.
-Its modules import one another at module level only."""
+Its modules import one another at module level only, and take no private
+name from one another beyond the two the copula layer shares."""
 
 import ast
 import os
@@ -10,6 +11,19 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+MODULES = {"__init__", "cli", "copulas", "dependence", "empirical", "errors",
+           "marginals", "model_io", "reference", "regression"}
+# the unit check and the finite-difference du, shared by the copula layer
+SHARED_PRIVATE = {("copulas", "_validate_unit"),
+                  ("copulas", "_finite_difference_du")}
+
+
+def _module_trees():
+    """(file name, syntax tree) of each package module; the set of files is
+    checked, so an empty or stale glob cannot pass the walks below."""
+    paths = sorted((ROOT / "src" / "gluecop").glob("*.py"))
+    assert {path.stem for path in paths} == MODULES
+    return [(path.name, ast.parse(path.read_text(), str(path))) for path in paths]
 
 
 def _scipy_loaded_after(code: str) -> bool:
@@ -74,11 +88,31 @@ def _imports_gluecop(node) -> bool:
 def test_no_function_imports_a_gluecop_module():
     # a function-level import of a package module hides an import cycle;
     # a lazy third-party import (scipy.special in reference._ndtr) is fine
-    paths, found = sorted((ROOT / "src" / "gluecop").glob("*.py")), []
-    assert len(paths) > 10
-    for path in paths:
-        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+    found = []
+    for name, tree in _module_trees():
+        for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found += [f"{path.name}:{node.lineno} in {func.name}"
+                found += [f"{name}:{node.lineno} in {func.name}"
                           for node in ast.walk(func) if _imports_gluecop(node)]
+    assert found == []
+
+
+def _sibling(node: ast.ImportFrom) -> str | None:
+    """The package module ``node`` imports names from, or None."""
+    if node.level == 1:
+        return node.module
+    if node.level == 0 and node.module.startswith("gluecop."):
+        return node.module.split(".", 1)[1]
+    return None
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private name taken across modules belongs in the module that uses it
+    found = []
+    for name, tree in _module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and _sibling(node):
+                found += [f"{name}:{node.lineno} {_sibling(node)}.{a.name}"
+                          for a in node.names if a.name.startswith("_")
+                          and (_sibling(node), a.name) not in SHARED_PRIVATE]
     assert found == []
