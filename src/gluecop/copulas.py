@@ -35,6 +35,7 @@ bisection would give, bit for bit, in three ``du`` calls instead of 35.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,10 @@ class Copula:
     name : family tag used for serialization and reporting.
     smooth : False for copulas with kinks or singular components; steers the
         quadrature rule used by the dependence measures.
+    point_mass : True for a family whose V given U = u is a point mass at
+        every u (the Fréchet bounds), so that ``du`` is 0 below one jump in
+        v and 1 from it on, in floating point too; the mean curve then
+        counts the nodes on each side of the jump instead of summing du.
 
     ``cdf``, ``du``, ``diagonal`` and ``conditional_quantile`` take scalars
     or broadcastable arrays: a scalar in gives a float out, with the bits
@@ -111,6 +116,7 @@ class Copula:
 
     name = "copula"
     smooth = True
+    point_mass = False
 
     # -- evaluation ---------------------------------------------------------
 
@@ -191,6 +197,7 @@ class FrechetUpperCopula(Copula):
 
     name = "frechet-upper"
     smooth = False
+    point_mass = True
 
     def _cdf(self, u, v):
         return np.minimum(u, v)
@@ -209,6 +216,7 @@ class FrechetLowerCopula(Copula):
 
     name = "frechet-lower"
     smooth = False
+    point_mass = True
 
     def _cdf(self, u, v):
         return np.maximum(u + v - 1.0, 0.0)
@@ -586,9 +594,10 @@ class AxiomReport:
 def check_copula_axioms(c: Copula, n: int = 101) -> AxiomReport:
     """Evaluate groundedness, uniform margins, 2-increasingness and the
     Fréchet–Hoeffding bounds on an n×n grid; report worst violations."""
+    n = operator.index(n)
     if n < 2:
         raise DomainError("grid size must be >= 2")
-    check_array_size("n ** 2", int(n) ** 2)
+    check_array_size("n ** 2", n ** 2)
     t = np.linspace(0.0, 1.0, n)
     M = c._cdf(t[:, None], t[None, :])
 

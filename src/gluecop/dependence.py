@@ -27,6 +27,7 @@ default each check states.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -84,10 +85,12 @@ def _band_class(values: np.ndarray, tol: float, classes):
 
 def _interior_grid(grid_n: int) -> np.ndarray:
     """``grid_n`` >= 8 equispaced points strictly inside (0, 1), checked
-    first to span a grid_n × grid_n grid that ``check_array_size`` allows."""
+    first to be an integer (a float is a ``TypeError``) and to span a
+    grid_n × grid_n grid that ``check_array_size`` allows."""
+    grid_n = operator.index(grid_n)
     if grid_n < 8:
         raise DomainError("grid_n must be >= 8")
-    check_array_size("grid_n ** 2", int(grid_n) ** 2)
+    check_array_size("grid_n ** 2", grid_n ** 2)
     return np.arange(1, grid_n + 1) / (grid_n + 1)
 
 
@@ -228,6 +231,7 @@ def diagonal_crossings(c: Copula, grid_n: int = GRID_N_DEFAULT,
     (g beyond +tol somewhere and beyond -tol elsewhere, filtered runs too) is
     the necessary condition for mixed dependence that motivates break points.
     """
+    grid_n = operator.index(grid_n)
     if grid_n < 64:
         raise DomainError("grid_n must be >= 64")
     if persistence < 1:

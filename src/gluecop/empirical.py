@@ -25,7 +25,8 @@ from .copulas import (CLAYTON_NEAR, FRANK_NEAR, PLACKETT_NEAR, Copula,
                       conditional_quantile, make_copula)
 from .dependence import (GRID_N_DEFAULT, CrossingReport, DependenceReport,
                          dependence_report, diagonal_crossings, spearman_rho)
-from .errors import DataError, ParameterError, on_arrays
+from .errors import (DataError, DomainError, ParameterError, on_arrays,
+                     out_of_range)
 from .marginals import EmpiricalMarginal
 from .reference import Sample, seeded_rng
 from .regression import PiecewiseRegressionModel
@@ -331,21 +332,34 @@ def _brent_root(f, a: float, b: float, fa: float, fb: float) -> float:
         fb = f(b)
 
 
-def _check_families(families) -> None:
+def _checked_families(families) -> tuple:
+    """``families`` as a tuple, taken once so that an iterator is read once;
+    a string, empty or with an unknown name is a ``ParameterError``."""
+    if isinstance(families, str):
+        raise ParameterError(f"families must be a collection of family names, "
+                             f"not the string {families!r}")
+    families = tuple(families)
     if not families:
         raise ParameterError("families is empty; give at least one family")
     unknown = [f for f in families if f not in DEFAULT_FIT_FAMILIES]
     if unknown:
         raise ParameterError(f"unknown families: {', '.join(unknown)}")
+    return families
 
 
 def fit_segment(u, v, families=DEFAULT_FIT_FAMILIES,
                 interval: tuple[float, float] | None = None) -> FitResult:
     """Best moment-matched copula for one segment's pseudo-observations; a
-    family outside ``DEFAULT_FIT_FAMILIES`` is a ``ParameterError``."""
-    _check_families(families)
+    family outside ``DEFAULT_FIT_FAMILIES`` is a ``ParameterError``, and u
+    and v that are not 1-D arrays of one length in [0, 1] a ``DomainError``."""
+    families = _checked_families(families)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    if u.ndim != 1 or v.shape != u.shape:
+        raise DomainError("u and v must be 1-D arrays of one length, not of "
+                          f"shapes {u.shape} and {v.shape}")
+    if out_of_range(u, 0.0, 1.0) or out_of_range(v, 0.0, 1.0):
+        raise DomainError("pseudo-observations u and v must lie in [0, 1]")
     (ou, ru), (ov, rv) = _sort_ranks(u), _sort_ranks(v)
     return _fit_ranked(PseudoSample(u=u, v=v, ranks=(ru, rv), orders=(ou, ov)),
                        families, interval)
@@ -424,7 +438,7 @@ def fit_piecewise(s: Sample, candidates=None,
     within-segment ranks, every goodness-of-fit count and the empirical
     marginals' knots come from those two orders, and detected break-points
     are quantiles of the sorted x."""
-    _check_families(families)
+    families = _checked_families(families)
     _warn_if_small(s.n, "piecewise fitting")
     ps = pseudo_observations(s)
     ox, oy = ps.orders

@@ -17,7 +17,13 @@ The median is one ``conditional_quantile`` call on the whole copula, which
 inverts each slab's piece itself.  The mean takes each x to its slab's
 piece once (``Copula._on_pieces``; a copula that is not glued is its own
 piece) and integrates it MEAN_BLOCK rows per du call, so that memory stays
-bounded.  A piecewise model is a ``RegressionModel`` whose copula is the
+bounded.  On a piece whose V given U = u is a point mass (the Fréchet
+bounds, ``Copula.point_mass``), dC/du at the nodes is 0 before one jump and
+1 from it on, as long as the nodes are in order (checked once per curve), so
+each row sum is a count: the number of nodes before the jump, found by
+halving the node index, ``MEAN_NODES.bit_length()`` du calls on u* per
+side.  A row of 0s and 1s sums to that integer exactly, so both ways give
+the same bits.  A piecewise model is a ``RegressionModel`` whose copula is the
 glue of its segments, so both curves serve it as they serve any other.
 """
 
@@ -77,9 +83,23 @@ def _piece_curve(m: RegressionModel, x, on_piece):
     return on_arrays(curve, x)
 
 
+def _nodes_before_jump(piece, us, v):
+    """Per u*, the number k of the ordered nodes v before the jump of the 0/1
+    du of ``piece``: du(u*, v_i) is 0 for i < k and 1 from k on.  Lower-bound
+    halving of the index, one du call on u* per halving; a step past the end
+    tests the last node, so it moves k to the end only where every node is 0."""
+    k = np.zeros(us.shape, dtype=np.intp)
+    for step in (1 << b for b in reversed(range(v.size.bit_length()))):
+        j = np.minimum(k + step, v.size)
+        k = np.where(piece._du_clamped(us, v[j - 1]) < 1.0, j, k)
+    return k
+
+
 def mean_regression(m: RegressionModel, x):
     """Mean regression curve; requires the conditional expectation to exist."""
     a, upper, lower = _mean_grid(m.marginal_y)
+    ordered = all(np.all(side[1][1:] >= side[1][:-1])
+                  for side in (upper, lower) if side is not None)
 
     def mean(piece, us):
         # E[Y | U=u] = a + int_a^hi (1 - F) dy - int_lo^a F dy, F = dC/du(u, F_Y);
@@ -87,6 +107,15 @@ def mean_regression(m: RegressionModel, x):
         # is du without its argument checks (u* is in [0, 1]), so the piece
         # sees the block and the nodes unbroadcast
         mu = np.full(us.shape, a)
+        if piece.point_mass and ordered:
+            # k 0s, then 1s: the row sums are k and v.size - k, exactly
+            if upper is not None:
+                h, v = upper
+                mu += h * _nodes_before_jump(piece, us, v)
+            if lower is not None:
+                h, v = lower
+                mu -= h * (v.size - _nodes_before_jump(piece, us, v))
+            return mu
         for j in range(0, us.size, MEAN_BLOCK):
             block = us[j:j + MEAN_BLOCK, None]
             if upper is not None:

@@ -476,6 +476,18 @@ class TestGridSizeGuard:
         with pytest.raises(MemoryError, match=rf"n \*\* 2 = {square} "):
             GRID_CHECKS[check](n)
 
+    # a float size is no size: 10.5 used to build 11 points on k/11.5
+    @pytest.mark.parametrize("n", [10.5, 64.5, 512.0, np.float64(64)],
+                             ids=["10.5", "64.5", "512.0", "float64"])
+    @pytest.mark.parametrize("check", sorted(GRID_CHECKS))
+    def test_float_size_is_type_error(self, check, n):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            GRID_CHECKS[check](n)
+
+    @pytest.mark.parametrize("check", sorted(GRID_CHECKS))
+    def test_numpy_integer_size_is_a_size(self, check):
+        GRID_CHECKS[check](np.int64(64))
+
     def test_report_checks_grid_n_before_the_quadratures(self, monkeypatch):
         def quadrature(c):
             raise AssertionError("quadrature ran before grid_n was checked")

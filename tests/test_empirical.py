@@ -374,6 +374,11 @@ class TestRhoInversion:
         assert _invert_rho("clayton", -0.5) is None
 
 
+# pseudo-observations of a Clayton(2) sample, for the argument checks
+_PS = simulate_copula(ClaytonCopula(2.0), 200, seed=4)
+PS_U, PS_V = _PS.u, _PS.v
+
+
 class TestFitSegment:
     def test_recovers_fgm_parameter(self):
         ps = simulate_copula(FGMCopula(0.5), 2000, seed=20)
@@ -428,6 +433,57 @@ class TestFitSegment:
                 fit_segment(x, x, families=[])
         with pytest.raises(ParameterError, match="^families is empty"):
             fit_piecewise(Sample(x=u, y=u), families=())
+
+    def test_families_iterator_is_read_once(self):
+        # taken as a tuple once, at entry: the check does not use it up
+        u = np.arange(1, 101) / 101
+        fit = fit_segment(u, u, families=(f for f in ["frechet-upper"]))
+        assert fit.family == "frechet-upper"
+        s = simulate_example1(2000, 0.5, seed=23)
+        fit = fit_piecewise(s, families=iter(["frechet-lower", "frechet-upper"]))
+        assert [f.family for f in fit.segments] == ["frechet-upper",
+                                                    "frechet-lower"]
+
+    def test_families_string_is_rejected(self):
+        # a string is not read letter by letter as a list of names
+        u = np.arange(1, 101) / 101
+        message = ("^families must be a collection of family names, "
+                   "not the string 'clayton'$")
+        with pytest.raises(ParameterError, match=message):
+            fit_segment(u, u, families="clayton")
+        with pytest.raises(ParameterError, match=message):
+            fit_piecewise(Sample(x=u, y=u), families="clayton")
+
+    @pytest.mark.parametrize("u, v", [
+        (PS_U.reshape(2, -1), PS_V.reshape(2, -1)),
+        (0.5, 0.5),
+    ], ids=["2-D", "0-D"])
+    def test_pseudo_observations_not_1d(self, u, v):
+        with pytest.raises(DomainError, match="^u and v must be 1-D arrays of one"):
+            fit_segment(u, v)
+
+    def test_pseudo_observations_of_unequal_lengths(self):
+        with pytest.raises(DomainError, match=r"of shapes \(200,\) and \(199,\)$"):
+            fit_segment(PS_U, PS_V[:-1])
+
+    @pytest.mark.parametrize("u, v", [
+        (5 * PS_U, PS_V), (PS_U, PS_V - 0.5),
+        (PS_U, np.r_[PS_V[:-1], 1 + 2 ** -52]),
+    ], ids=["u above 1", "v below 0", "v one ulp above 1"])
+    def test_pseudo_observations_outside_the_unit_interval(self, u, v):
+        with pytest.raises(DomainError, match="^pseudo-observations u and v must"):
+            fit_segment(u, v)
+
+    @pytest.mark.parametrize("u, v", [
+        (np.r_[np.nan, PS_U[1:]], PS_V), (PS_U, np.r_[PS_V[:-1], np.nan]),
+    ], ids=["u", "v"])
+    def test_pseudo_observations_with_nan(self, u, v):
+        with pytest.raises(DomainError, match="^pseudo-observations u and v must"):
+            fit_segment(u, v)
+
+    def test_pseudo_observations_at_0_and_1_are_accepted(self):
+        fit = fit_segment(np.r_[0.0, PS_U[1:-1], 1.0], PS_V)
+        assert fit.rho_hat > 0
 
     def test_gof_distance_is_l2_grid_distance(self):
         ps = simulate_copula(FrankCopula(-5.0), 500, seed=22)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -15,6 +16,7 @@ from gluecop import (
     FrechetUpperCopula,
     GumbelCopula,
     IndependenceCopula,
+    Marginal,
     PlackettCopula,
     PiecewiseRegressionModel,
     RegressionClass,
@@ -146,7 +148,7 @@ class _CountingCopula(Copula):
 
     def __init__(self, inner: Copula):
         self.inner, self.sizes = inner, []
-        self.smooth = inner.smooth
+        self.smooth, self.point_mass = inner.smooth, inner.point_mass
 
     def _cdf(self, u, v):
         return self.inner._cdf(u, v)
@@ -198,6 +200,90 @@ class TestMeanBlocks:
         sizes = [size for piece in pieces for size in piece.sizes]
         assert max(sizes) <= MEAN_BLOCK * MEAN_NODES
         assert sum(sizes) == 2 * xs.size * MEAN_NODES
+
+
+class _SteppedMarginal(Marginal):
+    """Uniform on [-1, 1] with the cdf ``cdf``: a mean's nodes that are not
+    those of a continuous, strictly increasing response."""
+
+    support = (-1.0, 1.0)
+
+    def __init__(self, cdf):
+        self._cdf = cdf
+
+    def _quantile(self, p):
+        return 2.0 * p - 1.0
+
+
+# a discrete response: its cdf steps, so many of the mean's nodes are equal
+TIED_NODES_Y = _SteppedMarginal(lambda y: np.floor((y + 1.0) * 4.0) / 8.0)
+# a cdf that is not monotone on the nodes
+WAVY_Y = _SteppedMarginal(lambda y: 0.5 + 0.4 * np.sin(7.0 * y))
+FRECHET_MEAN_COPULAS = [M, W, make_copula("example1", 0.4),
+                        glue([W, ClaytonCopula(2.0), M], [0.3, 0.65])]
+# the most du calls a count takes per side: lower-bound halving of the node
+# index, whose answer is one of MEAN_NODES + 1 places
+HALVINGS = math.ceil(math.log2(MEAN_NODES + 1))
+
+
+class TestMeanCounts:
+    """On M and W, du at the ordered nodes is 0 before one jump and 1 from
+    it on: each row sum of the mean is a count, found by halving."""
+
+    @pytest.mark.parametrize("c", [M, W], ids=repr)
+    def test_du_calls_are_halvings(self, c):
+        counted = _CountingCopula(c)
+        xs = np.linspace(0.0, 1.0, 1001)
+        mean_regression(RegressionModel(counted, UNIT, TWO_SIDED_Y), xs)
+        assert 0 < len(counted.sizes) <= 2 * HALVINGS
+        assert set(counted.sizes) == {xs.size}
+
+    def test_piecewise_du_calls_are_halvings_on_each_slab(self):
+        pieces = [_CountingCopula(M), _CountingCopula(W)]
+        pm = PiecewiseRegressionModel((0.4,), pieces, UNIT, TWO_SIDED_Y)
+        xs = np.linspace(0.0, 1.0, 1001)
+        piecewise_regression(pm, xs, statistic="mean")
+        on_slab = np.count_nonzero(xs <= 0.4)  # slabs are left-closed
+        for piece, size in zip(pieces, (on_slab, xs.size - on_slab)):
+            assert 0 < len(piece.sizes) <= 2 * HALVINGS
+            assert set(piece.sizes) == {size}
+
+    @pytest.mark.parametrize("my", [TIED_NODES_Y, EmpiricalMarginal(
+        np.round(np.random.default_rng(9).normal(0.2, 1.0, 500) * 2) / 2)],
+        ids=["tied nodes", "tied knots"])
+    @pytest.mark.parametrize("c", FRECHET_MEAN_COPULAS, ids=repr)
+    def test_tied_response_equals_per_x_mean_bit_for_bit(self, c, my):
+        m = RegressionModel(c, UNIT, my)
+        xs = np.r_[np.linspace(0.0, 1.0, 1001), 0.3, 0.4, 0.65]
+        np.testing.assert_array_equal(mean_regression(m, xs), per_x_mean(m, xs))
+
+    def test_nodes_repeat_on_the_tied_response(self):
+        _, upper, lower = _mean_grid(TIED_NODES_Y)
+        for _, v in (upper, lower):
+            assert np.all(np.diff(v) >= 0) and np.unique(v).size < v.size / 10
+
+    @pytest.mark.parametrize("c", FRECHET_MEAN_COPULAS, ids=repr)
+    def test_nodes_out_of_order_take_the_blocks(self, c):
+        _, upper, lower = _mean_grid(WAVY_Y)
+        assert np.any(np.diff(upper[1]) < 0) and np.any(np.diff(lower[1]) < 0)
+        xs = np.linspace(0.0, 1.0, 1001)
+        m = RegressionModel(c, UNIT, WAVY_Y)
+        np.testing.assert_array_equal(mean_regression(m, xs), per_x_mean(m, xs))
+        counted = _CountingCopula(c)
+        mean_regression(RegressionModel(counted, UNIT, WAVY_Y), xs)
+        assert max(counted.sizes) == MEAN_BLOCK * MEAN_NODES
+
+    @pytest.mark.parametrize("c, at_jump", [(M, lambda v: v), (W, lambda v: 1.0 - v)],
+                             ids=["M at v", "W at 1 - v"])
+    @pytest.mark.parametrize("my", [UNIT, TWO_SIDED_Y], ids=["uniform", "empirical"])
+    def test_at_the_jump_and_one_ulp_either_side(self, c, at_jump, my):
+        # for W, whether the rounded u + v_j reaches 1 decides each node
+        _, upper, lower = _mean_grid(my)
+        v = np.concatenate([side[1] for side in (upper, lower) if side is not None])
+        u = at_jump(v)
+        xs = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+        m = RegressionModel(c, UNIT, my)
+        np.testing.assert_array_equal(mean_regression(m, xs), per_x_mean(m, xs))
 
 
 class TestArrayShapes:

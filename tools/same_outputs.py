@@ -93,8 +93,13 @@ Tied and discrete data run last, where fitting ranks each segment from the
 two global sort orders: the tent (theta 0.4, n 3000) with y on 5 levels, with
 x on 3 levels (a segment of constant x, so ``fit`` exits 2) and with x on 100
 levels.  Each runs ``gluecop analyze``, ``gluecop fit`` and ``gluecop fit
---breakpoints`` at a tie group of x, and the model files both fits write (or
-their absence) are compared too.
+--breakpoints`` at a tie group of x, and ``gluecop fit --breakpoints`` once
+more with ``--families frechet-upper,frechet-lower``; the model files the
+fits write (or their absence) are compared too.  Each model file written is
+run through ``gluecop predict --statistic mean``, where the mean of a Fréchet
+segment counts the nodes before the jump of its 0/1 ``du``: the Fréchet-only
+fits put M and W on a response with tied knots, and on x with 100 levels the
+break-point fit chooses M and W itself.
 
 Every difference is listed; the exit code is 1 on any difference, else 0.
 With ``--expect FILE``, a change declares the items it means to change: FILE
@@ -189,6 +194,8 @@ TIE_BREAKPOINTS = {
     "tent x on 3 levels": "2",
     "tent x on 100 levels": "0.4",
 }
+
+TIE_MODELS = ("tie_model.json", "tie_bp_model.json", "tie_frechet_model.json")
 
 FIXED_RUNS = {
     "simulate example1": ["simulate", "example1", "--theta", "0.6", "--n", "500",
@@ -480,14 +487,21 @@ def _tie_cases() -> dict[str, bytes]:
             "fit --breakpoints": ["fit", "tie.csv", "--breakpoints",
                                   TIE_BREAKPOINTS[name], "--out-model",
                                   "tie_bp_model.json"],
+            "fit --breakpoints --families frechet": [
+                "fit", "tie.csv", "--breakpoints", TIE_BREAKPOINTS[name],
+                "--families", "frechet-upper,frechet-lower", "--out-model",
+                "tie_frechet_model.json"],
         }
-        for model in ("tie_model.json", "tie_bp_model.json"):
+        for model in TIE_MODELS:
             Path(model).unlink(missing_ok=True)
         for run, argv in runs.items():
             rec[f"gluecop {run} {name}"] = _cli(argv)
-        for model in ("tie_model.json", "tie_bp_model.json"):
+        for model in TIE_MODELS:
             path = Path(model)
             rec[f"{model} {name}"] = path.read_bytes() if path.exists() else b"not written"
+            if path.exists():
+                rec[f"gluecop predict {model} --statistic mean {name}"] = _cli(
+                    ["predict", model, "--statistic", "mean"])
     return rec
 
 
