@@ -67,16 +67,16 @@ def _validate_unit(*arrays):
             raise DomainError("copula arguments must lie in [0, 1] and be non-NaN")
 
 
-def _on_unit_square(f, u, v, reshape=np.atleast_1d):
-    """f on the validated u and v by ``on_arrays``.  Shapes that differ must
-    broadcast, and f sees ``reshape(u, v)``: by default each as passed, a 0-d
-    one as one element (whose ``pow`` rounds as the 1-element call's does)."""
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    _validate_unit(u, v)
-    if u.shape != v.shape:
-        np.broadcast_shapes(u.shape, v.shape)
-        u, v = reshape(u, v)
-    return on_arrays(f, u, v)
+def _on_unit_square(f, *args, reshape=np.atleast_1d):
+    """f on the validated arguments by ``on_arrays``.  Shapes that differ
+    must broadcast, and f sees ``reshape(*args)``: by default each as passed,
+    a 0-d one as one element (whose ``pow`` rounds as the 1-element call's)."""
+    args = [np.asarray(a, dtype=float) for a in args]
+    _validate_unit(*args)
+    if len({a.shape for a in args}) > 1:
+        np.broadcast_shapes(*(a.shape for a in args))
+        args = reshape(*args)
+    return on_arrays(f, *args)
 
 
 def bisect_monotone(f, p, lo, hi, steps: int):
@@ -105,8 +105,9 @@ class Copula:
 
     ``cdf``, ``du``, ``diagonal`` and ``conditional_quantile`` take scalars
     or broadcastable arrays: a scalar in gives a float out, with the bits
-    the array call gives at the same point.  The hooks ``_cdf`` and ``_du``
-    see the caller's shapes and return their broadcast.  A grid, the
+    the array call gives at the same point.  Their hooks ``_cdf``, ``_du``
+    and ``_diagonal`` (``_cdf(t, t)`` by default) take the points the library
+    builds, unchecked, and return the broadcast of their shapes.  A grid, the
     library's or a caller's, is a (n, 1) column and a (1, m) row, so a family
     computes its per-argument terms (powers, logs, exponentials) on each
     axis before it combines the two.  Every family in the package does, the
@@ -129,7 +130,7 @@ class Copula:
 
     def diagonal(self, t):
         """Diagonal section δ(t) = C(t, t)."""
-        return self.cdf(t, t)
+        return _on_unit_square(self._diagonal, t)
 
     # -- implementation hooks ----------------------------------------------
 
@@ -139,9 +140,11 @@ class Copula:
     def _du(self, u, v):
         return _finite_difference_du(self._cdf, u, v)
 
+    def _diagonal(self, t):
+        return self._cdf(t, t)
+
     def _du_clamped(self, u, v):
-        """``du`` on float arrays in [0, 1], unchecked: for points the
-        library builds itself (bisection brackets, mean blocks, grids)."""
+        """``du`` past its check: ``_du`` clipped to [0, 1]."""
         return self._du(u, v).clip(0.0, 1.0)
 
     def _conditional_quantile(self, u, p):
@@ -565,7 +568,7 @@ def conditional_quantile(c: Copula, u, p):
     point built after the check needs one.  The Fréchet bounds return their
     bisection's answer in closed form, bit for bit.
     """
-    return _on_unit_square(c._conditional_quantile, u, p, np.broadcast_arrays)
+    return _on_unit_square(c._conditional_quantile, u, p, reshape=np.broadcast_arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,14 @@ smooth copulas, composite midpoint for copulas with kinks or singular parts
 makes the integrand non-smooth anyway).  The nodes and weights of each rule
 are built once and shared, read-only, by every call, so a rho inversion
 that evaluates the same rule many times pays for it once.
-The nodes are checked to lie in [0, 1] once, when their rule is built, and
+The nodes lie in [0, 1] by construction (a test checks both rules), and
 each grid is the hook ``_cdf`` (or ``_du``) on them as a column and a row,
 unchecked: the bits of the public ``cdf`` of that column and row.
 
 Break-point candidates come from the diagonal section: a PQD copula has
 delta(t) above t^2 and an NQD one below, so a sign change of
 g(t) = delta(t) - t^2 flags mixed dependence, and where g crosses zero is
-a gluing-point candidate (``diagonal_crossings``).
+a gluing-point candidate (``diagonal_crossings``, on the hook ``_diagonal``).
 
 One band rule, ``_band``, has three readers: the crossings read g, the
 quadrant class reads C − Π and the regression class reads the steps of
@@ -34,8 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .copulas import Copula, _validate_unit
-from .errors import DomainError, check_array_size
+from .copulas import Copula
+from .errors import DomainError, check_array_size, on_arrays
 
 GAUSS_NODES = 64      # per axis, smooth integrands
 MIDPOINT_NODES = 512  # per axis, kinked integrands
@@ -98,15 +98,14 @@ def _interior_grid(grid_n: int) -> np.ndarray:
 def _rule(smooth: bool):
     """Read-only (nodes, weights) on [0, 1] for a copula's ``smooth``:
     GAUSS_NODES-point Gauss–Legendre when smooth, else the MIDPOINT_NODES-
-    point composite midpoint rule.  Built once per rule, with the nodes
-    checked then; every caller shares the same arrays."""
+    point composite midpoint rule.  Built once per rule, its nodes in [0, 1]
+    by construction (a test checks both); every caller shares the arrays."""
     if smooth:
         x, w = np.polynomial.legendre.leggauss(GAUSS_NODES)
         t, w = 0.5 * (x + 1.0), 0.5 * w
     else:
         n = MIDPOINT_NODES
         t, w = (np.arange(n) + 0.5) / n, np.full(n, 1.0 / n)
-    _validate_unit(t)
     t.flags.writeable = False
     w.flags.writeable = False
     return t, w
@@ -147,7 +146,6 @@ def classify_regression_dependence(c: Copula, grid_n: int = 64,
     almost all u, so isolated grid artifacts below tol are ignored.
     """
     t, tol = _interior_grid(grid_n), _tolerance(tol, CLASS_TOL)
-    # du without its check of an axis the library built
     du = c._du_clamped(t[:, None], t[None, :])
     # PRD: the steps of ∂C/∂u between adjacent u are all <= tol
     return _band_class(-np.diff(du, axis=0), tol, RegressionClass)
@@ -231,7 +229,7 @@ def diagonal_crossings(c: Copula, grid_n: int = GRID_N_DEFAULT,
     (g beyond +tol somewhere and beyond -tol elsewhere, filtered runs too) is
     the necessary condition for mixed dependence that motivates break points.
     """
-    grid_n = operator.index(grid_n)
+    grid_n, persistence = operator.index(grid_n), operator.index(persistence)
     if grid_n < 64:
         raise DomainError("grid_n must be >= 64")
     if persistence < 1:
@@ -239,7 +237,7 @@ def diagonal_crossings(c: Copula, grid_n: int = GRID_N_DEFAULT,
     tol = _tolerance(tol, TOL_DEFAULT)
     check_array_size("grid_n", grid_n)
     grid = np.linspace(0.0, 1.0, grid_n)
-    g = lambda tt: c.diagonal(tt) - tt * tt
+    g = lambda tt: on_arrays(c._diagonal, tt) - tt * tt
     values = g(grid)
     # beyond +tol minus beyond -tol: 1, -1, or 0 (a NaN is on both sides)
     codes = np.subtract(*_band(values, tol), dtype=int)

@@ -21,12 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .copulas import (CLAYTON_NEAR, FRANK_NEAR, PLACKETT_NEAR, Copula,
-                      _finite_difference_du, _validate_unit,
-                      conditional_quantile, make_copula)
+                      _finite_difference_du, make_copula)
 from .dependence import (GRID_N_DEFAULT, CrossingReport, DependenceReport,
                          dependence_report, diagonal_crossings, spearman_rho)
-from .errors import (DataError, DomainError, ParameterError, on_arrays,
-                     out_of_range)
+from .errors import DataError, DomainError, ParameterError, out_of_range
 from .marginals import EmpiricalMarginal
 from .reference import Sample, seeded_rng
 from .regression import PiecewiseRegressionModel
@@ -176,12 +174,9 @@ class EmpiricalCopula(Copula):
     def _sorted_max(self):
         return np.sort(np.maximum(self.u, self.v))
 
-    def diagonal(self, t):
+    def _diagonal(self, t):
         # delta(t) is the ECDF of max(u_i, v_i)
-        def ecdf(t):
-            _validate_unit(t)
-            return np.searchsorted(self._sorted_max, t, side="right") / self.n
-        return on_arrays(ecdf, t)
+        return np.searchsorted(self._sorted_max, t, side="right") / self.n
 
     def _du(self, u, v):
         # coarse central difference; the raw estimator is a step function
@@ -433,12 +428,15 @@ def fit_piecewise(s: Sample, candidates=None,
     """Split at break-points, rescale each segment's u by within-segment
     ranks (the empirical conditional marginal), fit each segment, and
     assemble a piecewise regression model with empirical marginals.  A
-    family outside ``DEFAULT_FIT_FAMILIES`` is a ``ParameterError``, raised
-    before the data is ranked.  Each column is sorted once: detection, the
-    within-segment ranks, every goodness-of-fit count and the empirical
-    marginals' knots come from those two orders, and detected break-points
-    are quantiles of the sorted x."""
+    family outside ``DEFAULT_FIT_FAMILIES``, or a string of families or of
+    candidates, is a ``ParameterError``, raised before the data is ranked.
+    Each column is sorted once: detection, the within-segment ranks, every
+    goodness-of-fit count and the empirical marginals' knots come from
+    those two orders, and detected break-points are quantiles of the sorted x."""
     families = _checked_families(families)
+    if isinstance(candidates, str):
+        raise ParameterError("candidates must be a collection of break-points, "
+                             f"not the string {candidates!r}")
     _warn_if_small(s.n, "piecewise fitting")
     ps = pseudo_observations(s)
     ox, oy = ps.orders
@@ -481,8 +479,8 @@ def fit_piecewise(s: Sample, candidates=None,
 def simulate_copula(c: Copula, n: int, seed: int = 0) -> PseudoSample:
     """Draw (U, V) from a copula: U uniform, V by conditional-quantile
     inversion, piece by piece on the slabs of a glued copula; exact for
-    singular copulas."""
+    singular copulas.  The draws go to ``c._conditional_quantile``, unchecked."""
     rng = seeded_rng(n, seed)
     u = rng.uniform(size=n)
     p = rng.uniform(size=n)
-    return PseudoSample(u=u, v=np.asarray(conditional_quantile(c, u, p)))
+    return PseudoSample(u=u, v=c._conditional_quantile(u, p))

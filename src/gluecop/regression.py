@@ -52,14 +52,14 @@ class RegressionModel:
 def median_regression(m: RegressionModel, x):
     """Median regression curve mu(x); accepts scalars or arrays."""
     m.marginal_x.require_in_support(x)
-    return m.marginal_y.quantile(
-        conditional_quantile(m.copula, m.marginal_x.cdf(x), 0.5))
+    return on_arrays(m.marginal_y._quantile,
+                     conditional_quantile(m.copula, m.marginal_x.cdf(x), 0.5))
 
 
 def _mean_grid(my: Marginal):
     """Midpoint grid of the mean: a = 0 clipped into [Q_Y(eps), Q_Y(1-eps)]
     and, on each side of a, the step h and F_Y at the nodes (None if empty)."""
-    ylo, yhi = my.quantile(MEAN_EPS), my.quantile(1.0 - MEAN_EPS)
+    ylo, yhi = (on_arrays(my._quantile, p) for p in (MEAN_EPS, 1.0 - MEAN_EPS))
     a = min(max(0.0, ylo), yhi)
     mid = np.arange(MEAN_NODES) + 0.5
 

@@ -71,6 +71,19 @@ class TestDiagonalCrossings:
         with pytest.raises(DomainError):
             diagonal_crossings(PI, grid_n=32)
 
+    # 3.5 used to keep runs of >= 4 points and be written into the report
+    @pytest.mark.parametrize("persistence", [3.5, 5.0, np.float64(5)],
+                             ids=["3.5", "5.0", "float64"])
+    def test_float_persistence_is_type_error(self, persistence):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            diagonal_crossings(make_copula("example1", 0.6), persistence=persistence)
+
+    def test_numpy_integer_persistence_is_an_int(self):
+        c = make_copula("example1", 0.6)
+        report = diagonal_crossings(c, persistence=np.int64(5))
+        assert report == diagonal_crossings(c, persistence=5)
+        assert type(report.persistence) is int
+
     @pytest.mark.parametrize("tol", [-1.0, -1e-12, np.nan, np.inf])
     def test_negative_or_non_finite_tol(self, tol):
         with pytest.raises(DomainError, match=r"^tol must be >= 0 and finite$"):
@@ -92,13 +105,13 @@ class TestDiagonalCrossings:
 
 class _StepDiagonal(Copula):
     """Stub whose g(t) = delta(t) - t^2 equals ``values[i]`` on the cell of
-    point i of the ``len(values)``-point grid; only ``diagonal`` is defined."""
+    point i of the ``len(values)``-point grid; only the hook ``_diagonal``,
+    which detection reads, is defined."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
-    def diagonal(self, t):
-        t = np.asarray(t, dtype=float)
+    def _diagonal(self, t):
         last = self.values.size - 1
         cell = np.clip(np.floor(t * last + 0.5).astype(int), 0, last)
         return t * t + self.values[cell]

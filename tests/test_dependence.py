@@ -1,4 +1,5 @@
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from gluecop import (
     ClaytonCopula,
     DomainError,
     EmpiricalCopula,
+    EmpiricalMarginal,
     Example4Model,
     FGMCopula,
     FrankCopula,
@@ -26,9 +28,11 @@ from gluecop import (
     decompose,
     dependence_report,
     diagonal_crossings,
+    fit_piecewise,
     fit_segment,
     glue,
     make_copula,
+    mean_regression,
     median_regression,
     pseudo_observations,
     schweizer_wolff_sigma,
@@ -36,10 +40,10 @@ from gluecop import (
     simulate_example1,
     spearman_rho,
 )
-from gluecop import copulas, dependence
+from gluecop import copulas, dependence, marginals
 from gluecop.copulas import FAMILY_CONSTRUCTORS, PARAMETRIC_FAMILIES
 from gluecop.dependence import _rule
-from gluecop.empirical import _FIT_RANGES, _invert_rho
+from gluecop.empirical import _FIT_RANGES, _invert_rho, crossing_report
 
 PI = IndependenceCopula()
 M = FrechetUpperCopula()
@@ -296,10 +300,16 @@ class TestScalarClamps:
         assert type(out) is float and np.isnan(out)
 
 
+#: three pieces glued at 0.25 and 0.625, the last itself glued at 0.5
+NESTED_GLUE = glue([ClaytonCopula(3.0), FrankCopula(-8.0),
+                    glue([GumbelCopula(3.0), M], [0.5])], [0.25, 0.625])
+
+
 @pytest.fixture()
 def unit_checks(monkeypatch):
-    """The arguments of every ``_validate_unit`` call, in the modules that
-    call it."""
+    """The arguments of every ``_validate_unit`` call, from each package
+    module that holds the name (only ``copulas`` does), so that a module
+    that took it by import would be counted too."""
     calls = []
     check = copulas._validate_unit
 
@@ -307,19 +317,74 @@ def unit_checks(monkeypatch):
         calls.append(arrays)
         check(*arrays)
 
-    for module in (copulas, dependence):
-        monkeypatch.setattr(module, "_validate_unit", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gluecop.") and hasattr(module, "_validate_unit"):
+            monkeypatch.setattr(module, "_validate_unit", counting)
     return calls
 
 
+@pytest.fixture()
+def range_checks(monkeypatch):
+    """The (lo, hi) of every range test in ``marginals``: a support check,
+    or (0, 1) for a quantile's check of its probabilities."""
+    calls = []
+    test = marginals.out_of_range
+
+    def counting(a, lo, hi):
+        calls.append((lo, hi))
+        return test(a, lo, hi)
+
+    monkeypatch.setattr(marginals, "out_of_range", counting)
+    return calls
+
+
+#: each public call that builds all the points it evaluates, on a tent sample
+NO_CHECK_CALLS = {
+    "fit_piecewise": fit_piecewise,
+    "crossing_report": lambda s: crossing_report(pseudo_observations(s)),
+    "diagonal_crossings": lambda s: diagonal_crossings(make_copula("example1", 0.6)),
+    "simulate_copula": lambda s: simulate_copula(NESTED_GLUE, 300, seed=5),
+}
+
+
 class TestGridsCheckedOnce:
-    def test_rule_nodes_checked_when_built(self, unit_checks):
-        _rule.cache_clear()
-        for theta in (2.0, 3.0):
-            spearman_rho(ClaytonCopula(theta))
-            schweizer_wolff_sigma(ClaytonCopula(theta))
-        assert len(unit_checks) == 1
-        assert unit_checks[0][0] is _rule(True)[0]
+    def test_rule_nodes_lie_inside_the_unit_interval(self):
+        # the rules are built from constants, so this test checks their
+        # nodes in place of a check at run time
+        for smooth in (True, False):
+            t, w = _rule(smooth)
+            assert 0.0 < t.min() and t.max() < 1.0
+            assert np.all(np.diff(t) > 0)
+            assert abs(w.sum() - 1.0) < 1e-14
+            assert not t.flags.writeable and not w.flags.writeable
+
+    @pytest.mark.parametrize("call", sorted(NO_CHECK_CALLS))
+    def test_built_points_are_not_checked(self, unit_checks, call):
+        # the detection grid and its bisection midpoints, and the uniform draws
+        s = simulate_example1(2000, 0.6, seed=9)
+        NO_CHECK_CALLS[call](s)
+        assert unit_checks == []
+
+    @pytest.mark.parametrize("c", [
+        ClaytonCopula(2.0), NESTED_GLUE,
+        EmpiricalCopula(pseudo_observations(simulate_example1(500, 0.4, seed=3)))],
+        ids=repr)
+    def test_diagonal_checks_t_once(self, unit_checks, c):
+        c.diagonal(np.linspace(0.0, 1.0, 9))
+        c.diagonal(0.3)
+        assert [len(arrays) for arrays in unit_checks] == [1, 1]
+
+    @pytest.mark.parametrize("curve, entry_checks", [
+        (median_regression, 1), (mean_regression, 0)], ids=["median", "mean"])
+    def test_curve_checks_support_and_quantile_entry(
+            self, unit_checks, range_checks, curve, entry_checks):
+        # the median's conditional quantile checks u = F_X(x) at its entry;
+        # the quantiles it builds and the mean's tail constants go unchecked
+        my = EmpiricalMarginal(np.linspace(-2.0, 3.0, 50))
+        m = RegressionModel(NESTED_GLUE, UniformMarginal(-1.0, 2.0), my)
+        curve(m, np.linspace(-1.0, 2.0, 101))
+        assert range_checks == [(-1.0, 2.0)]
+        assert len(unit_checks) == entry_checks
 
     def test_library_grids_are_not_checked(self, unit_checks):
         ps = simulate_copula(FrankCopula(-4.0), 300, seed=32)
@@ -332,11 +397,6 @@ class TestGridsCheckedOnce:
         dependence_report(ClaytonCopula(2.0))
         check_copula_axioms(PlackettCopula(5.0), 33)
         assert unit_checks == []
-
-
-#: three pieces glued at 0.25 and 0.625, the last itself glued at 0.5
-NESTED_GLUE = glue([ClaytonCopula(3.0), FrankCopula(-8.0),
-                    glue([GumbelCopula(3.0), M], [0.5])], [0.25, 0.625])
 
 
 class TestQuantileCheckedOnce:

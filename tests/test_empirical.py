@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -178,6 +179,11 @@ class TestEmpiricalCopula:
             ec.cdf(ps.u[i], ps.v[j]),
             [np.mean((ps.u <= a) & (ps.v <= b)) for a, b in zip(ps.u[i], ps.v[j])])
 
+    def test_overrides_no_public_method(self):
+        # the public methods, and their one argument check, are Copula's
+        assert [name for name, value in vars(EmpiricalCopula).items()
+                if callable(value) and not name.startswith("_")] == []
+
     def test_diagonal_matches_cdf(self):
         ps = simulate_copula(FrankCopula(3.0), 200, seed=5)
         ec = EmpiricalCopula(ps)
@@ -262,6 +268,13 @@ class TestBreakpointDetection:
         assert [w.category for w in caught] == [UserWarning]
         assert "below 50" in str(caught[0].message)
         assert caught[0].filename == __file__
+
+    def test_float_persistence_is_type_error(self):
+        # 3.5 used to keep runs of >= 4 points and be written into the report
+        ps = pseudo_observations(simulate_example1(500, 0.6, seed=3))
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            crossing_report(ps, persistence=3.5)
+        assert crossing_report(ps, persistence=np.int64(10)) == crossing_report(ps)
 
     def test_candidate_at_max_x_is_dropped(self):
         x = np.repeat([0.0, 1.0, 2.0], 4)
@@ -524,6 +537,19 @@ class TestFitPiecewise:
         mu = piecewise_regression(fit.model, xs)
         rmse = float(np.sqrt(np.mean((mu - tent(xs, 0.5)) ** 2)))
         assert rmse < 0.02
+
+    # "0.5" used to fail inside numpy on '.', and "5" was break-point 5
+    @pytest.mark.parametrize("candidates", ["0.5", "5"])
+    def test_candidates_string_is_rejected(self, candidates, monkeypatch):
+        def unranked(s):
+            raise AssertionError("the data was ranked before the check")
+
+        monkeypatch.setattr(empirical, "pseudo_observations", unranked)
+        s = simulate_example1(200, 0.5, seed=23)
+        message = ("^candidates must be a collection of break-points, not the "
+                   f"string {re.escape(repr(candidates))}$")
+        with pytest.raises(ParameterError, match=message):
+            fit_piecewise(s, candidates=candidates)
 
     def test_ranks_once_and_matches_explicit_candidates(self, monkeypatch):
         s = simulate_example4(3000, 0.1, seed=14)

@@ -1,6 +1,6 @@
 """The package imports with numpy alone; scipy is loaded on first use.
 Its modules import one another at module level only, and take no private
-name from one another beyond the two the copula layer shares."""
+name from one another beyond the one the copula layer shares."""
 
 import ast
 import os
@@ -13,9 +13,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = {"__init__", "cli", "copulas", "dependence", "empirical", "errors",
            "marginals", "model_io", "reference", "regression"}
-# the unit check and the finite-difference du, shared by the copula layer
-SHARED_PRIVATE = {("copulas", "_validate_unit"),
-                  ("copulas", "_finite_difference_du")}
+# the finite-difference du, shared by the copula layer
+SHARED_PRIVATE = {("copulas", "_finite_difference_du")}
 
 
 def _module_trees():

@@ -10,6 +10,9 @@ cases: the benchmark's tent, parabola and glued-three generators at seeds 3,
 every break is found.  For each case the script compares
 
 - the input CSV text and the model document of ``fit_piecewise``;
+- the ``repr`` of the data's ``crossing_report``: its crossings, touches,
+  grid, tolerance, persistence and mixed-dependence flag (``analyze``'s
+  JSON leaves out the touches);
 - the ``tobytes()`` of the median and mean curves (``median_regression``
   and ``mean_regression``) on a 1001-point grid over the x support plus the
   break-points;
@@ -92,10 +95,11 @@ equal, and one whose uniform x marginal spans -1e308 to 1e308, so that
 Tied and discrete data run last, where fitting ranks each segment from the
 two global sort orders: the tent (theta 0.4, n 3000) with y on 5 levels, with
 x on 3 levels (a segment of constant x, so ``fit`` exits 2) and with x on 100
-levels.  Each runs ``gluecop analyze``, ``gluecop fit`` and ``gluecop fit
---breakpoints`` at a tie group of x, and ``gluecop fit --breakpoints`` once
-more with ``--families frechet-upper,frechet-lower``; the model files the
-fits write (or their absence) are compared too.  Each model file written is
+levels.  Each compares the ``repr`` of its ``crossing_report``, as the
+seeded cases do, and runs ``gluecop analyze``, ``gluecop fit`` and
+``gluecop fit --breakpoints`` at a tie group of x, and ``gluecop fit
+--breakpoints`` once more with ``--families frechet-upper,frechet-lower``;
+the model files the fits write (or their absence) are compared too.  Each model file written is
 run through ``gluecop predict --statistic mean``, where the mean of a Fréchet
 segment counts the nodes before the jump of its 0/1 ``du``: the Fréchet-only
 fits put M and W on a response with tied knots, and on x with 100 levels the
@@ -248,15 +252,18 @@ def _case(wl, seed: int) -> dict[str, bytes]:
 
     from bench.workloads import csv_text, data_seed
     from gluecop import (cli, fit_piecewise, mean_regression, median_regression,
-                         model_io)
+                         model_io, pseudo_observations)
+    from gluecop.empirical import crossing_report
 
     rec = {}
     text = csv_text(wl.simulate(CASE_N, data_seed(seed, 0)))
     Path("data.csv").write_text(text)
     rec["input csv"] = text.encode()
+    sample = cli.read_xy_csv("data.csv")
+    rec["crossing report"] = repr(crossing_report(pseudo_observations(sample))).encode()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        model = fit_piecewise(cli.read_xy_csv("data.csv")).model
+        model = fit_piecewise(sample).model
     rec["breaks found"] = str(wl.breaks_ok(model.break_points)).encode()
     rec["model document"] = model_io.dumps_canonical(
         model_io.model_to_dict(model)).encode()
@@ -470,7 +477,8 @@ def _tie_cases() -> dict[str, bytes]:
     import numpy as np
 
     from bench.workloads import csv_text
-    from gluecop import Sample, simulate_example1
+    from gluecop import Sample, pseudo_observations, simulate_example1
+    from gluecop.empirical import crossing_report
 
     tent = simulate_example1(3000, 0.4, seed=5)
     samples = {
@@ -480,6 +488,8 @@ def _tie_cases() -> dict[str, bytes]:
     }
     rec = {}
     for name, sample in samples.items():
+        rec[f"crossing report {name}"] = repr(
+            crossing_report(pseudo_observations(sample))).encode()
         Path("tie.csv").write_text(csv_text(sample))
         runs = {
             "analyze": ["analyze", "tie.csv"],
