@@ -17,8 +17,8 @@ u* = (u - lo)/(hi - lo),
 so two pieces glued at theta give theta*C1(u/theta, v) on [0, theta] and
 (1-theta)*C2((u-theta)/(1-theta), v) + theta*v on [theta, 1].  A gluing
 point belongs to the slab on its left (u* = 1 there).  A glued copula walks
-its own slabs: on each one, ``du`` and the conditional quantile are its
-piece's at u*.  Every other copula is its own single piece
+its slabs down to leaf pieces: on each, ``du`` and the conditional quantile
+are its leaf's at u*.  Every other copula is its own single piece
 (``Copula._on_pieces``).  ``decompose`` inverts the construction at a point
 t: glue(decompose(C, t), t) == C for any copula, and the pieces are copulas
 exactly when the vertical section at t is linear (C(t, v) = t*v for all v).
@@ -163,8 +163,8 @@ class Copula:
     def _on_pieces(self, f, u, *rows):
         """f(piece, u*, *rows) on the piece of each vertical slab the array
         u occupies, the rows (arrays of u's shape) cut to that slab, put
-        together in u's shape.  A copula that is not glued is one piece on
-        one slab: f(self, u, *rows)."""
+        together in u's shape; a glued piece walks its own slabs, so f sees
+        leaf pieces only.  Any other copula is one piece: f(self, u, *rows)."""
         return f(self, u, *rows)
 
     def __repr__(self):
@@ -494,7 +494,7 @@ class GluedCopula(Copula):
     def _on_pieces(self, f, u, *rows):
         out = np.empty(u.shape)
         for i, m, us in self._slabs(u):
-            out[m] = f(self.pieces[i], us, *(r[m] for r in rows))
+            out[m] = self.pieces[i]._on_pieces(f, us, *(r[m] for r in rows))
         return out
 
     def _cdf(self, u, v):

@@ -329,8 +329,8 @@ def _brent_root(f, a: float, b: float, fa: float, fb: float) -> float:
 
 def _checked_families(families) -> tuple:
     """``families`` as a tuple, taken once so that an iterator is read once;
-    a string, empty or with an unknown name is a ``ParameterError``."""
-    if isinstance(families, str):
+    a string or bytes, empty or with an unknown name is a ``ParameterError``."""
+    if isinstance(families, (str, bytes, bytearray)):
         raise ParameterError(f"families must be a collection of family names, "
                              f"not the string {families!r}")
     families = tuple(families)
@@ -338,8 +338,15 @@ def _checked_families(families) -> tuple:
         raise ParameterError("families is empty; give at least one family")
     unknown = [f for f in families if f not in DEFAULT_FIT_FAMILIES]
     if unknown:
-        raise ParameterError(f"unknown families: {', '.join(unknown)}")
+        raise ParameterError(f"unknown families: {', '.join(map(str, unknown))}")
     return families
+
+
+def _break_point(b) -> float:
+    try:
+        return float(b)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"break-point {b!r} is not a number") from None
 
 
 def fit_segment(u, v, families=DEFAULT_FIT_FAMILIES,
@@ -428,15 +435,18 @@ def fit_piecewise(s: Sample, candidates=None,
     """Split at break-points, rescale each segment's u by within-segment
     ranks (the empirical conditional marginal), fit each segment, and
     assemble a piecewise regression model with empirical marginals.  A
-    family outside ``DEFAULT_FIT_FAMILIES``, or a string of families or of
-    candidates, is a ``ParameterError``, raised before the data is ranked.
-    Each column is sorted once: detection, the within-segment ranks, every
-    goodness-of-fit count and the empirical marginals' knots come from
-    those two orders, and detected break-points are quantiles of the sorted x."""
+    family outside ``DEFAULT_FIT_FAMILIES``, a string or bytes of families
+    or of candidates, or a candidate that ``float`` refuses, is a
+    ``ParameterError``, raised before the data is ranked.  Each column is
+    sorted once: detection, the within-segment ranks, every goodness-of-fit
+    count and the empirical marginals' knots come from those two orders,
+    and detected break-points are quantiles of the sorted x."""
     families = _checked_families(families)
-    if isinstance(candidates, str):
+    if isinstance(candidates, (str, bytes, bytearray)):
         raise ParameterError("candidates must be a collection of break-points, "
                              f"not the string {candidates!r}")
+    if candidates is not None:
+        candidates = [_break_point(b) for b in candidates]
     _warn_if_small(s.n, "piecewise fitting")
     ps = pseudo_observations(s)
     ox, oy = ps.orders
@@ -444,7 +454,7 @@ def fit_piecewise(s: Sample, candidates=None,
     my = EmpiricalMarginal._sorted_by(s.y, oy)
     if candidates is None:
         candidates = crossing_breakpoints(mx.knots_x, crossing_report(ps))
-    bps = sorted(float(b) for b in candidates)
+    bps = sorted(candidates)
     x_lo, x_hi = float(s.x.min()), float(s.x.max())
     for b in bps:
         # b = max(x) would leave the last segment empty

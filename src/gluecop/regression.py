@@ -14,17 +14,16 @@ so they are built once per curve.
 On a vertical slab of a glued copula, dC/du is the active piece's dC/du at
 the rescaled u*, so E[Y | X = x] is that piece's conditional mean at u*.
 The median is one ``conditional_quantile`` call on the whole copula, which
-inverts each slab's piece itself.  The mean takes each x to its slab's
-piece once (``Copula._on_pieces``; a copula that is not glued is its own
-piece) and integrates it MEAN_BLOCK rows per du call, so that memory stays
-bounded.  On a piece whose V given U = u is a point mass (the Fréchet
-bounds, ``Copula.point_mass``), dC/du at the nodes is 0 before one jump and
-1 from it on, as long as the nodes are in order (checked once per curve), so
-each row sum is a count: the number of nodes before the jump, found by
-halving the node index, ``MEAN_NODES.bit_length()`` du calls on u* per
-side.  A row of 0s and 1s sums to that integer exactly, so both ways give
-the same bits.  A piecewise model is a ``RegressionModel`` whose copula is the
-glue of its segments, so both curves serve it as they serve any other.
+inverts each slab's piece itself.  The mean takes each x to its slab's leaf
+piece once (``Copula._on_pieces``) and makes one pass per side of the
+integral on it, MEAN_BLOCK rows per du call, so that memory stays bounded.
+On a piece whose V given U = u is a point mass (the Fréchet bounds,
+``Copula.point_mass``), dC/du at the nodes is 0 before one jump and 1 from
+it on, as long as the nodes are in order (checked once per curve), so each
+row sum is a count: the nodes before the jump, found by halving the node
+index in ``MEAN_NODES.bit_length()`` du calls on u*.  A row of 0s and 1s
+sums to that integer exactly, so both ways give the same bits.  A piecewise
+model is a ``RegressionModel`` whose copula is the glue of its segments.
 """
 
 from __future__ import annotations
@@ -58,23 +57,21 @@ def median_regression(m: RegressionModel, x):
 
 def _mean_grid(my: Marginal):
     """Midpoint grid of the mean: a = 0 clipped into [Q_Y(eps), Q_Y(1-eps)]
-    and, on each side of a, the step h and F_Y at the nodes (None if empty)."""
+    and, per non-empty side of a (above first), (upper, h, F_Y at the nodes)."""
     ylo, yhi = (on_arrays(my._quantile, p) for p in (MEAN_EPS, 1.0 - MEAN_EPS))
     a = min(max(0.0, ylo), yhi)
     mid = np.arange(MEAN_NODES) + 0.5
-
-    def side(lo, hi):
-        if not hi > lo:
-            return None
-        h = (hi - lo) / MEAN_NODES
-        return h, my.cdf(lo + mid * h)
-
-    return a, side(a, yhi), side(ylo, a)
+    sides = []
+    for upper, lo, hi in ((True, a, yhi), (False, ylo, a)):
+        if hi > lo:
+            h = (hi - lo) / MEAN_NODES
+            sides.append((upper, h, my.cdf(lo + mid * h)))
+    return a, sides
 
 
 def _piece_curve(m: RegressionModel, x, on_piece):
     """The curve that ``on_piece(piece, u*)`` gives on the 1-d u* of each
-    piece of the model's copula at u = F_X(x), through ``on_arrays``."""
+    leaf piece of the model's copula at u = F_X(x), through ``on_arrays``."""
     m.marginal_x.require_in_support(x)
 
     def curve(x):
@@ -97,9 +94,8 @@ def _nodes_before_jump(piece, us, v):
 
 def mean_regression(m: RegressionModel, x):
     """Mean regression curve; requires the conditional expectation to exist."""
-    a, upper, lower = _mean_grid(m.marginal_y)
-    ordered = all(np.all(side[1][1:] >= side[1][:-1])
-                  for side in (upper, lower) if side is not None)
+    a, sides = _mean_grid(m.marginal_y)
+    ordered = all(np.all(v[1:] >= v[:-1]) for _, _, v in sides)
 
     def mean(piece, us):
         # E[Y | U=u] = a + int_a^hi (1 - F) dy - int_lo^a F dy, F = dC/du(u, F_Y);
@@ -107,25 +103,17 @@ def mean_regression(m: RegressionModel, x):
         # is du without its argument checks (u* is in [0, 1]), so the piece
         # sees the block and the nodes unbroadcast
         mu = np.full(us.shape, a)
-        if piece.point_mass and ordered:
-            # k 0s, then 1s: the row sums are k and v.size - k, exactly
-            if upper is not None:
-                h, v = upper
-                mu += h * _nodes_before_jump(piece, us, v)
-            if lower is not None:
-                h, v = lower
-                mu -= h * (v.size - _nodes_before_jump(piece, us, v))
-            return mu
-        for j in range(0, us.size, MEAN_BLOCK):
-            block = us[j:j + MEAN_BLOCK, None]
-            if upper is not None:
-                h, v = upper
-                F = piece._du_clamped(block, v)
-                mu[j:j + MEAN_BLOCK] += h * np.sum(1.0 - F, axis=1)
-            if lower is not None:
-                h, v = lower
-                F = piece._du_clamped(block, v)
-                mu[j:j + MEAN_BLOCK] -= h * np.sum(F, axis=1)
+        for upper, h, v in sides:
+            if piece.point_mass and ordered:
+                # k 0s, then 1s: the row sums are k and v.size - k, exactly
+                k = _nodes_before_jump(piece, us, v)
+                s = k if upper else v.size - k
+            else:
+                s = np.empty(us.shape)
+                for j in range(0, us.size, MEAN_BLOCK):
+                    F = piece._du_clamped(us[j:j + MEAN_BLOCK, None], v)
+                    s[j:j + MEAN_BLOCK] = np.sum(1.0 - F if upper else F, axis=1)
+            mu += (h if upper else -h) * s  # negation is exact: mu - h * s
         return mu
     return _piece_curve(m, x, mean)
 

@@ -467,6 +467,24 @@ class TestFitSegment:
         with pytest.raises(ParameterError, match=message):
             fit_piecewise(Sample(x=u, y=u), families="clayton")
 
+    @pytest.mark.parametrize("families", [b"clayton", bytearray(b"clayton")],
+                             ids=["bytes", "bytearray"])
+    def test_families_bytes_are_rejected(self, families):
+        # bytes used to be read as byte values and end in str.join's TypeError
+        u = np.arange(1, 101) / 101
+        message = ("^families must be a collection of family names, not the "
+                   f"string {re.escape(repr(families))}$")
+        with pytest.raises(ParameterError, match=message):
+            fit_segment(u, u, families=families)
+        with pytest.raises(ParameterError, match=message):
+            fit_piecewise(Sample(x=u, y=u), families=families)
+
+    def test_unknown_family_that_is_not_a_string(self):
+        # named as str() names it, where str.join used to raise TypeError
+        u = np.arange(1, 101) / 101
+        with pytest.raises(ParameterError, match="^unknown families: 1, None$"):
+            fit_segment(u, u, families=("clayton", 1, None))
+
     @pytest.mark.parametrize("u, v", [
         (PS_U.reshape(2, -1), PS_V.reshape(2, -1)),
         (0.5, 0.5),
@@ -515,6 +533,10 @@ class TestFitSegment:
             fit_segment(np.full(100, 0.5), u)
 
 
+def _unranked(s):
+    raise AssertionError("the data was ranked before the check")
+
+
 class TestFitPiecewise:
     def test_tent_sample(self):
         s = simulate_example1(2000, 0.5, seed=23)
@@ -538,18 +560,38 @@ class TestFitPiecewise:
         rmse = float(np.sqrt(np.mean((mu - tent(xs, 0.5)) ** 2)))
         assert rmse < 0.02
 
-    # "0.5" used to fail inside numpy on '.', and "5" was break-point 5
-    @pytest.mark.parametrize("candidates", ["0.5", "5"])
+    # "0.5" used to fail inside numpy on '.', "5" was break-point 5, and
+    # bytes were read as their byte values: b"5" was break-point 53
+    @pytest.mark.parametrize("candidates", [
+        "0.5", "5", pytest.param(b"5", id="bytes"),
+        pytest.param(bytearray(b"5"), id="bytearray")])
     def test_candidates_string_is_rejected(self, candidates, monkeypatch):
-        def unranked(s):
-            raise AssertionError("the data was ranked before the check")
-
-        monkeypatch.setattr(empirical, "pseudo_observations", unranked)
+        monkeypatch.setattr(empirical, "pseudo_observations", _unranked)
         s = simulate_example1(200, 0.5, seed=23)
         message = ("^candidates must be a collection of break-points, not the "
                    f"string {re.escape(repr(candidates))}$")
         with pytest.raises(ParameterError, match=message):
             fit_piecewise(s, candidates=candidates)
+
+    # each used to end in float()'s own TypeError or ValueError
+    @pytest.mark.parametrize("item", [[0.5], None, "abc"],
+                             ids=["list", "None", "word"])
+    def test_candidate_not_a_number_is_rejected(self, item, monkeypatch):
+        monkeypatch.setattr(empirical, "pseudo_observations", _unranked)
+        s = simulate_example1(200, 0.5, seed=23)
+        message = f"^break-point {re.escape(repr(item))} is not a number$"
+        with pytest.raises(ParameterError, match=message):
+            fit_piecewise(s, candidates=[0.4, item])
+
+    @pytest.mark.parametrize("candidates", [
+        [0.5], (0.5,), ["0.5"], [np.float64(0.5)], [np.float32(0.5)],
+        np.array([0.5]), iter([0.5]),
+    ], ids=["list", "tuple", "numeric string", "float64", "float32", "array",
+            "iterator"])
+    def test_number_candidates_give_one_fit(self, candidates):
+        s = simulate_example1(500, 0.5, seed=23)
+        fit = fit_piecewise(s, candidates=candidates)
+        assert fit.break_points == [0.5] and type(fit.break_points[0]) is float
 
     def test_ranks_once_and_matches_explicit_candidates(self, monkeypatch):
         s = simulate_example4(3000, 0.1, seed=14)

@@ -34,7 +34,7 @@ from gluecop import (
     simulate_example1,
     tent,
 )
-from gluecop.regression import MEAN_BLOCK, MEAN_NODES, _mean_grid
+from gluecop.regression import MEAN_BLOCK, MEAN_EPS, MEAN_NODES, _mean_grid
 from oracles import bisection_quantile
 
 PI = IndependenceCopula()
@@ -106,16 +106,15 @@ def per_x_mean(m: RegressionModel, x):
     """The conditional mean one x at a time, E[Y | U=u] = a + h sum(1 - F)
     - h sum(F) with F = dC/du(u, nodes), as a reference for the blockwise
     evaluation."""
-    a, upper, lower = _mean_grid(m.marginal_y)
+    a, sides = _mean_grid(m.marginal_y)
     out = []
     for u in m.marginal_x.cdf(np.atleast_1d(np.asarray(x, dtype=float))):
         total = a
-        if upper is not None:
-            h, v = upper
-            total += h * float(np.sum(1.0 - m.copula.du(u, v)))
-        if lower is not None:
-            h, v = lower
-            total -= h * float(np.sum(m.copula.du(u, v)))
+        for upper, h, v in sides:
+            if upper:
+                total += h * float(np.sum(1.0 - m.copula.du(u, v)))
+            else:
+                total -= h * float(np.sum(m.copula.du(u, v)))
         out.append(total)
     return np.array(out)
 
@@ -144,10 +143,11 @@ def test_quantile_slab_by_slab_is_the_whole_copula_bisection(u):
 
 
 class _CountingCopula(Copula):
-    """Delegates to ``inner`` and records how many points each du call sees."""
+    """Delegates to ``inner`` and records how many points each du call sees,
+    and the u it is given."""
 
     def __init__(self, inner: Copula):
-        self.inner, self.sizes = inner, []
+        self.inner, self.sizes, self.us = inner, [], []
         self.smooth, self.point_mass = inner.smooth, inner.point_mass
 
     def _cdf(self, u, v):
@@ -155,7 +155,25 @@ class _CountingCopula(Copula):
 
     def _du(self, u, v):
         self.sizes.append(np.broadcast(u, v).size)
+        self.us.append(u)
         return self.inner._du(u, v)
+
+
+class TestMeanGrid:
+    @pytest.mark.parametrize("my, uppers", [
+        (UNIT, [True]), (UniformMarginal(-2.0, -1.0), [False]),
+        (TWO_SIDED_Y, [True, False]),
+    ], ids=["above 0", "below 0", "straddles 0"])
+    def test_one_tuple_per_non_empty_side(self, my, uppers):
+        a, sides = _mean_grid(my)
+        ylo, yhi = my.quantile(MEAN_EPS), my.quantile(1.0 - MEAN_EPS)
+        assert a == min(max(0.0, ylo), yhi)
+        assert [upper for upper, _, _ in sides] == uppers
+        for upper, h, v in sides:
+            lo, hi = (a, yhi) if upper else (ylo, a)
+            assert h == (hi - lo) / MEAN_NODES and h > 0
+            np.testing.assert_array_equal(
+                v, my.cdf(lo + (np.arange(MEAN_NODES) + 0.5) * h))
 
 
 class TestMeanBlocks:
@@ -238,6 +256,22 @@ class TestMeanCounts:
         assert 0 < len(counted.sizes) <= 2 * HALVINGS
         assert set(counted.sizes) == {xs.size}
 
+    @pytest.mark.parametrize("leaf", [M, W], ids=repr)
+    def test_nested_glue_du_calls_are_halvings_on_the_leaf(self, leaf):
+        # the M or W sits in a glue inside a glue: it is handed its own u*
+        counted = _CountingCopula(leaf)
+        c = glue([ClaytonCopula(3.0), glue([FrankCopula(-8.0), counted], [0.5])],
+                 [0.4])
+        m = RegressionModel(c, UNIT, TWO_SIDED_Y)
+        xs = np.linspace(0.0, 1.0, 1001)
+        mu = mean_regression(m, xs)
+        outer = (xs[xs > 0.4] - 0.4) / (1.0 - 0.4)
+        inner = (outer[outer > 0.5] - 0.5) / (1.0 - 0.5)
+        assert 0 < len(counted.us) <= 2 * HALVINGS
+        for u in counted.us:
+            np.testing.assert_array_equal(u, inner)
+        np.testing.assert_array_equal(mu, per_x_mean(m, xs))
+
     def test_piecewise_du_calls_are_halvings_on_each_slab(self):
         pieces = [_CountingCopula(M), _CountingCopula(W)]
         pm = PiecewiseRegressionModel((0.4,), pieces, UNIT, TWO_SIDED_Y)
@@ -258,14 +292,16 @@ class TestMeanCounts:
         np.testing.assert_array_equal(mean_regression(m, xs), per_x_mean(m, xs))
 
     def test_nodes_repeat_on_the_tied_response(self):
-        _, upper, lower = _mean_grid(TIED_NODES_Y)
-        for _, v in (upper, lower):
+        _, sides = _mean_grid(TIED_NODES_Y)
+        assert len(sides) == 2
+        for _, _, v in sides:
             assert np.all(np.diff(v) >= 0) and np.unique(v).size < v.size / 10
 
     @pytest.mark.parametrize("c", FRECHET_MEAN_COPULAS, ids=repr)
     def test_nodes_out_of_order_take_the_blocks(self, c):
-        _, upper, lower = _mean_grid(WAVY_Y)
-        assert np.any(np.diff(upper[1]) < 0) and np.any(np.diff(lower[1]) < 0)
+        _, sides = _mean_grid(WAVY_Y)
+        assert [upper for upper, _, _ in sides] == [True, False]
+        assert all(np.any(np.diff(v) < 0) for _, _, v in sides)
         xs = np.linspace(0.0, 1.0, 1001)
         m = RegressionModel(c, UNIT, WAVY_Y)
         np.testing.assert_array_equal(mean_regression(m, xs), per_x_mean(m, xs))
@@ -278,8 +314,8 @@ class TestMeanCounts:
     @pytest.mark.parametrize("my", [UNIT, TWO_SIDED_Y], ids=["uniform", "empirical"])
     def test_at_the_jump_and_one_ulp_either_side(self, c, at_jump, my):
         # for W, whether the rounded u + v_j reaches 1 decides each node
-        _, upper, lower = _mean_grid(my)
-        v = np.concatenate([side[1] for side in (upper, lower) if side is not None])
+        _, sides = _mean_grid(my)
+        v = np.concatenate([v for _, _, v in sides])
         u = at_jump(v)
         xs = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
         m = RegressionModel(c, UNIT, my)

@@ -38,7 +38,9 @@ and so are 2000 draws of ``simulate_copula`` from that tent copula (seed 5).
 A glue nested inside a glue (Clayton(3), Frank(-8) and Gumbel(3) glued to M
 at 0.5, glued at 0.25 and 0.625) gives its conditional quantile at the same
 four p on a 41-point u grid plus 0.25, 0.625 and 0.8125, where its M
-begins, and its median curve with the empirical response on 1001 points.
+begins, and its median and mean curves with the empirical response on 1001
+points.  The mean reaches the M inside the inner glue as a leaf piece and
+counts its nodes, where the inner glue would sum its ``du`` row by row.
 
 The band decisions are pinned at fixed tolerances (``_decisions``): the
 ``diagonal_crossings`` report of the tent copula at 0.3 and 0.6, of that
@@ -330,6 +332,8 @@ def _fixed_curves() -> dict[str, bytes]:
         "nested glue quantile curve": conditional_quantile(nested, nested_u,
                                                            nested_p),
         "nested glue median curve": median_regression(
+            RegressionModel(nested, unit, my), grid),
+        "nested glue mean curve": mean_regression(
             RegressionModel(nested, unit, my), grid),
     }
     return {item: np.asarray(mu).tobytes() for item, mu in curves.items()}
