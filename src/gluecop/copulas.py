@@ -6,8 +6,9 @@ the partial derivative with respect to the first argument, which equals the
 conditional distribution of V given U=u.  Families with a closed-form
 derivative provide it; the rest fall back to central finite differences.
 Inputs outside [0, 1] are rejected, never clamped — silent clamping hides
-marginal-model bugs upstream; past that check the hooks see the caller's
-shapes, and a grid is a column and a row: ``cdf(us[:, None], vs[None, :])``.
+marginal-model bugs upstream; past that check all four hooks see the caller's
+broadcastable shapes, which only a glued copula broadcasts, once, in its slab
+walk.  A grid is a column and a row: ``cdf(us[:, None], vs[None, :])``.
 
 ``glue`` puts pieces C_i on vertical slabs: on the slab [lo, hi], with
 u* = (u - lo)/(hi - lo),
@@ -67,15 +68,15 @@ def _validate_unit(*arrays):
             raise DomainError("copula arguments must lie in [0, 1] and be non-NaN")
 
 
-def _on_unit_square(f, *args, reshape=np.atleast_1d):
+def _on_unit_square(f, *args):
     """f on the validated arguments by ``on_arrays``.  Shapes that differ
-    must broadcast, and f sees ``reshape(*args)``: by default each as passed,
-    a 0-d one as one element (whose ``pow`` rounds as the 1-element call's)."""
+    must broadcast, and f sees each as passed, a 0-d one as one element
+    (whose ``pow`` rounds as the 1-element call's)."""
     args = [np.asarray(a, dtype=float) for a in args]
     _validate_unit(*args)
     if len({a.shape for a in args}) > 1:
         np.broadcast_shapes(*(a.shape for a in args))
-        args = reshape(*args)
+        args = np.atleast_1d(*args)
     return on_arrays(f, *args)
 
 
@@ -105,14 +106,15 @@ class Copula:
 
     ``cdf``, ``du``, ``diagonal`` and ``conditional_quantile`` take scalars
     or broadcastable arrays: a scalar in gives a float out, with the bits
-    the array call gives at the same point.  Their hooks ``_cdf``, ``_du``
-    and ``_diagonal`` (``_cdf(t, t)`` by default) take the points the library
-    builds, unchecked, and return the broadcast of their shapes.  A grid, the
-    library's or a caller's, is a (n, 1) column and a (1, m) row, so a family
-    computes its per-argument terms (powers, logs, exponentials) on each
-    axis before it combines the two.  Every family in the package does, the
-    parabola's included (one response-quantile solve per v of the row); a
-    glued copula, whose slabs cut the grid, hands each piece its cells.
+    the array call gives at the same point.  Their hooks ``_cdf``, ``_du``,
+    ``_diagonal`` (``_cdf(t, t)`` by default) and ``_conditional_quantile``
+    take the points the library builds, unchecked, in broadcastable shapes
+    and return the broadcast shape.  A grid, the library's or a caller's, is
+    a (n, 1) column and a (1, m) row, so a family computes its per-argument
+    terms (powers, logs, exponentials) on each axis before it combines the
+    two, the parabola's too (one response-quantile solve per v of the row).
+    Only a glued copula broadcasts, once, in the slab walk that hands each
+    piece its cells.
     """
 
     name = "copula"
@@ -148,9 +150,9 @@ class Copula:
         return self._du(u, v).clip(0.0, 1.0)
 
     def _conditional_quantile(self, u, p):
-        """inf{v : du(u, v) >= p} on float arrays in [0, 1] of one shape,
-        unchecked, by ``BISECT_STEPS`` halvings of [0, 1]: every midpoint of
-        a bracket inside [0, 1] lies in it, so each step calls
+        """inf{v : du(u, v) >= p} on float arrays in [0, 1] of broadcastable
+        shapes, unchecked, by ``BISECT_STEPS`` halvings of [0, 1]: every
+        midpoint of a bracket inside [0, 1] lies in it, so each step calls
         ``_du_clamped``, the path ``du`` runs after its check, bit for bit."""
         # du(u, 0) = 0 <= p always holds for p > 0; p = 0 resolves to v = 0
         # via the shrinking upper bracket since du(u, v) >= 0 everywhere.
@@ -161,9 +163,9 @@ class Copula:
         return np.where(at0, 0.0, hi)
 
     def _on_pieces(self, f, u, *rows):
-        """f(piece, u*, *rows) on the piece of each vertical slab the array
-        u occupies, the rows (arrays of u's shape) cut to that slab, put
-        together in u's shape; a glued piece walks its own slabs, so f sees
+        """f(piece, u*, *rows) on the piece of each vertical slab of u and
+        the rows broadcast together, each cut to that slab, put together in
+        the broadcast shape; a glued piece walks its own slabs, so f sees
         leaf pieces only.  Any other copula is one piece: f(self, u, *rows)."""
         return f(self, u, *rows)
 
@@ -470,6 +472,9 @@ class GluedCopula(Copula):
         pts = np.asarray(list(gluing_points), dtype=float)
         if len(pieces) != pts.size + 1:
             raise DomainError("need exactly one more piece than gluing points")
+        for i, piece in enumerate(pieces):
+            if not isinstance(piece, Copula):
+                raise DomainError(f"piece {i} is not a copula: {piece!r}")
         if misplaced_gluing_point(pts) is not None:
             raise DomainError("gluing points must be strictly increasing in (0, 1)")
         self._pieces = tuple(pieces)
@@ -480,35 +485,33 @@ class GluedCopula(Copula):
     def pieces(self) -> tuple:
         return self._pieces
 
-    def _slabs(self, u):
-        """(piece index, mask, flat u*) for each occupied slab of the array u;
-        left-closed, as are the x <= b segments of PiecewiseRegressionModel."""
+    def _on_slabs(self, f, u, *rows):
+        """``_on_pieces`` one level down: f(piece, lo, hi, u*, *rows) on each
+        occupied slab [lo, hi], left-closed as are the x <= b segments of
+        PiecewiseRegressionModel; the one place a glued copula broadcasts."""
+        u, *rows = np.broadcast_arrays(u, *rows)
         idx = np.clip(np.searchsorted(self._bounds, u, side="left") - 1,
                       0, len(self.pieces) - 1)
-        for i in range(len(self.pieces)):
+        out = np.empty(u.shape)
+        for i, piece in enumerate(self.pieces):
             m = idx == i
             if np.any(m):
                 lo, hi = self._bounds[i], self._bounds[i + 1]
-                yield i, m, (u[m] - lo) / (hi - lo)
+                out[m] = f(piece, lo, hi, (u[m] - lo) / (hi - lo),
+                           *(r[m] for r in rows))
+        return out
 
     def _on_pieces(self, f, u, *rows):
-        out = np.empty(u.shape)
-        for i, m, us in self._slabs(u):
-            out[m] = self.pieces[i]._on_pieces(f, us, *(r[m] for r in rows))
-        return out
+        return self._on_slabs(lambda c, lo, hi, us, *rs: c._on_pieces(f, us, *rs),
+                              u, *rows)
 
     def _cdf(self, u, v):
         # the slab rule; its lo * v keeps C continuous at a gluing point
-        u, v = np.broadcast_arrays(u, v)
-        out = np.empty(u.shape)
-        for i, m, us in self._slabs(u):
-            lo, hi, vs = self._bounds[i], self._bounds[i + 1], v[m]
-            out[m] = (hi - lo) * self.pieces[i]._cdf(us, vs) + lo * vs
-        return out
+        return self._on_slabs(
+            lambda c, lo, hi, us, vs: (hi - lo) * c._cdf(us, vs) + lo * vs, u, v)
 
     def _du(self, u, v):
-        return self._on_pieces(lambda c, u, v: c._du(u, v),
-                               *np.broadcast_arrays(u, v))
+        return self._on_pieces(lambda c, u, v: c._du(u, v), u, v)
 
     def _conditional_quantile(self, u, p):
         return self._on_pieces(lambda c, u, p: c._conditional_quantile(u, p), u, p)
@@ -568,7 +571,7 @@ def conditional_quantile(c: Copula, u, p):
     point built after the check needs one.  The Fréchet bounds return their
     bisection's answer in closed form, bit for bit.
     """
-    return _on_unit_square(c._conditional_quantile, u, p, reshape=np.broadcast_arrays)
+    return _on_unit_square(c._conditional_quantile, u, p)
 
 
 # ---------------------------------------------------------------------------

@@ -436,15 +436,19 @@ def fit_piecewise(s: Sample, candidates=None,
     ranks (the empirical conditional marginal), fit each segment, and
     assemble a piecewise regression model with empirical marginals.  A
     family outside ``DEFAULT_FIT_FAMILIES``, a string or bytes of families
-    or of candidates, or a candidate that ``float`` refuses, is a
-    ``ParameterError``, raised before the data is ranked.  Each column is
-    sorted once: detection, the within-segment ranks, every goodness-of-fit
-    count and the empirical marginals' knots come from those two orders,
-    and detected break-points are quantiles of the sorted x."""
+    or of candidates, candidates that cannot be iterated (a bare number), or
+    a candidate that ``float`` refuses, is a ``ParameterError``, raised
+    before the data is ranked.  Each column is sorted once: detection, the
+    within-segment ranks, every goodness-of-fit count and the empirical
+    marginals' knots come from those two orders, and detected break-points
+    are quantiles of the sorted x."""
     families = _checked_families(families)
     if isinstance(candidates, (str, bytes, bytearray)):
         raise ParameterError("candidates must be a collection of break-points, "
                              f"not the string {candidates!r}")
+    if not (candidates is None or np.iterable(candidates)):
+        raise ParameterError("candidates must be a collection of break-points, "
+                             f"not {candidates!r}")
     if candidates is not None:
         candidates = [_break_point(b) for b in candidates]
     _warn_if_small(s.n, "piecewise fitting")

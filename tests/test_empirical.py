@@ -561,15 +561,19 @@ class TestFitPiecewise:
         assert rmse < 0.02
 
     # "0.5" used to fail inside numpy on '.', "5" was break-point 5, and
-    # bytes were read as their byte values: b"5" was break-point 53
+    # bytes were read as their byte values: b"5" was break-point 53; a
+    # number that cannot be iterated ended in Python's own TypeError
     @pytest.mark.parametrize("candidates", [
         "0.5", "5", pytest.param(b"5", id="bytes"),
-        pytest.param(bytearray(b"5"), id="bytearray")])
+        pytest.param(bytearray(b"5"), id="bytearray"),
+        pytest.param(0.5, id="float"), pytest.param(np.float64(0.5), id="float64"),
+        pytest.param(np.array(0.5), id="0-d array")])
     def test_candidates_string_is_rejected(self, candidates, monkeypatch):
         monkeypatch.setattr(empirical, "pseudo_observations", _unranked)
         s = simulate_example1(200, 0.5, seed=23)
-        message = ("^candidates must be a collection of break-points, not the "
-                   f"string {re.escape(repr(candidates))}$")
+        what = "the string " if isinstance(candidates, (str, bytes, bytearray)) else ""
+        message = ("^candidates must be a collection of break-points, not "
+                   f"{what}{re.escape(repr(candidates))}$")
         with pytest.raises(ParameterError, match=message):
             fit_piecewise(s, candidates=candidates)
 

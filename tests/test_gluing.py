@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,17 @@ class TestGlue:
             glue([M, W], [0.3, 0.6])
         with pytest.raises(DomainError):
             glue([M, W], [np.nan])
+
+    # a piece that is not a copula used to fail only once its slab was reached
+    @pytest.mark.parametrize("pieces, message", [
+        ([ClaytonCopula(2.0), None], "piece 1 is not a copula: None"),
+        (["clayton", W], "piece 0 is not a copula: 'clayton'"),
+        ([M, PI, FrankCopula], "piece 2 is not a copula: <class "),
+    ], ids=["None", "family name", "class"])
+    def test_piece_that_is_not_a_copula(self, pieces, message):
+        points = np.linspace(0.0, 1.0, len(pieces) + 1)[1:-1]
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            glue(pieces, points)
 
     @pytest.mark.parametrize("pieces", [[M, W], [ClaytonCopula(2), FrankCopula(-4)]])
     def test_glue_preserves_axioms(self, pieces):

@@ -108,10 +108,11 @@ def _same_bits(out, want):
 
 
 @pytest.mark.parametrize("c", PER_AXIS)
-@pytest.mark.parametrize("call", ["cdf", "du"])
+@pytest.mark.parametrize("call", ["cdf", "du", "conditional_quantile"])
 def test_column_by_row_gives_the_meshgrid_bits(c, call):
     # the hooks see the column and the row as passed, not the grid
-    f = getattr(c, call)
+    f = (partial(conditional_quantile, c) if call == "conditional_quantile"
+         else getattr(c, call))
     col, row = U[:9, None], V[None, :7]
     _same_bits(f(col, row), f(*np.meshgrid(U[:9], V[:7], indexing="ij")))
 

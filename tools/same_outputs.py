@@ -86,7 +86,12 @@ p = 1 - 6e-11, once with a scalar u and once with the 1-element array
 ``du`` on a column and a row are compared too, for the tent copula at 0.6,
 the glued three and an empirical copula of tied data (64-point axes holding
 0, 1 and the gluing points; the empirical one also repeats 40 data values),
-and for the parabola's copula on 16 points.
+and for the parabola's copula on 16 points.  So are the bytes of
+``conditional_quantile`` at p in {0, 0.25, 0.5, 1}, as a row, on two kinds
+of u: the 64-point axis as a column, and each of its points as a scalar u
+beside the row.  These run for the tent copula at 0.6, the glued three and
+the nested glue, whose axis holds 0.25, 0.625 and 0.8125 instead.  A glued
+copula broadcasts u and p once, in its slab walk.
 
 Three model documents at the edges of ``gluecop predict`` run with ``--num
 5`` (``EDGE_MODELS``): one whose empirical x knots span -1.7e308 to 1.7e308,
@@ -286,14 +291,24 @@ EDGE_U = (0.0, 5e-324, 2.0 ** -35, 2.0 ** -34 - 2.0 ** -87, 2.0 ** -34,
           1.0 - 2.0 ** -53, 1.0, 0.6)
 
 
+def _nested_glue():
+    """Clayton(3), Frank(-8) and Gumbel(3) glued to M at 0.5, glued at 0.25
+    and 0.625: the M inside begins at 0.8125."""
+    from gluecop import (ClaytonCopula, FrankCopula, FrechetUpperCopula,
+                         GumbelCopula, glue)
+
+    return glue([ClaytonCopula(3.0), FrankCopula(-8.0),
+                 glue([GumbelCopula(3.0), FrechetUpperCopula()], [0.5])],
+                [0.25, 0.625])
+
+
 def _fixed_curves() -> dict[str, bytes]:
     import numpy as np
 
     from bench.workloads import GLUED_POINTS, glued_truth
-    from gluecop import (ClaytonCopula, EmpiricalMarginal, FrankCopula,
-                         FrechetLowerCopula, FrechetUpperCopula, GumbelCopula,
+    from gluecop import (EmpiricalMarginal, FrankCopula, FrechetLowerCopula,
                          PiecewiseRegressionModel, RegressionModel,
-                         UniformMarginal, conditional_quantile, glue, make_copula,
+                         UniformMarginal, conditional_quantile, make_copula,
                          mean_regression, median_regression, piecewise_regression,
                          simulate_copula)
 
@@ -308,9 +323,7 @@ def _fixed_curves() -> dict[str, bytes]:
                        [0.0, 0.25, 0.5, 1.0], indexing="ij")
     edge_u, edge_p = np.meshgrid(EDGE_U, [0.0, 0.25, 0.5, 1.0], indexing="ij")
     tent = make_copula("example1", 0.6)
-    nested = glue([ClaytonCopula(3.0), FrankCopula(-8.0),
-                   glue([GumbelCopula(3.0), FrechetUpperCopula()], [0.5])],
-                  [0.25, 0.625])
+    nested = _nested_glue()
     # u also at both gluing points and at 0.8125, where the M inside begins
     nested_u, nested_p = np.meshgrid(
         np.r_[np.linspace(0.0, 1.0, 41), 0.25, 0.625, 0.8125],
@@ -389,8 +402,10 @@ def _bad_calls() -> dict[str, bytes]:
 
 def _shape_calls() -> dict[str, bytes]:
     """``conditional_quantile`` where a scalar u and the 1-element array
-    holding it once gave different bits: the ``repr`` of each result.  And
-    the bytes of the public ``cdf`` and ``du`` on a column and a row."""
+    holding it once gave different bits: the ``repr`` of each result.  The
+    bytes of the public ``cdf`` and ``du`` on a column and a row, and those
+    of ``conditional_quantile`` on a column of u and on each scalar u of it,
+    by a row of p."""
     import numpy as np
 
     from bench.workloads import GLUED_POINTS, PARABOLA_K, glued_truth
@@ -419,6 +434,15 @@ def _shape_calls() -> dict[str, bytes]:
         for call in ("cdf", "du"):
             rec[f"{call} column by row {name}"] = getattr(cop, call)(
                 t[:, None], t[None, :]).tobytes()
+    ps = np.array([0.0, 0.25, 0.5, 1.0])
+    nested_axis = np.r_[np.linspace(0.0, 1.0, 61), 0.25, 0.625, 0.8125]
+    quantiles = {"tent": grids["tent"], "glued three": grids["glued three"],
+                 "nested glue": (_nested_glue(), nested_axis)}
+    for name, (cop, t) in quantiles.items():
+        rec[f"conditional_quantile column by row {name}"] = (
+            conditional_quantile(cop, t[:, None], ps).tobytes())
+        rec[f"conditional_quantile scalar u by row {name}"] = b"".join(
+            conditional_quantile(cop, float(x), ps).tobytes() for x in t)
     return rec
 
 
